@@ -28,7 +28,6 @@ from .fem import (
     FeSpace,
     NoConvergence,
     QuadRule,
-    apply_dirichlet,
     assemble_joule_load,
     assemble_load,
     assemble_mass,
@@ -36,7 +35,6 @@ from .fem import (
     assemble_weighted_stiffness,
     gauss_rule_square,
     gauss_rule_triangle,
-    recombine,
     solve_spd,
 )
 from .harness import (
@@ -52,24 +50,21 @@ from .harness import (
     run_plan,
 )
 from .manufactured import make_problem
-from .mesh import MacroBlock, Mesh, build_mesh, dump_mesh, macroelements
+from .mesh import MacroBlock, Mesh, build_mesh, macroelements
 from .schemes import (
+    TABLES,
+    ImexTable,
     OperatorCache,
     ProblemData,
     SchemeConfig,
     StepRecord,
     TimeState,
-    bdf2_step,
-    bdf3_step,
-    d_tau,
-    euler_init,
-    euler_step,
-    ext1_step,
     gao_step,
+    imex_step,
     potential_solve,
     resolve_tau,
     run_simulation,
-    temperature_solve_bdf2,
+    temperature_solve,
     validate_config,
 )
 

@@ -30,6 +30,7 @@ __all__ = [
     "l2_error_postprocessed",
     "fe_l2_norm",
     "fe_h1_norm",
+    "convergence_order",
     "eoc",
 ]
 
@@ -242,6 +243,15 @@ def fe_h1_norm_postprocessed(field: PostProcessedField, space: FeSpace) -> float
     return float(np.sqrt(np.sum(tb.wdet * (v**2 + g[..., 0] ** 2 + g[..., 1] ** 2))))
 
 
+def convergence_order(e_coarse: float, e_fine: float, ratio: float) -> float:
+    """Experimental order ``log(e_coarse / e_fine) / log(ratio)`` between two
+    runs whose mesh size or time step differ by the factor ``ratio``; NaN
+    unless both errors are positive."""
+    if e_coarse > 0 and e_fine > 0:
+        return float(np.log(e_coarse / e_fine) / np.log(ratio))
+    return float("nan")
+
+
 def eoc(pairs) -> list[float]:
     """Experimental orders of convergence from ``(h, error)`` pairs.
 
@@ -256,5 +266,5 @@ def eoc(pairs) -> list[float]:
             raise ValueError(f"errors must be positive to compute orders, got {e0!r}, {e1!r}")
         if h0 <= h1:
             raise ValueError(f"h must decrease monotonically, got {h0!r} -> {h1!r}")
-        orders.append(float(np.log(e0 / e1) / np.log(h0 / h1)))
+        orders.append(convergence_order(e0, e1, h0 / h1))
     return orders

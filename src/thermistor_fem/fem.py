@@ -30,8 +30,6 @@ __all__ = [
     "assemble_weighted_stiffness",
     "assemble_load",
     "assemble_joule_load",
-    "apply_dirichlet",
-    "recombine",
     "solve_spd",
     "DirichletSystem",
 ]
@@ -376,46 +374,6 @@ def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.n
 # ----------------------------------------------------------------------------
 
 
-def apply_dirichlet(space: FeSpace, A: sp.spmatrix, b: np.ndarray, boundary_values: np.ndarray):
-    """Eliminate Dirichlet dofs from ``A x = b``.
-
-    Parameters
-    ----------
-    boundary_values : array
-        Prescribed values on ``space.boundary_dofs`` (in that order).
-
-    Returns
-    -------
-    (A_red, b_red, lift)
-        Reduced SPD system over the interior dofs and the lift vector: a full
-        length vector with the boundary values filled in and zeros at interior
-        positions.  The full solution is ``recombine(space, x_red, lift)``.
-    """
-    boundary_values = np.asarray(boundary_values, dtype=float)
-    if boundary_values.shape != (space.boundary_dofs.size,):
-        raise ValueError(
-            f"boundary_values must have shape ({space.boundary_dofs.size},), "
-            f"got {boundary_values.shape}"
-        )
-    A = A.tocsr()
-    I = space.interior_dofs
-    B = space.boundary_dofs
-    A_rows = A[I]
-    A_red = A_rows[:, I]
-    A_ib = A_rows[:, B]
-    b_red = b[I] - A_ib @ boundary_values
-    lift = np.zeros(space.n_dofs)
-    lift[B] = boundary_values
-    return A_red, b_red, lift
-
-
-def recombine(space: FeSpace, x_red: np.ndarray, lift: np.ndarray) -> np.ndarray:
-    """Merge an interior solution with its boundary lift into a full vector."""
-    full = lift.copy()
-    full[space.interior_dofs] = x_red
-    return full
-
-
 def solve_spd(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Solve a symmetric positive definite sparse system by preconditioned CG.
 
@@ -489,8 +447,14 @@ class DirichletSystem:
                 raise NoConvergence(f"sparse factorization failed: {exc}") from exc
 
     def solve(self, b: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:
-        """Solve for the full nodal vector given a full load vector."""
+        """Solve for the full nodal vector given a full load vector and the
+        values on ``space.boundary_dofs``, in that order."""
         g = np.asarray(boundary_values, dtype=float)
+        if g.shape != (self.space.boundary_dofs.size,):
+            raise ValueError(
+                f"boundary_values must have shape ({self.space.boundary_dofs.size},), "
+                f"got {g.shape}"
+            )
         b_red = b[self.space.interior_dofs] - self.A_ib @ g
         if self.method == "direct":
             x_red = self._lu.solve(b_red)

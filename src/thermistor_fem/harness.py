@@ -100,6 +100,19 @@ class ErrorReport:
     superclose_phi_l2: float
 
 
+def _field_errors(space: FeSpace, blocks, coeffs, exact, grad, t: float, name: str) -> dict:
+    """The error measures of one field, keyed by their `ErrorReport` names."""
+    interp = analysis.interpolate_nodal(space, exact, t)
+    post = analysis.i2h_postprocess(space, blocks, coeffs)
+    return {
+        f"err_{name}_l2": analysis.l2_error(space, coeffs, exact, t),
+        f"err_{name}_h1": analysis.h1_error(space, coeffs, exact, grad, t),
+        f"superclose_{name}_h1": analysis.fe_h1_norm(space, coeffs - interp),
+        f"superclose_{name}_l2": analysis.fe_l2_norm(space, coeffs - interp),
+        f"superconv_{name}_h1": analysis.h1_error_postprocessed(post, space, exact, grad, t),
+    }
+
+
 def compute_error_report(
     space: FeSpace,
     state: TimeState,
@@ -111,27 +124,8 @@ def compute_error_report(
     """Measure all error norms of a finished run at its final time."""
     t = state.t
     blocks = macroelements(space.mesh)
-
-    err_u_l2 = analysis.l2_error(space, state.u_n, problem.exact_u, t)
-    err_u_h1 = analysis.h1_error(space, state.u_n, problem.exact_u, problem.grad_u, t)
-    iu = analysis.interpolate_nodal(space, problem.exact_u, t)
-    superclose_u = analysis.fe_h1_norm(space, state.u_n - iu)
-    superclose_u_l2 = analysis.fe_l2_norm(space, state.u_n - iu)
-    post_u = analysis.i2h_postprocess(space, blocks, state.u_n)
-    superconv_u = analysis.h1_error_postprocessed(
-        post_u, space, problem.exact_u, problem.grad_u, t
-    )
-
-    err_phi_l2 = analysis.l2_error(space, state.phi_n, problem.exact_phi, t)
-    err_phi_h1 = analysis.h1_error(space, state.phi_n, problem.exact_phi, problem.grad_phi, t)
-    iphi = analysis.interpolate_nodal(space, problem.exact_phi, t)
-    superclose_phi = analysis.fe_h1_norm(space, state.phi_n - iphi)
-    superclose_phi_l2 = analysis.fe_l2_norm(space, state.phi_n - iphi)
-    post_phi = analysis.i2h_postprocess(space, blocks, state.phi_n)
-    superconv_phi = analysis.h1_error_postprocessed(
-        post_phi, space, problem.exact_phi, problem.grad_phi, t
-    )
-
+    u = _field_errors(space, blocks, state.u_n, problem.exact_u, problem.grad_u, t, "u")
+    phi = _field_errors(space, blocks, state.phi_n, problem.exact_phi, problem.grad_phi, t, "phi")
     return ErrorReport(
         scheme=config.scheme,
         elem=config.elem_kind,
@@ -139,17 +133,9 @@ def compute_error_report(
         h=space.mesh.h,
         tau=tau,
         N=N,
-        err_u_l2=err_u_l2,
-        err_u_h1=err_u_h1,
-        superclose_u_h1=superclose_u,
-        superconv_u_h1=superconv_u,
-        err_phi_l2=err_phi_l2,
-        err_phi_h1=err_phi_h1,
-        superclose_phi_h1=superclose_phi,
-        superconv_phi_h1=superconv_phi,
-        combined_l2=float(np.sqrt(err_u_l2**2 + err_phi_l2**2)),
-        superclose_u_l2=superclose_u_l2,
-        superclose_phi_l2=superclose_phi_l2,
+        combined_l2=float(np.sqrt(u["err_u_l2"] ** 2 + phi["err_phi_l2"] ** 2)),
+        **u,
+        **phi,
     )
 
 
@@ -238,11 +224,7 @@ def _eoc_rows(reports):
             "N": b.N,
         }
         for name in _ERROR_FIELDS:
-            ea = getattr(a, name)
-            eb = getattr(b, name)
-            row[name] = (
-                float(np.log(ea / eb) / np.log(ratio)) if ea > 0 and eb > 0 else float("nan")
-            )
+            row[name] = analysis.convergence_order(getattr(a, name), getattr(b, name), ratio)
         rows.append(row)
     return rows
 
@@ -307,10 +289,10 @@ def render_order_table(reports) -> str:
                 cells = ["--".rjust(col_w)]
                 for a, b, ea, eb in zip(rs[:-1], rs[1:], vals[:-1], vals[1:]):
                     ratio = _refinement_ratio(a, b)
-                    if ratio is not None and ratio > 1 and ea > 0 and eb > 0:
-                        cells.append(f"{np.log(ea / eb) / np.log(ratio):.2f}".rjust(col_w))
-                    else:
-                        cells.append("--".rjust(col_w))
+                    order = float("nan")
+                    if ratio is not None and ratio > 1:
+                        order = analysis.convergence_order(ea, eb, ratio)
+                    cells.append(("--" if math.isnan(order) else f"{order:.2f}").rjust(col_w))
                 out.append("  order".ljust(label_w) + "".join(cells))
         out.append("")
     return "\n".join(out)

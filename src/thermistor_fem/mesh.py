@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "MacroBlock", "build_mesh", "macroelements", "dump_mesh"]
+__all__ = ["Mesh", "MacroBlock", "build_mesh", "macroelements"]
 
 
 @dataclass(frozen=True)
@@ -250,12 +250,3 @@ def macroelements(mesh: Mesh) -> list[MacroBlock]:
                 blocks.append(MacroBlock(fine, anchors, "P2"))
 
     return blocks
-
-
-def dump_mesh(mesh: Mesh) -> str:
-    """Plain-text dump: one node per line as ``x y``, a blank line, then one
-    element per line as space-separated node indices.  Debugging aid only."""
-    lines = [f"{x!r} {y!r}" for x, y in mesh.nodes]
-    lines.append("")
-    lines.extend(" ".join(str(v) for v in el) for el in mesh.elements)
-    return "\n".join(lines) + "\n"

@@ -13,19 +13,24 @@ with homogeneous Dirichlet data for ``u`` and prescribed boundary values
 conductivity from known time levels, so each step costs two linear solves:
 one potential solve and one temperature solve.
 
-The workhorse scheme is the two-step backward differentiation formula with
-the second-order extrapolation ``sigma* = 2 sigma(U^{n-1}) - sigma(U^{n-2})``,
-started with one implicit Euler step.  Variants: a three-step BDF with cubic
-extrapolation, a scheme that advances the temperature first using Joule data
-extrapolated from previous potentials, and a first-order-extrapolation
-variant (``sigma* = sigma(U^{n-1})``); the latter two lose accuracy and are
-kept for comparison studies.
+Every potential-first scheme is one `imex_step` driven by a row of
+`TABLES`: the weights of the conductivity extrapolation and the weights of
+the backward difference.  The workhorse row ``bdf2`` is the two-step
+backward differentiation formula with ``sigma* = 2 sigma(U^{n-1}) -
+sigma(U^{n-2})``; ``euler`` and ``bdf3`` are its first- and third-order
+relatives, and ``ext1`` pairs the two-step difference with first-order
+extrapolation (``sigma* = sigma(U^{n-1})``).  `gao_step` advances the
+temperature first, using Joule data extrapolated from previous potentials.
+``ext1`` and ``gao`` lose accuracy and are kept for comparison studies.
+`run_simulation` builds the history levels a row needs by steps of rising
+order (Euler, then BDF2) or from the exact solution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,17 +53,14 @@ __all__ = [
     "TimeState",
     "StepRecord",
     "OperatorCache",
-    "d_tau",
+    "ImexTable",
+    "TABLES",
     "resolve_tau",
     "validate_config",
     "potential_solve",
-    "temperature_solve_bdf2",
-    "euler_init",
-    "euler_step",
-    "bdf2_step",
-    "bdf3_step",
+    "temperature_solve",
+    "imex_step",
     "gao_step",
-    "ext1_step",
     "run_simulation",
 ]
 
@@ -92,8 +94,8 @@ class TimeState:
     """Solution history after completing time level ``n`` (``t = n * tau``).
 
     ``u_n`` is the newest temperature; ``u_nm1``/``u_nm2`` are the one- and
-    two-level-old values (``None`` until the history fills up), likewise for
-    the potential.
+    two-level-old values (``None`` until the history fills up).  Of the
+    potential only ``phi_n`` and ``phi_nm1`` are kept: no step reads older.
     """
 
     n: int
@@ -103,7 +105,6 @@ class TimeState:
     u_nm2: Optional[np.ndarray] = None
     phi_n: Optional[np.ndarray] = None
     phi_nm1: Optional[np.ndarray] = None
-    phi_nm2: Optional[np.ndarray] = None
 
     def advanced(self, u_new: np.ndarray, phi_new: np.ndarray, tau: float) -> "TimeState":
         """Shift the history by one level."""
@@ -115,8 +116,14 @@ class TimeState:
             u_nm2=self.u_nm1,
             phi_n=phi_new,
             phi_nm1=self.phi_n,
-            phi_nm2=self.phi_nm1,
         )
+
+    def temperatures(self, k: int) -> tuple:
+        """The ``k`` newest temperature levels, newest first."""
+        levels = (self.u_n, self.u_nm1, self.u_nm2)[:k]
+        if any(u is None for u in levels):
+            raise ValueError(f"the step needs {k} history levels; run the start-up first")
+        return levels
 
 
 @dataclass(frozen=True)
@@ -139,10 +146,10 @@ class SchemeConfig:
     ``"fixed:<value>"``.  The realized step divides ``T`` evenly:
     ``N = ceil(T / target)``, ``tau = T / N``.
 
-    ``init`` selects the start-up: ``"euler"`` (one implicit Euler step) or
-    ``"exact"`` (nodal interpolants of the exact solution for the starting
-    levels); the empty string picks the scheme default (exact for bdf3,
-    Euler otherwise).
+    ``init`` selects the start-up: ``"euler"`` (steps of rising order,
+    implicit Euler then BDF2) or ``"exact"`` (nodal interpolants of the exact
+    solution for the starting levels); the empty string picks the scheme
+    default (exact for bdf3, Euler otherwise).
     """
 
     scheme: str
@@ -171,6 +178,12 @@ def validate_config(config: SchemeConfig) -> None:
         raise ValueError(f"solver must be 'direct' or 'cg', got {config.solver!r}")
     if config.init not in ("", "euler", "exact"):
         raise ValueError(f"init must be 'euler' or 'exact', got {config.init!r}")
+    if not (isinstance(config.solver_tol, (int, float)) and 0 < config.solver_tol < 1):
+        raise ValueError(f"solver_tol must lie in (0, 1), got {config.solver_tol!r}")
+    for name in ("assembly_points", "error_points"):
+        value = getattr(config, name)
+        if value is not None and not (isinstance(value, (int, np.integer)) and value > 0):
+            raise ValueError(f"{name} must be None or a positive integer, got {value!r}")
     _parse_tau_rule(config.tau_rule)
 
 
@@ -202,18 +215,13 @@ def resolve_tau(config: SchemeConfig, h: float) -> tuple[float, int]:
     return config.T / N, N
 
 
-def d_tau(f_n: np.ndarray, f_nm1: np.ndarray, f_nm2: np.ndarray, tau: float) -> np.ndarray:
-    """Two-step backward difference ``(3 f^n - 4 f^{n-1} + f^{n-2}) / (2 tau)``."""
-    return (3.0 * f_n - 4.0 * f_nm1 + f_nm2) / (2.0 * tau)
-
-
 class OperatorCache:
     """Assembled operators and factorizations reused across time steps.
 
     The temperature system matrix ``alpha * Mass + Stiffness`` is constant in
     time for every scheme here, so its Dirichlet reduction (and, with the
     direct solver, its factorization) is built once per ``alpha``.  The
-    potential matrix changes every step and is rebuilt on demand.
+    potential matrix changes every step; `potential_solve` assembles it.
     """
 
     def __init__(self, space: FeSpace, solver: str = "direct", tol: float = 1e-12):
@@ -231,14 +239,6 @@ class OperatorCache:
             self._heat[key] = DirichletSystem(self.space, A, self.solver, self.tol)
         return self._heat[key]
 
-    def potential_system(self, sigma_star: np.ndarray) -> DirichletSystem:
-        A = assemble_weighted_stiffness(self.space, sigma_star)
-        return DirichletSystem(self.space, A, self.solver, self.tol)
-
-
-def _ops(space: FeSpace, ops: Optional[OperatorCache], solver="direct", tol=1e-12) -> OperatorCache:
-    return ops if ops is not None else OperatorCache(space, solver, tol)
-
 
 def _sigma_at_quad(space: FeSpace, problem: ProblemData, u_coeffs: np.ndarray) -> np.ndarray:
     return problem.sigma(space.values_at_quad(u_coeffs))
@@ -249,69 +249,16 @@ def _boundary_values(space: FeSpace, field, t: float) -> np.ndarray:
     return np.asarray(field(xb[:, 0], xb[:, 1], t), dtype=float)
 
 
-def potential_solve(
-    space: FeSpace,
-    sigma_star: np.ndarray,
-    g_at_t,
-    f2_at_t,
-    *,
-    ops: Optional[OperatorCache] = None,
-    solver: str = "direct",
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Solve the discrete potential equation for given conductivity values.
+def potential_solve(space, problem, ops, sigma_star, t, record=None) -> np.ndarray:
+    """Solve the discrete potential equation at time ``t``.
 
-    ``(sigma* grad Phi_h, grad xi) = (f2, xi)`` for all interior test
-    functions, with ``Phi_h`` equal to the nodal interpolant of ``g`` on the
-    boundary.  ``g_at_t`` and ``f2_at_t`` are spatial callables at the time
-    level being solved.
+    ``(sigma* grad Phi_h, grad xi) = (f2(t), xi)`` for all interior test
+    functions, with ``Phi_h`` equal to the nodal interpolant of the exact
+    potential on the boundary; ``sigma_star`` holds conductivity values at
+    the assembly quadrature points.
     """
-    ops = _ops(space, ops, solver, tol)
-    system = ops.potential_system(sigma_star)
-    b = assemble_load(space, f2_at_t)
-    xb = space.mesh.nodes[space.boundary_dofs]
-    g = np.asarray(g_at_t(xb[:, 0], xb[:, 1]), dtype=float)
-    g = np.broadcast_to(g, (space.boundary_dofs.size,)).copy()
-    return system.solve(b, g)
-
-
-def temperature_solve_bdf2(
-    space: FeSpace,
-    u_nm1: np.ndarray,
-    u_nm2: np.ndarray,
-    phi_n: np.ndarray,
-    sigma_star: np.ndarray,
-    f1_at_tn,
-    tau: float,
-    *,
-    ops: Optional[OperatorCache] = None,
-    solver: str = "direct",
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """One BDF2 temperature solve with known potential and conductivity.
-
-    Solves ``(D_tau U^n, xi) + (grad U^n, grad xi) = (sigma* |grad Phi^n|^2 +
-    f1, xi)`` for the homogeneous-Dirichlet temperature, i.e. the SPD system
-    ``(3/(2 tau)) Mass + Stiffness`` against the history-dependent right-hand
-    side.
-    """
-    ops = _ops(space, ops, solver, tol)
-    joule = assemble_joule_load(space, sigma_star, phi_n)
-    b1 = assemble_load(space, f1_at_tn)
-    rhs = ops.mass @ ((4.0 * u_nm1 - u_nm2) / (2.0 * tau)) + joule + b1
-    system = ops.heat_system(1.5 / tau)
-    zero = np.zeros(space.boundary_dofs.size)
-    return system.solve(rhs, zero)
-
-
-# ----------------------------------------------------------------------------
-# Steps.  Each maps the state at level n to the state at level n+1; sources
-# and boundary data are evaluated at the new time.
-# ----------------------------------------------------------------------------
-
-
-def _potential_at(space, problem, ops, sigma_star, t, record=None):
-    system = ops.potential_system(sigma_star)
+    A = assemble_weighted_stiffness(space, sigma_star)
+    system = DirichletSystem(space, A, ops.solver, ops.tol)
     b = assemble_load(space, lambda x, y: problem.f2(x, y, t))
     g = _boundary_values(space, problem.exact_phi, t)
     phi = system.solve(b, g)
@@ -320,7 +267,13 @@ def _potential_at(space, problem, ops, sigma_star, t, record=None):
     return phi
 
 
-def _temperature_at(space, problem, ops, alpha, mass_history, joule, t, record=None):
+def temperature_solve(space, problem, ops, alpha, mass_history, joule, t, record=None) -> np.ndarray:
+    """Solve ``(alpha Mass + Stiffness) U = Mass history + joule + (f1(t), xi)``.
+
+    This is the temperature update of every scheme here: ``alpha`` and
+    ``mass_history`` come from the backward difference, ``joule`` is the
+    assembled Joule load.  The temperature vanishes on the boundary.
+    """
     b1 = assemble_load(space, lambda x, y: problem.f1(x, y, t))
     rhs = ops.mass @ mass_history + joule + b1
     system = ops.heat_system(alpha)
@@ -330,120 +283,69 @@ def _temperature_at(space, problem, ops, alpha, mass_history, joule, t, record=N
     return u
 
 
-def euler_step(
+# ----------------------------------------------------------------------------
+# Steps.  Each maps the state at level n to the state at level n+1; sources
+# and boundary data are evaluated at the new time.
+# ----------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ImexTable:
+    """Coefficients of one decoupled IMEX step.
+
+    The extrapolated conductivity is ``sigma* = sum_k extrap[k]
+    sigma(U^{n-1-k})`` and the backward difference is ``D_tau U^n = alpha
+    U^n - sum_k history[k] U^{n-1-k} / (d tau)`` with ``alpha = a / (d
+    tau)``; the integer numerators share the denominator ``d``.
+    """
+
+    extrap: tuple
+    a: int
+    history: tuple
+    d: int
+    levels: int  # known temperature levels the step reads
+
+    def difference(self, levels, tau: float) -> tuple[float, np.ndarray]:
+        """``alpha`` and ``sum_k history[k] levels[k] / (d tau)``, newest level first."""
+        history = sum(c * u for c, u in zip(self.history, levels))
+        return self.a / (self.d * tau), history / (self.d * tau)
+
+
+#: Implicit Euler; BDF2 and BDF3 with extrapolation of matching order (the
+#: paper's scheme is ``bdf2``); BDF2 with first-order extrapolation, which
+#: spoils the convergence rate and is kept for comparison studies.
+TABLES = {
+    "euler": ImexTable(extrap=(1,), a=1, history=(1,), d=1, levels=1),
+    "bdf2": ImexTable(extrap=(2, -1), a=3, history=(4, -1), d=2, levels=2),
+    "bdf3": ImexTable(extrap=(3, -3, 1), a=11, history=(18, -9, 2), d=6, levels=3),
+    "ext1": ImexTable(extrap=(1,), a=3, history=(4, -1), d=2, levels=2),
+}
+
+
+def imex_step(
+    table: ImexTable,
     state: TimeState,
     space: FeSpace,
     problem: ProblemData,
     tau: float,
-    ops: Optional[OperatorCache] = None,
+    ops: OperatorCache,
     record: Optional[dict] = None,
 ) -> TimeState:
-    """First-order step: conductivity frozen at the previous level."""
-    ops = _ops(space, ops)
+    """One potential-first step with the coefficients of ``table``.
+
+    The potential is solved first with the extrapolated conductivity
+    evaluated at quadrature points, then the temperature is advanced with the
+    fresh potential in the Joule term.
+    """
+    us = state.temperatures(table.levels)
     t_new = (state.n + 1) * tau
-    sigma_star = _sigma_at_quad(space, problem, state.u_n)
+    sigma_star = sum(w * _sigma_at_quad(space, problem, u) for w, u in zip(table.extrap, us))
     if record is not None:
         record["sigma_star_min"] = float(sigma_star.min())
-    phi_new = _potential_at(space, problem, ops, sigma_star, t_new, record)
+    phi_new = potential_solve(space, problem, ops, sigma_star, t_new, record)
     joule = assemble_joule_load(space, sigma_star, phi_new)
-    u_new = _temperature_at(
-        space, problem, ops, 1.0 / tau, state.u_n / tau, joule, t_new, record
-    )
-    return state.advanced(u_new, phi_new, tau)
-
-
-def euler_init(
-    space: FeSpace,
-    problem: ProblemData,
-    tau: float,
-    ops: Optional[OperatorCache] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Starting step: implicit Euler from the interpolated initial datum.
-
-    Returns ``(U^1, Phi^1)``, where the potential is solved with conductivity
-    ``sigma(U^0)`` at the first time level and the temperature update is one
-    backward Euler step including the Joule load.
-    """
-    u0 = interpolate_nodal(space, problem.exact_u, 0.0)
-    state = TimeState(n=0, t=0.0, u_n=u0)
-    state = euler_step(state, space, problem, tau, ops)
-    return state.u_n, state.phi_n
-
-
-def bdf2_step(
-    state: TimeState,
-    space: FeSpace,
-    problem: ProblemData,
-    tau: float,
-    ops: Optional[OperatorCache] = None,
-    record: Optional[dict] = None,
-) -> TimeState:
-    """One decoupled BDF2 step with second-order conductivity extrapolation.
-
-    The potential is solved first with ``sigma* = 2 sigma(U^n) -
-    sigma(U^{n-1})`` evaluated at quadrature points, then the temperature is
-    advanced with the fresh potential in the Joule term.
-    """
-    if state.u_nm1 is None:
-        raise ValueError("bdf2_step needs two history levels; run the starting step first")
-    ops = _ops(space, ops)
-    t_new = (state.n + 1) * tau
-    sq_n = _sigma_at_quad(space, problem, state.u_n)
-    sq_nm1 = _sigma_at_quad(space, problem, state.u_nm1)
-    sigma_star = 2.0 * sq_n - sq_nm1
-    if record is not None:
-        record["sigma_star_min"] = float(sigma_star.min())
-    phi_new = _potential_at(space, problem, ops, sigma_star, t_new, record)
-    joule = assemble_joule_load(space, sigma_star, phi_new)
-    u_new = _temperature_at(
-        space,
-        problem,
-        ops,
-        1.5 / tau,
-        (4.0 * state.u_n - state.u_nm1) / (2.0 * tau),
-        joule,
-        t_new,
-        record,
-    )
-    return state.advanced(u_new, phi_new, tau)
-
-
-def bdf3_step(
-    state: TimeState,
-    space: FeSpace,
-    problem: ProblemData,
-    tau: float,
-    ops: Optional[OperatorCache] = None,
-    record: Optional[dict] = None,
-) -> TimeState:
-    """One decoupled BDF3 step with third-order conductivity extrapolation.
-
-    ``sigma* = 3 sigma(U^n) - 3 sigma(U^{n-1}) + sigma(U^{n-2})`` and the
-    three-step backward difference for the time derivative.
-    """
-    if state.u_nm2 is None:
-        raise ValueError("bdf3_step needs three history levels")
-    ops = _ops(space, ops)
-    t_new = (state.n + 1) * tau
-    sigma_star = (
-        3.0 * _sigma_at_quad(space, problem, state.u_n)
-        - 3.0 * _sigma_at_quad(space, problem, state.u_nm1)
-        + _sigma_at_quad(space, problem, state.u_nm2)
-    )
-    if record is not None:
-        record["sigma_star_min"] = float(sigma_star.min())
-    phi_new = _potential_at(space, problem, ops, sigma_star, t_new, record)
-    joule = assemble_joule_load(space, sigma_star, phi_new)
-    u_new = _temperature_at(
-        space,
-        problem,
-        ops,
-        11.0 / (6.0 * tau),
-        (18.0 * state.u_n - 9.0 * state.u_nm1 + 2.0 * state.u_nm2) / (6.0 * tau),
-        joule,
-        t_new,
-        record,
-    )
+    alpha, history = table.difference(us, tau)
+    u_new = temperature_solve(space, problem, ops, alpha, history, joule, t_new, record)
     return state.advanced(u_new, phi_new, tau)
 
 
@@ -452,7 +354,7 @@ def gao_step(
     space: FeSpace,
     problem: ProblemData,
     tau: float,
-    ops: Optional[OperatorCache] = None,
+    ops: OperatorCache,
     record: Optional[dict] = None,
 ) -> TimeState:
     """Temperature-first BDF2 step with extrapolated Joule data.
@@ -461,75 +363,22 @@ def gao_step(
     sigma(U^{n-1}) |grad Phi^{n-1}|^2`` from past potentials, then the
     potential equation is solved with the new conductivity ``sigma(U^{n+1})``.
     """
-    if state.u_nm1 is None or state.phi_nm1 is None:
+    table = TABLES["bdf2"]
+    us = state.temperatures(table.levels)
+    if state.phi_nm1 is None:
         raise ValueError("gao_step needs two history levels of both fields")
-    ops = _ops(space, ops)
     t_new = (state.n + 1) * tau
-    joule = 2.0 * assemble_joule_load(
-        space, _sigma_at_quad(space, problem, state.u_n), state.phi_n
-    ) - assemble_joule_load(
-        space, _sigma_at_quad(space, problem, state.u_nm1), state.phi_nm1
+    joule = sum(
+        w * assemble_joule_load(space, _sigma_at_quad(space, problem, u), phi)
+        for w, u, phi in zip(table.extrap, us, (state.phi_n, state.phi_nm1))
     )
-    u_new = _temperature_at(
-        space,
-        problem,
-        ops,
-        1.5 / tau,
-        (4.0 * state.u_n - state.u_nm1) / (2.0 * tau),
-        joule,
-        t_new,
-        record,
-    )
+    alpha, history = table.difference(us, tau)
+    u_new = temperature_solve(space, problem, ops, alpha, history, joule, t_new, record)
     sigma_new = _sigma_at_quad(space, problem, u_new)
     if record is not None:
         record["sigma_star_min"] = float(sigma_new.min())
-    phi_new = _potential_at(space, problem, ops, sigma_new, t_new, record)
+    phi_new = potential_solve(space, problem, ops, sigma_new, t_new, record)
     return state.advanced(u_new, phi_new, tau)
-
-
-def ext1_step(
-    state: TimeState,
-    space: FeSpace,
-    problem: ProblemData,
-    tau: float,
-    ops: Optional[OperatorCache] = None,
-    record: Optional[dict] = None,
-) -> TimeState:
-    """BDF2 step with only first-order conductivity extrapolation.
-
-    Identical to `bdf2_step` except ``sigma* = sigma(U^n)``; the mismatch
-    between the first-order coefficient and the second-order difference
-    operator spoils the convergence rate.
-    """
-    if state.u_nm1 is None:
-        raise ValueError("ext1_step needs two history levels")
-    ops = _ops(space, ops)
-    t_new = (state.n + 1) * tau
-    sigma_star = _sigma_at_quad(space, problem, state.u_n)
-    if record is not None:
-        record["sigma_star_min"] = float(sigma_star.min())
-    phi_new = _potential_at(space, problem, ops, sigma_star, t_new, record)
-    joule = assemble_joule_load(space, sigma_star, phi_new)
-    u_new = _temperature_at(
-        space,
-        problem,
-        ops,
-        1.5 / tau,
-        (4.0 * state.u_n - state.u_nm1) / (2.0 * tau),
-        joule,
-        t_new,
-        record,
-    )
-    return state.advanced(u_new, phi_new, tau)
-
-
-_STEPPERS = {
-    "euler": euler_step,
-    "bdf2": bdf2_step,
-    "bdf3": bdf3_step,
-    "gao": gao_step,
-    "ext1": ext1_step,
-}
 
 
 def run_simulation(
@@ -550,11 +399,10 @@ def run_simulation(
         space = FeSpace(mesh, config.assembly_points, config.error_points)
     tau, N = resolve_tau(config, space.mesh.h)
     init = config.init or ("exact" if config.scheme == "bdf3" else "euler")
-
-    n_start = {"euler": 0, "bdf2": 1, "ext1": 1, "gao": 1, "bdf3": 2}[config.scheme]
-    if N < n_start + 1:
+    table = TABLES["bdf2" if config.scheme == "gao" else config.scheme]
+    if N < table.levels:
         raise ValueError(
-            f"scheme {config.scheme!r} needs at least {n_start + 1} time steps; "
+            f"scheme {config.scheme!r} needs at least {table.levels} time steps; "
             f"tau rule {config.tau_rule!r} gives N={N}"
         )
 
@@ -563,50 +411,33 @@ def run_simulation(
     state = TimeState(n=0, t=0.0, u_n=u0)
     trace: list[StepRecord] = []
 
-    def note(record, state):
-        trace.append(
-            StepRecord(
-                n=state.n,
-                t=state.t,
-                sigma_star_min=record.get("sigma_star_min", np.nan),
-                res_phi=record.get("res_phi", np.nan),
-                res_u=record.get("res_u", np.nan),
-            )
-        )
+    def advance(step, state):
+        record = dict.fromkeys(("sigma_star_min", "res_phi", "res_u"), np.nan)
+        state = step(state, space, problem, tau, ops, record)
+        trace.append(StepRecord(n=state.n, t=state.t, **record))
+        return state
 
     if config.scheme == "gao":
         # The first temperature-first step consumes two potential levels, so
         # the start-up also solves for the initial potential.
         sigma0 = _sigma_at_quad(space, problem, u0)
-        phi0 = _potential_at(space, problem, ops, sigma0, 0.0)
-        state = replace(state, phi_n=phi0)
+        state = replace(state, phi_n=potential_solve(space, problem, ops, sigma0, 0.0))
 
-    if config.scheme != "euler":
+    # Start-up: build the history levels the scheme reads, either by steps
+    # of rising order (Euler, then BDF2) or from the exact solution.
+    startup = (TABLES["euler"], TABLES["bdf2"])
+    while state.n < table.levels - 1:
         if init == "euler":
-            record: dict = {}
-            state = euler_step(state, space, problem, tau, ops, record)
-            note(record, state)
+            state = advance(partial(imex_step, startup[state.n]), state)
         else:
-            u1 = interpolate_nodal(space, problem.exact_u, tau)
-            sigma1 = _sigma_at_quad(space, problem, u1)
-            phi1 = _potential_at(space, problem, ops, sigma1, tau)
-            state = state.advanced(u1, phi1, tau)
-        if config.scheme == "bdf3":
-            if init == "euler":
-                record = {}
-                state = bdf2_step(state, space, problem, tau, ops, record)
-                note(record, state)
-            else:
-                u2 = interpolate_nodal(space, problem.exact_u, 2 * tau)
-                sigma2 = _sigma_at_quad(space, problem, u2)
-                phi2 = _potential_at(space, problem, ops, sigma2, 2 * tau)
-                state = state.advanced(u2, phi2, tau)
+            t = (state.n + 1) * tau
+            u = interpolate_nodal(space, problem.exact_u, t)
+            phi = potential_solve(space, problem, ops, _sigma_at_quad(space, problem, u), t)
+            state = state.advanced(u, phi, tau)
 
-    stepper = _STEPPERS[config.scheme]
+    step = gao_step if config.scheme == "gao" else partial(imex_step, table)
     while state.n < N:
-        record = {}
-        state = stepper(state, space, problem, tau, ops, record)
-        note(record, state)
+        state = advance(step, state)
         if __debug__:
             assert np.all(state.u_n[space.boundary_dofs] == 0.0)
             g = _boundary_values(space, problem.exact_phi, state.t)

@@ -7,16 +7,14 @@ import pytest
 import _dense_oracle as oracle
 from thermistor_fem import (
     ConductivityNotPositive,
+    DirichletSystem,
     FeSpace,
-    apply_dirichlet,
     assemble_joule_load,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_stiffness,
     build_mesh,
-    recombine,
-    solve_spd,
 )
 
 
@@ -122,17 +120,14 @@ def test_dirichlet_elimination_reproduces_linear_solution(space):
     # u(x, y) = 2x - 3y + 1 is harmonic and lies in the FE space, so the
     # discrete Poisson solution must equal its nodal values exactly.
     exact = lambda x, y: 2.0 * x - 3.0 * y + 1.0  # noqa: E731
-    A = assemble_stiffness(space)
-    b = np.zeros(space.n_dofs)
+    system = DirichletSystem(space, assemble_stiffness(space), "cg", tol=1e-14)
     xb = space.mesh.nodes[space.boundary_dofs]
-    A_red, b_red, lift = apply_dirichlet(space, A, b, exact(xb[:, 0], xb[:, 1]))
-    x_red = solve_spd(A_red, b_red, tol=1e-14)
-    full = recombine(space, x_red, lift)
+    full = system.solve(np.zeros(space.n_dofs), exact(xb[:, 0], xb[:, 1]))
     want = exact(space.mesh.nodes[:, 0], space.mesh.nodes[:, 1])
     assert np.abs(full - want).max() < 1e-10
 
 
-def test_apply_dirichlet_rejects_wrong_length(space):
-    A = assemble_stiffness(space)
+def test_dirichlet_system_rejects_wrong_boundary_length(space):
+    system = DirichletSystem(space, assemble_stiffness(space), "cg", tol=1e-14)
     with pytest.raises(ValueError):
-        apply_dirichlet(space, A, np.zeros(space.n_dofs), np.zeros(3))
+        system.solve(np.zeros(space.n_dofs), np.zeros(3))

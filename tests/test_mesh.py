@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from thermistor_fem import build_mesh, dump_mesh, macroelements
+from thermistor_fem import build_mesh, macroelements
 
 
 def signed_double_areas(mesh):
@@ -157,12 +157,3 @@ def test_macroelements_rejects_foreign_mesh():
     with pytest.raises(ValueError):
         macroelements(tampered)
 
-
-def test_dump_mesh_contains_all_nodes_and_elements():
-    mesh = build_mesh(2, "tri")
-    text = dump_mesh(mesh)
-    head, tail = text.strip().split("\n\n")
-    assert len(head.splitlines()) == mesh.n_nodes
-    assert len(tail.splitlines()) == mesh.n_elements
-    first = tail.splitlines()[0].split()
-    assert [int(v) for v in first] == mesh.elements[0].tolist()

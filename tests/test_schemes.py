@@ -2,22 +2,22 @@
 structure (decoupling, degeneracies), and the dense reference step."""
 
 from dataclasses import replace
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 import _dense_oracle as oracle
 from thermistor_fem import (
+    TABLES,
     FeSpace,
+    OperatorCache,
     SchemeConfig,
     TimeState,
-    bdf2_step,
-    bdf3_step,
     build_mesh,
-    d_tau,
-    euler_init,
-    ext1_step,
     gao_step,
+    imex_step,
     interpolate_nodal,
     l2_error,
     make_problem,
@@ -26,7 +26,15 @@ from thermistor_fem import (
     run_simulation,
     validate_config,
 )
-from thermistor_fem.manufactured import exact_phi, exact_u, sigma, source_f2
+from thermistor_fem.manufactured import exact_phi, exact_u, sigma
+
+
+STEPS = {
+    "bdf2_step": partial(imex_step, TABLES["bdf2"]),
+    "bdf3_step": partial(imex_step, TABLES["bdf3"]),
+    "ext1_step": partial(imex_step, TABLES["ext1"]),
+    "gao_step": gao_step,
+}
 
 
 def cfg(**kw):
@@ -77,6 +85,17 @@ def test_resolve_tau_step_never_exceeds_horizon():
         dict(tau_rule="fixed:zero"),
         dict(tau_rule="fixed:-0.1"),
         dict(tau_rule="fixed:0"),
+        dict(solver="cg", solver_tol=2.0),
+        dict(solver_tol=1.0),
+        dict(solver_tol=0.0),
+        dict(solver_tol=-1e-12),
+        dict(solver_tol=float("nan")),
+        dict(solver_tol="1e-12"),
+        dict(assembly_points=0),
+        dict(assembly_points=-3),
+        dict(assembly_points=2.0),
+        dict(error_points=0),
+        dict(error_points="4"),
     ],
 )
 def test_validate_config_rejects_bad_values(bad):
@@ -90,15 +109,43 @@ def test_run_simulation_validates_first():
 
 
 # ----------------------------------------------------------------------------
-# The backward-difference operator and its energy identity
+# The coefficient tables and the backward-difference energy identity
 # ----------------------------------------------------------------------------
 
 
+def d_tau(f_n, f_nm1, f_nm2, tau):
+    """The two-step backward difference exactly as the ``bdf2`` row applies it."""
+    alpha, history = TABLES["bdf2"].difference((f_nm1, f_nm2), tau)
+    return alpha * f_n - history
+
+
 def test_d_tau_formula():
+    # D_tau f^n = (3 f^n - 4 f^{n-1} + f^{n-2}) / (2 tau), split into the
+    # matrix coefficient and the known right-hand side exactly.
     rng = np.random.default_rng(0)
-    a, b, c = rng.standard_normal((3, 17))
-    tau = 0.125
-    assert np.array_equal(d_tau(a, b, c, tau), (3 * a - 4 * b + c) / (2 * tau))
+    b, c = rng.standard_normal((2, 17))
+    tau = 0.3
+    alpha, history = TABLES["bdf2"].difference((b, c), tau)
+    assert alpha == 3 / (2 * tau)
+    assert np.array_equal(history, (4 * b - c) / (2 * tau))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_tables_are_exact_on_polynomials(name):
+    # With unit steps and the new level at t = 0, each history level sits at
+    # t = -1, -2, ...  A k-level backward difference differentiates
+    # polynomials of degree <= k exactly and an extrapolation with m weights
+    # reproduces degree < m, so one mistyped coefficient fails here.  The
+    # arithmetic is in exact fractions.
+    table = TABLES[name]
+    assert table.levels == max(len(table.extrap), len(table.history))
+    past = [Fraction(-1 - k) for k in range(table.levels)]
+    for degree in range(len(table.history) + 1):
+        history = sum(c * t**degree for c, t in zip(table.history, past))
+        derivative = (table.a * 0**degree - history) / table.d
+        assert derivative == (1 if degree == 1 else 0), (name, degree)
+    for degree in range(len(table.extrap)):
+        assert sum(w * t**degree for w, t in zip(table.extrap, past)) == 0**degree, (name, degree)
 
 
 def test_bdf2_energy_identity_telescopes():
@@ -149,7 +196,7 @@ def test_bdf2_step_matches_dense_reference(kind):
     u_nm1 = interpolate_nodal(space, exact_u, 0.1)
     u_n = interpolate_nodal(space, exact_u, 0.2)
     state = TimeState(n=2, t=0.2, u_n=u_n, u_nm1=u_nm1)
-    new = bdf2_step(state, space, problem, tau)
+    new = imex_step(TABLES["bdf2"], state, space, problem, tau, OperatorCache(space))
     u_ref, phi_ref = oracle.oracle_bdf2_step(space.mesh, problem, u_n, u_nm1, tau, 0.3)
     assert np.abs(new.u_n - u_ref).max() < 1e-9
     assert np.abs(new.phi_n - phi_ref).max() < 1e-9
@@ -162,14 +209,10 @@ def test_bdf2_step_matches_dense_reference(kind):
 
 def history_state(space, tau, n=2):
     """Exact-interpolant history up to level n (newest last)."""
+    problem, ops = make_problem(), OperatorCache(space)
     levels = [interpolate_nodal(space, exact_u, k * tau) for k in range(n + 1)]
     phi = [
-        potential_solve(
-            space,
-            sigma(space.values_at_quad(levels[k])),
-            lambda x, y, k=k: exact_phi(x, y, k * tau),
-            lambda x, y, k=k: source_f2(x, y, k * tau),
-        )
+        potential_solve(space, problem, ops, sigma(space.values_at_quad(levels[k])), k * tau)
         for k in range(n + 1)
     ]
     return TimeState(
@@ -180,12 +223,11 @@ def history_state(space, tau, n=2):
         u_nm2=levels[n - 2],
         phi_n=phi[n],
         phi_nm1=phi[n - 1],
-        phi_nm2=phi[n - 2],
     )
 
 
-@pytest.mark.parametrize("step", [bdf2_step, bdf3_step, ext1_step])
-def test_potential_update_is_decoupled_from_the_heat_source(step):
+@pytest.mark.parametrize("name", ["bdf2_step", "bdf3_step", "ext1_step"])
+def test_potential_update_is_decoupled_from_the_heat_source(name):
     # Within a step the potential is computed before the temperature, from
     # history only, so perturbing f1 must change U^n but leave Phi^n bitwise
     # identical.
@@ -194,8 +236,8 @@ def test_potential_update_is_decoupled_from_the_heat_source(step):
     state = history_state(space, tau)
     problem = make_problem()
     shifted = replace(problem, f1=lambda x, y, t: problem.f1(x, y, t) + 50.0)
-    a = step(state, space, problem, tau)
-    b = step(state, space, shifted, tau)
+    a = STEPS[name](state, space, problem, tau, OperatorCache(space))
+    b = STEPS[name](state, space, shifted, tau, OperatorCache(space))
     assert np.array_equal(a.phi_n, b.phi_n)
     assert np.abs(a.u_n - b.u_n).max() > 1e-3
 
@@ -209,8 +251,8 @@ def test_gao_temperature_is_decoupled_from_the_new_potential():
     state = history_state(space, tau)
     problem = make_problem()
     shifted = replace(problem, f2=lambda x, y, t: problem.f2(x, y, t) + 50.0)
-    a = gao_step(state, space, problem, tau)
-    b = gao_step(state, space, shifted, tau)
+    a = gao_step(state, space, problem, tau, OperatorCache(space))
+    b = gao_step(state, space, shifted, tau, OperatorCache(space))
     assert np.array_equal(a.u_n, b.u_n)
     assert np.abs(a.phi_n - b.phi_n).max() > 1e-3
 
@@ -227,8 +269,8 @@ def test_constant_conductivity_collapses_extrapolation_orders():
     tau = 0.2
     state = history_state(space, tau)
     problem = constant_sigma_problem()
-    a = bdf2_step(state, space, problem, tau)
-    b = ext1_step(state, space, problem, tau)
+    a = imex_step(TABLES["bdf2"], state, space, problem, tau, OperatorCache(space))
+    b = imex_step(TABLES["ext1"], state, space, problem, tau, OperatorCache(space))
     assert np.array_equal(a.u_n, b.u_n)
     assert np.array_equal(a.phi_n, b.phi_n)
 
@@ -250,15 +292,15 @@ def test_stationary_potential_and_constant_sigma_collapse_the_orderings():
 
 
 @pytest.mark.parametrize(
-    "step, needs",
+    "name, needs",
     [
-        (bdf2_step, "u_nm1"),
-        (ext1_step, "u_nm1"),
-        (bdf3_step, "u_nm2"),
-        (gao_step, "phi_nm1"),
+        ("bdf2_step", "u_nm1"),
+        ("ext1_step", "u_nm1"),
+        ("bdf3_step", "u_nm2"),
+        ("gao_step", "phi_nm1"),
     ],
 )
-def test_steps_refuse_to_run_without_history(step, needs):
+def test_steps_refuse_to_run_without_history(name, needs):
     space = FeSpace(build_mesh(4, "tri"))
     u0 = interpolate_nodal(space, exact_u, 0.0)
     state = TimeState(n=0, t=0.0, u_n=u0)
@@ -267,7 +309,7 @@ def test_steps_refuse_to_run_without_history(step, needs):
     elif needs == "u_nm2":
         state = replace(state, u_nm1=u0)
     with pytest.raises(ValueError):
-        step(state, space, make_problem(), 0.1)
+        STEPS[name](state, space, make_problem(), 0.1, OperatorCache(space))
 
 
 # ----------------------------------------------------------------------------
@@ -278,7 +320,11 @@ def test_steps_refuse_to_run_without_history(step, needs):
 def test_euler_init_returns_first_level():
     space = FeSpace(build_mesh(8, "tri"))
     tau = 0.05
-    u1, phi1 = euler_init(space, make_problem(), tau)
+    # the Euler start-up step: implicit Euler from the interpolated datum
+    state = TimeState(n=0, t=0.0, u_n=interpolate_nodal(space, exact_u, 0.0))
+    state = imex_step(TABLES["euler"], state, space, make_problem(), tau, OperatorCache(space))
+    assert state.n == 1 and state.u_nm1 is not None
+    u1, phi1 = state.u_n, state.phi_n
     # first-order accurate but consistent: both fields near the exact ones
     assert l2_error(space, u1, exact_u, tau) < 0.05
     assert l2_error(space, phi1, exact_phi, tau) < 0.01
@@ -344,11 +390,7 @@ def test_potential_solve_is_second_order_accurate():
     for M in (8, 16):
         space = FeSpace(build_mesh(M, "tri"))
         u = interpolate_nodal(space, exact_u, t)
-        phi = potential_solve(
-            space,
-            sigma(space.values_at_quad(u)),
-            lambda x, y: exact_phi(x, y, t),
-            lambda x, y: source_f2(x, y, t),
-        )
+        sigma_star = sigma(space.values_at_quad(u))
+        phi = potential_solve(space, make_problem(), OperatorCache(space), sigma_star, t)
         errs.append(l2_error(space, phi, exact_phi, t))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
