@@ -4,10 +4,11 @@ A linear (or bilinear) finite element solution approximates gradients at
 first order -- that cannot be improved by looking at one element at a time.
 But on structured meshes the error has structure: the FE solution is
 *superclose* to the nodal interpolant (their H1 distance is one order
-smaller than either one's error).  Post-processing exploits this: merge each
-2x2 patch of coarse cells into one macroelement, fit the single quadratic
-(biquadratic on quads) that interpolates the solution's nodal values at the
-patch's anchor nodes, and use that polynomial's gradient instead.
+smaller than either one's error).  Post-processing exploits this: group four
+fine elements into one macroelement (a 2x2 patch of squares, or one triangle
+of the doubled mesh), fit the single biquadratic (squares) or quadratic
+(triangles) that interpolates the solution's nodal values at the block's
+anchor nodes, and use that polynomial's gradient instead.
 
 The lift is a purely local, linear operation on the nodal vector.  Below we
 apply it to (a) the nodal interpolant of a smooth function -- superconvergence
@@ -87,4 +88,4 @@ print(f"orders of the lifted errors: "
       f"u {[f'{o:.2f}' for o in eoc(rows_u)]}, "
       f"phi {[f'{o:.2f}' for o in eoc(rows_phi)]}")
 print("\nBoth fields gain a full order over the raw H1 errors, for the cost")
-print("of one small polynomial interpolation solve per 2x2 patch.")
+print("of one small polynomial interpolation solve per macroelement.")

@@ -20,7 +20,7 @@ from .analysis import (
     i2h_postprocess,
     interpolate_nodal,
     l2_error,
-    l2_error_postprocessed,
+    quadrature_norm,
 )
 from .fem import (
     ConductivityNotPositive,
@@ -50,7 +50,7 @@ from .harness import (
     run_plan,
 )
 from .manufactured import make_problem
-from .mesh import MacroBlock, Mesh, build_mesh, macroelements
+from .mesh import Mesh, build_mesh, macroelements
 from .schemes import (
     TABLES,
     ImexTable,

@@ -8,7 +8,8 @@ their edge anchors, the result is a continuous piecewise polynomial whose
 gradient converges one order faster than the FE gradient for supercloseness
 reasons; it only ever sees nodal values, so applying it to the nodal
 interpolant of a smooth function gives the same result as applying it to the
-function itself.
+function itself.  The blocks are the index arrays of `mesh.macroelements`.
+Every norm here is `quadrature_norm` on the space's error rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import FeSpace, RuleTables
-from .mesh import MacroBlock, Mesh
+from .mesh import Mesh
 
 __all__ = [
     "interpolate_nodal",
@@ -27,9 +28,9 @@ __all__ = [
     "l2_error",
     "h1_error",
     "h1_error_postprocessed",
-    "l2_error_postprocessed",
     "fe_l2_norm",
     "fe_h1_norm",
+    "quadrature_norm",
     "convergence_order",
     "eoc",
 ]
@@ -46,11 +47,17 @@ def interpolate_nodal(space: FeSpace, field, t: float) -> np.ndarray:
 # Macroelement post-processing
 # ----------------------------------------------------------------------------
 
-# Monomial exponent tables for the block polynomial spaces.
+# Monomial exponents of the block polynomial spaces: Q2 on quad blocks, P2 on
+# triangle blocks.
 _POWERS = {
-    "Q2": np.array([(i, j) for j in range(3) for i in range(3)]),
-    "P2": np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+    "quad": np.array([(i, j) for j in range(3) for i in range(3)]),
+    "tri": np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
 }
+
+
+def _monomials(d: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """``dx**p * dy**q`` for each row ``(p, q)`` of ``powers``: (..., 2) -> (..., n_terms)."""
+    return d[..., None, 0] ** powers[:, 0] * d[..., None, 1] ** powers[:, 1]
 
 
 @dataclass(frozen=True)
@@ -65,49 +72,32 @@ class PostProcessedField:
     """
 
     mesh: Mesh
-    poly: str
     powers: np.ndarray
     coeffs: np.ndarray
     centers: np.ndarray
     block_of_element: np.ndarray
 
-    def _local(self, block_ids, points):
-        return points - self.centers[block_ids]
-
     def values_in_blocks(self, block_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate at ``points`` (..., 2) lying in the given blocks (...,)."""
-        d = self._local(block_ids, points)
-        mono = d[..., None, 0] ** self.powers[:, 0] * d[..., None, 1] ** self.powers[:, 1]
+        """Evaluate at ``points`` (..., 2) lying in the blocks ``block_ids`` (broadcast)."""
+        mono = _monomials(points - self.centers[block_ids], self.powers)
         return np.einsum("...k,...k->...", mono, self.coeffs[block_ids])
 
     def gradients_in_blocks(self, block_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
-        d = self._local(block_ids, points)
-        px = self.powers[:, 0]
-        py = self.powers[:, 1]
-        # d/dx of x^p y^q is p x^(p-1) y^q; clip keeps 0^negative out.
-        gx = (
-            px
-            * d[..., None, 0] ** np.maximum(px - 1, 0)
-            * d[..., None, 1] ** py
-        )
-        gy = (
-            py
-            * d[..., None, 0] ** px
-            * d[..., None, 1] ** np.maximum(py - 1, 0)
-        )
+        d = points - self.centers[block_ids]
         c = self.coeffs[block_ids]
-        return np.stack(
-            [np.einsum("...k,...k->...", gx, c), np.einsum("...k,...k->...", gy, c)],
-            axis=-1,
-        )
+        grads = []
+        for axis in (0, 1):
+            # d/dx of x^p y^q is p x^(p-1) y^q; clip keeps 0^negative out.
+            lowered = np.maximum(self.powers - np.eye(2, dtype=int)[axis], 0)
+            mono = self.powers[:, axis] * _monomials(d, lowered)
+            grads.append(np.einsum("...k,...k->...", mono, c))
+        return np.stack(grads, axis=-1)
 
     def values_on_tables(self, tables: RuleTables) -> np.ndarray:
-        ids = self.block_of_element[:, None]
-        return self.values_in_blocks(np.broadcast_to(ids, tables.x.shape[:2]), tables.x)
+        return self.values_in_blocks(self.block_of_element[:, None], tables.x)
 
     def gradients_on_tables(self, tables: RuleTables) -> np.ndarray:
-        ids = self.block_of_element[:, None]
-        return self.gradients_in_blocks(np.broadcast_to(ids, tables.x.shape[:2]), tables.x)
+        return self.gradients_in_blocks(self.block_of_element[:, None], tables.x)
 
     def locate_blocks(self, points: np.ndarray) -> np.ndarray:
         """Map physical points to block indices (structured-layout lookup)."""
@@ -116,7 +106,7 @@ class PostProcessedField:
         pts = np.atleast_2d(points)
         I = np.clip((pts[:, 0] * nb).astype(int), 0, nb - 1)
         J = np.clip((pts[:, 1] * nb).astype(int), 0, nb - 1)
-        if self.poly == "Q2":
+        if self.mesh.elem_kind == "quad":
             return J * nb + I
         # Triangle blocks come in (lower, upper) pairs per coarse cell, cut
         # along the lower-right to upper-left diagonal.
@@ -132,41 +122,35 @@ class PostProcessedField:
         return vals if np.asarray(points).ndim > 1 else vals[0]
 
 
-def i2h_postprocess(space: FeSpace, blocks: list[MacroBlock], coeffs: np.ndarray) -> PostProcessedField:
+def i2h_postprocess(
+    space: FeSpace, blocks: tuple[np.ndarray, np.ndarray], coeffs: np.ndarray
+) -> PostProcessedField:
     """Apply the macroelement post-processing operator to nodal values.
 
+    ``blocks`` is the ``(anchors, fine)`` pair of `mesh.macroelements`.
     Solves, for every block, the small interpolation system that matches the
     block polynomial to ``coeffs`` at the anchor nodes.  All block systems are
     solved in one batched call.
     """
-    if not blocks:
-        raise ValueError("no macroelement blocks given")
-    poly = blocks[0].poly
-    powers = _POWERS[poly]
+    anchors, fine = blocks  # (nb, na), (nb, 4)
     mesh = space.mesh
-
-    anchors = np.array([b.anchor_nodes for b in blocks])  # (nb, na)
-    fine = np.array([b.fine_elements for b in blocks])  # (nb, 4)
+    powers = _POWERS[mesh.elem_kind]
     pts = mesh.nodes[anchors]  # (nb, na, 2)
     centers = pts.mean(axis=1)  # (nb, 2)
     d = pts - centers[:, None, :]
-    # Vandermonde in centered monomials: (nb, na, nterms)
-    V = d[:, :, None, 0] ** powers[:, 0] * d[:, :, None, 1] ** powers[:, 1]
-    if V.shape[1] != V.shape[2]:
-        raise ValueError(
-            f"block anchors ({V.shape[1]}) do not match the {poly} space ({V.shape[2]} terms)"
-        )
+    # Vandermonde in centered monomials, (nb, na, nterms); anchors of another
+    # block shape make it non-square, which solve rejects (LinAlgError).
+    V = _monomials(d, powers)
     rhs = np.asarray(coeffs, dtype=float)[anchors]
     block_coeffs = np.linalg.solve(V, rhs[..., None])[..., 0]
 
     block_of_element = np.full(mesh.n_elements, -1, dtype=int)
-    block_of_element[fine.ravel()] = np.repeat(np.arange(len(blocks)), fine.shape[1])
+    block_of_element[fine.ravel()] = np.repeat(np.arange(len(anchors)), fine.shape[1])
     if np.any(block_of_element < 0):
         raise ValueError("macroelement blocks do not cover the mesh")
 
     return PostProcessedField(
         mesh=mesh,
-        poly=poly,
         powers=powers,
         coeffs=block_coeffs,
         centers=centers,
@@ -179,11 +163,30 @@ def i2h_postprocess(space: FeSpace, blocks: list[MacroBlock], coeffs: np.ndarray
 # ----------------------------------------------------------------------------
 
 
+def quadrature_norm(tables: RuleTables, values: np.ndarray, grads: np.ndarray | None = None) -> float:
+    """``sqrt(sum(wdet * (values**2 + |grads|**2)))`` over the points of
+    ``tables``: the L2 norm of ``values`` (``(ne, nq)``), or the full H1 norm
+    when the gradients (``(ne, nq, 2)``) are given."""
+    s = values**2
+    if grads is not None:
+        s = s + grads[..., 0] ** 2 + grads[..., 1] ** 2
+    return float(np.sqrt(np.sum(tables.wdet * s)))
+
+
+def _h1_error(tb: RuleTables, values, grads, exact, exact_grad, t: float) -> float:
+    """H1 error of a field from its values and gradients on ``tb``; overwrites ``grads``."""
+    x, y = tb.x[..., 0], tb.x[..., 1]
+    gx, gy = exact_grad(x, y, t)
+    grads[..., 0] -= gx
+    grads[..., 1] -= gy
+    return quadrature_norm(tb, values - exact(x, y, t), grads)
+
+
 def l2_error(space: FeSpace, coeffs: np.ndarray, exact, t: float) -> float:
     """``||u_h - u(t)||_0`` with the FE function given by nodal values."""
     tb = space.error_tables
     diff = space.values_at_quad(coeffs, tb) - exact(tb.x[..., 0], tb.x[..., 1], t)
-    return float(np.sqrt(np.sum(tb.wdet * diff**2)))
+    return quadrature_norm(tb, diff)
 
 
 def h1_error(space: FeSpace, coeffs: np.ndarray, exact, exact_grad, t: float) -> float:
@@ -192,34 +195,20 @@ def h1_error(space: FeSpace, coeffs: np.ndarray, exact, exact_grad, t: float) ->
     ``exact_grad(x, y, t)`` returns the pair of partial derivatives.
     """
     tb = space.error_tables
-    diff = space.values_at_quad(coeffs, tb) - exact(tb.x[..., 0], tb.x[..., 1], t)
-    gx, gy = exact_grad(tb.x[..., 0], tb.x[..., 1], t)
-    g = space.gradients_at_quad(coeffs, tb)
-    dgx = g[..., 0] - gx
-    dgy = g[..., 1] - gy
-    return float(np.sqrt(np.sum(tb.wdet * (diff**2 + dgx**2 + dgy**2))))
+    v, g = space.values_at_quad(coeffs, tb), space.gradients_at_quad(coeffs, tb)
+    return _h1_error(tb, v, g, exact, exact_grad, t)
 
 
 def fe_l2_norm(space: FeSpace, coeffs: np.ndarray) -> float:
     """L2 norm of an FE function (exact up to the error rule's degree)."""
     tb = space.error_tables
-    v = space.values_at_quad(coeffs, tb)
-    return float(np.sqrt(np.sum(tb.wdet * v**2)))
+    return quadrature_norm(tb, space.values_at_quad(coeffs, tb))
 
 
 def fe_h1_norm(space: FeSpace, coeffs: np.ndarray) -> float:
     """Full H1 norm of an FE function."""
     tb = space.error_tables
-    v = space.values_at_quad(coeffs, tb)
-    g = space.gradients_at_quad(coeffs, tb)
-    return float(np.sqrt(np.sum(tb.wdet * (v**2 + g[..., 0] ** 2 + g[..., 1] ** 2))))
-
-
-def l2_error_postprocessed(field: PostProcessedField, space: FeSpace, exact, t: float) -> float:
-    """``||I_2h u_h - u(t)||_0`` for a post-processed field."""
-    tb = space.error_tables
-    diff = field.values_on_tables(tb) - exact(tb.x[..., 0], tb.x[..., 1], t)
-    return float(np.sqrt(np.sum(tb.wdet * diff**2)))
+    return quadrature_norm(tb, space.values_at_quad(coeffs, tb), space.gradients_at_quad(coeffs, tb))
 
 
 def h1_error_postprocessed(
@@ -227,20 +216,8 @@ def h1_error_postprocessed(
 ) -> float:
     """Full H1 error of a post-processed field against a smooth function."""
     tb = space.error_tables
-    diff = field.values_on_tables(tb) - exact(tb.x[..., 0], tb.x[..., 1], t)
-    gx, gy = exact_grad(tb.x[..., 0], tb.x[..., 1], t)
-    g = field.gradients_on_tables(tb)
-    dgx = g[..., 0] - gx
-    dgy = g[..., 1] - gy
-    return float(np.sqrt(np.sum(tb.wdet * (diff**2 + dgx**2 + dgy**2))))
-
-
-def fe_h1_norm_postprocessed(field: PostProcessedField, space: FeSpace) -> float:
-    """Full H1 norm of a post-processed field."""
-    tb = space.error_tables
-    v = field.values_on_tables(tb)
-    g = field.gradients_on_tables(tb)
-    return float(np.sqrt(np.sum(tb.wdet * (v**2 + g[..., 0] ** 2 + g[..., 1] ** 2))))
+    v, g = field.values_on_tables(tb), field.gradients_on_tables(tb)
+    return _h1_error(tb, v, g, exact, exact_grad, t)
 
 
 def convergence_order(e_coarse: float, e_fine: float, ratio: float) -> float:

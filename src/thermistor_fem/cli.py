@@ -76,12 +76,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
-    if args.command == "run" and result.failures:
-        message = result.failures[0][1]
-        if message.startswith("ValueError"):
-            return 2
-        return 3
-
     print(f"wrote {len(result.reports)} run(s) to {args.out}")
     print()
     print(render_order_table(result.reports), end="")

@@ -233,7 +233,8 @@ class FeSpace:
         or polynomial degree for triangles (default 5).
     error_points : int, optional
         Error-norm quadrature: Gauss points per direction for quads (default
-        4) or polynomial degree for triangles (default 6).
+        4) or polynomial degree for triangles (default 6).  Quad rules need
+        at least 3 points (exact to degree 5, like the coarsest triangle rule).
     """
 
     def __init__(self, mesh: Mesh, assembly_points: int | None = None, error_points: int | None = None):
@@ -245,6 +246,11 @@ class FeSpace:
         self.interior_dofs = np.nonzero(mask)[0]
 
         if mesh.elem_kind == "quad":
+            if min(assembly_points or 3, error_points or 4) < 3:
+                raise ValueError(
+                    "quads need Gauss rules of at least 3 points per direction, got "
+                    f"assembly_points={assembly_points}, error_points={error_points}"
+                )
             a_rule = gauss_rule_square(assembly_points or 3)
             e_rule = gauss_rule_square(error_points or 4)
         else:

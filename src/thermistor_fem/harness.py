@@ -235,12 +235,7 @@ def reports_to_csv(reports, failures=()) -> str:
     for r in reports:
         lines.append(",".join(_fmt(getattr(r, name)) for name in CSV_COLUMNS))
     for row in _eoc_rows(reports):
-        lines.append(
-            ",".join(
-                row[name] if name in ("scheme", "elem") else _fmt(row[name])
-                for name in CSV_COLUMNS
-            )
-        )
+        lines.append(",".join(_fmt(row[name]) for name in CSV_COLUMNS))
     for config, message in failures:
         lines.append(f"# run failed: scheme={config.scheme} elem={config.elem_kind} M={config.M} tau_rule={config.tau_rule}: {message}")
     return "\n".join(lines) + "\n"

@@ -113,5 +113,4 @@ def make_problem() -> ProblemData:
         f2=source_f2,
         grad_u=grad_u,
         grad_phi=grad_phi,
-        sigma_bounds=(1.0, 2.0),
     )

@@ -12,7 +12,9 @@ of ``2 x 2`` fine squares (on which a biquadratic polynomial is anchored at
 the nine block nodes) or blocks of four fine triangles forming one triangle
 of the doubled mesh (anchored at its three vertices and three edge
 midpoints).  The macroelement grouping is what the superconvergent
-post-processing operator is built on.
+post-processing operator is built on; `macroelements` returns it as index
+arrays, the anchor nodes and the fine elements of each block, computed from
+one offset table per block shape.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "MacroBlock", "build_mesh", "macroelements"]
+__all__ = ["Mesh", "build_mesh", "macroelements"]
 
 
 @dataclass(frozen=True)
@@ -60,28 +62,6 @@ class Mesh:
     def h(self) -> float:
         """Mesh size: the element diameter ``sqrt(2)/M``."""
         return np.sqrt(2.0) / self.M
-
-
-@dataclass(frozen=True)
-class MacroBlock:
-    """One macroelement: a group of fine elements with interpolation anchors.
-
-    Attributes
-    ----------
-    fine_elements : int array
-        Indices of the fine mesh elements covered by the block (four for both
-        element kinds).
-    anchor_nodes : int array
-        Fine mesh nodes used as interpolation anchors: the nine nodes of a
-        ``2 x 2`` quad block (``Q2``), or the three vertices plus three edge
-        midpoints of a doubled triangle (``P2``).
-    poly : str
-        Polynomial space of the block interpolant, ``"Q2"`` or ``"P2"``.
-    """
-
-    fine_elements: np.ndarray
-    anchor_nodes: np.ndarray
-    poly: str
 
 
 def build_mesh(M: int, elem_kind: str = "quad") -> Mesh:
@@ -146,11 +126,25 @@ def build_mesh(M: int, elem_kind: str = "quad") -> Mesh:
     )
 
 
-def _node(M: int, i, j):
-    return j * (M + 1) + i
 
 
-def macroelements(mesh: Mesh) -> list[MacroBlock]:
+# Block shapes, as offsets from the block's lower-left node (2I, 2J): anchors
+# (di, dj) and fine elements (di, dj, k), k indexing the element within fine
+# cell (2I + di, 2J + dj).  One quad shape; two triangle shapes, below and
+# above the block diagonal.  Edge midpoints follow the corners or vertices.
+_BLOCK_SHAPES = {
+    "quad": [
+        ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (2, 1), (1, 2), (0, 1), (1, 1)],
+         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    ],
+    "tri": [
+        ([(0, 0), (2, 0), (0, 2), (1, 0), (1, 1), (0, 1)], [(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)]),
+        ([(2, 0), (2, 2), (0, 2), (2, 1), (1, 2), (1, 1)], [(1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 1)]),
+    ],
+}
+
+
+def macroelements(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Group the fine mesh into macroelements for post-processing.
 
     For quads, each block is a ``2 x 2`` patch of fine squares and the anchors
@@ -160,7 +154,11 @@ def macroelements(mesh: Mesh) -> list[MacroBlock]:
     its three vertices and three edge midpoints, supporting a unique quadratic
     interpolant.
 
-    Returns ``M^2/4`` blocks for quads and ``M^2/2`` blocks for triangles.
+    Returns ``(anchors, fine)``: int arrays of shape ``(n_blocks, 9)`` (quads)
+    or ``(n_blocks, 6)`` (triangles) holding the anchor nodes, and
+    ``(n_blocks, 4)`` holding the fine elements of each block.  There are
+    ``M^2/4`` quad blocks, row-major over the ``2 x 2`` patches, and ``M^2/2``
+    triangle blocks, the lower and then the upper triangle of each patch.
 
     Raises
     ------
@@ -174,79 +172,11 @@ def macroelements(mesh: Mesh) -> list[MacroBlock]:
     if mesh.n_elements != expected or mesh.n_nodes != (M + 1) ** 2:
         raise ValueError("mesh does not match the structured layout of build_mesh")
 
-    blocks = []
-    if mesh.elem_kind == "quad":
-        cell = lambda i, j: j * M + i  # noqa: E731
-        for J in range(M // 2):
-            for I in range(M // 2):
-                i0, j0 = 2 * I, 2 * J
-                fine = np.array(
-                    [cell(i0, j0), cell(i0 + 1, j0), cell(i0, j0 + 1), cell(i0 + 1, j0 + 1)]
-                )
-                # Corners, then edge midpoints (bottom, right, top, left),
-                # then the block center.
-                anchors = np.array(
-                    [
-                        _node(M, i0, j0),
-                        _node(M, i0 + 2, j0),
-                        _node(M, i0 + 2, j0 + 2),
-                        _node(M, i0, j0 + 2),
-                        _node(M, i0 + 1, j0),
-                        _node(M, i0 + 2, j0 + 1),
-                        _node(M, i0 + 1, j0 + 2),
-                        _node(M, i0, j0 + 1),
-                        _node(M, i0 + 1, j0 + 1),
-                    ]
-                )
-                blocks.append(MacroBlock(fine, anchors, "Q2"))
-    else:
-        lower_tri = lambda i, j: 2 * (j * M + i)  # noqa: E731
-        upper_tri = lambda i, j: 2 * (j * M + i) + 1  # noqa: E731
-        for J in range(M // 2):
-            for I in range(M // 2):
-                i0, j0 = 2 * I, 2 * J
-                # Triangle of the doubled mesh below the block diagonal:
-                # vertices (i0, j0), (i0+2, j0), (i0, j0+2).  Anchors are the
-                # three vertices followed by the three edge midpoints.
-                fine = np.array(
-                    [
-                        lower_tri(i0, j0),
-                        upper_tri(i0, j0),
-                        lower_tri(i0 + 1, j0),
-                        lower_tri(i0, j0 + 1),
-                    ]
-                )
-                anchors = np.array(
-                    [
-                        _node(M, i0, j0),
-                        _node(M, i0 + 2, j0),
-                        _node(M, i0, j0 + 2),
-                        _node(M, i0 + 1, j0),
-                        _node(M, i0 + 1, j0 + 1),
-                        _node(M, i0, j0 + 1),
-                    ]
-                )
-                blocks.append(MacroBlock(fine, anchors, "P2"))
-                # Triangle above the diagonal: vertices (i0+2, j0),
-                # (i0+2, j0+2), (i0, j0+2).
-                fine = np.array(
-                    [
-                        upper_tri(i0 + 1, j0),
-                        lower_tri(i0 + 1, j0 + 1),
-                        upper_tri(i0 + 1, j0 + 1),
-                        upper_tri(i0, j0 + 1),
-                    ]
-                )
-                anchors = np.array(
-                    [
-                        _node(M, i0 + 2, j0),
-                        _node(M, i0 + 2, j0 + 2),
-                        _node(M, i0, j0 + 2),
-                        _node(M, i0 + 2, j0 + 1),
-                        _node(M, i0 + 1, j0 + 2),
-                        _node(M, i0 + 1, j0 + 1),
-                    ]
-                )
-                blocks.append(MacroBlock(fine, anchors, "P2"))
-
-    return blocks
+    shapes = _BLOCK_SHAPES[mesh.elem_kind]
+    a = np.array([anchor for anchor, _ in shapes])  # (n_shapes, n_anchors, 2)
+    f = np.array([fine for _, fine in shapes])  # (n_shapes, 4, 3)
+    j0, i0 = 2 * np.indices((M // 2, M // 2)).reshape(2, -1, 1, 1)
+    anchors = (j0 + a[..., 1]) * (M + 1) + i0 + a[..., 0]
+    per_cell = mesh.n_elements // (M * M)
+    fine = ((j0 + f[..., 1]) * M + i0 + f[..., 0]) * per_cell + f[..., 2]
+    return anchors.reshape(-1, a.shape[1]), fine.reshape(-1, 4)

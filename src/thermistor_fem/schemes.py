@@ -75,8 +75,7 @@ class ProblemData:
     ``exact_u`` and ``exact_phi`` are space-time fields ``f(x, y, t)`` used
     for the initial condition, the potential's Dirichlet data, and error
     norms.  ``grad_u``/``grad_phi`` return pairs of partials and are only
-    needed for H1 error reporting.  ``sigma_bounds`` documents constants
-    ``0 < k1 <= sigma <= k2``.
+    needed for H1 error reporting.
     """
 
     sigma: Callable
@@ -86,7 +85,6 @@ class ProblemData:
     f2: Callable
     grad_u: Optional[Callable] = None
     grad_phi: Optional[Callable] = None
-    sigma_bounds: tuple = (None, None)
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,8 @@ class OperatorCache:
 
     The temperature system matrix ``alpha * Mass + Stiffness`` is constant in
     time for every scheme here, so its Dirichlet reduction (and, with the
-    direct solver, its factorization) is built once per ``alpha``.  The
+    direct solver, its factorization) is built once per ``alpha``.  Only the
+    newest is kept: ``alpha`` only moves forward (Euler, BDF2, BDF3).  The
     potential matrix changes every step; `potential_solve` assembles it.
     """
 
@@ -230,14 +229,15 @@ class OperatorCache:
         self.tol = tol
         self.mass = assemble_mass(space)
         self.stiffness = assemble_stiffness(space)
-        self._heat: dict[float, DirichletSystem] = {}
+        self._heat: tuple[float, DirichletSystem] | None = None
 
     def heat_system(self, alpha: float) -> DirichletSystem:
         key = float(alpha)
-        if key not in self._heat:
+        if self._heat is None or self._heat[0] != key:
+            self._heat = None  # free the old factorization before the new one
             A = (key * self.mass + self.stiffness).tocsr()
-            self._heat[key] = DirichletSystem(self.space, A, self.solver, self.tol)
-        return self._heat[key]
+            self._heat = (key, DirichletSystem(self.space, A, self.solver, self.tol))
+        return self._heat[1]
 
 
 def _sigma_at_quad(space: FeSpace, problem: ProblemData, u_coeffs: np.ndarray) -> np.ndarray:

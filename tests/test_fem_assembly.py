@@ -131,3 +131,17 @@ def test_dirichlet_system_rejects_wrong_boundary_length(space):
     system = DirichletSystem(space, assemble_stiffness(space), "cg", tol=1e-14)
     with pytest.raises(ValueError):
         system.solve(np.zeros(space.n_dofs), np.zeros(3))
+
+
+@pytest.mark.parametrize("points", [dict(assembly_points=2), dict(error_points=2), dict(error_points=1)])
+def test_quad_space_rejects_gauss_rules_below_three_points(points):
+    # Coarser rules than degree 5 shift the reported errors (at bdf2, M=8,
+    # error_points=2 moved superconv_u_h1 from 6.98e-3 to 6.77e-3).
+    with pytest.raises(ValueError, match="at least 3 points"):
+        FeSpace(build_mesh(4, "quad"), **points)
+
+
+def test_three_point_quad_rules_and_triangle_rules_are_accepted():
+    space = FeSpace(build_mesh(4, "quad"), assembly_points=3, error_points=3)
+    assert space.tables.wdet.shape == space.error_tables.wdet.shape == (16, 9)
+    FeSpace(build_mesh(4, "tri"), assembly_points=5, error_points=5)

@@ -174,6 +174,16 @@ def test_run_plan_records_invalid_horizons_as_failures():
     assert result.failures[0][1].startswith("ValueError")
 
 
+def test_run_plan_records_coarse_quad_rules_as_value_errors():
+    # FeSpace refuses quad Gauss rules below 3 points; the run fails as a
+    # ValueError, which the CLI maps to exit code 2.
+    plan = ExperimentPlan(study="t", runs=(tiny(elem_kind="quad", error_points=2),))
+    result = run_plan(plan)
+    assert result.reports == []
+    assert len(result.failures) == 1
+    assert result.failures[0][1].startswith("ValueError: quads need Gauss rules")
+
+
 # ----------------------------------------------------------------------------
 # Order table rendering
 # ----------------------------------------------------------------------------

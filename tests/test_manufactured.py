@@ -151,7 +151,6 @@ def test_make_problem_bundles_the_manufactured_data():
     assert problem.f2 is source_f2
     assert problem.exact_u is exact_u
     assert problem.exact_phi is exact_phi
-    assert problem.sigma_bounds == (1.0, 2.0)
     x, y = 0.3, 0.7
     assert problem.exact_u(x, y, 0.5) == exact_u(x, y, 0.5)
     assert problem.exact_phi(x, y, 0.5) == exact_phi(x, y, 0.5)

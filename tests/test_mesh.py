@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermistor_fem import build_mesh, macroelements
 
@@ -93,22 +95,20 @@ def test_build_mesh_rejects_bad_kind():
 @pytest.mark.parametrize("kind", ["quad", "tri"])
 def test_macroelements_partition_the_fine_mesh(kind):
     mesh = build_mesh(8, kind)
-    blocks = macroelements(mesh)
+    anchors, fine = macroelements(mesh)
     expected_blocks = (8 * 8 // 4) if kind == "quad" else (8 * 8 // 2)
-    assert len(blocks) == expected_blocks
-    covered = np.concatenate([b.fine_elements for b in blocks])
-    assert sorted(covered.tolist()) == list(range(mesh.n_elements))
-    for b in blocks:
-        assert b.fine_elements.size == 4
-        assert b.poly == ("Q2" if kind == "quad" else "P2")
-        assert len(set(b.anchor_nodes.tolist())) == b.anchor_nodes.size
+    assert anchors.shape == (expected_blocks, 9 if kind == "quad" else 6)
+    assert fine.shape == (expected_blocks, 4)
+    assert sorted(fine.ravel().tolist()) == list(range(mesh.n_elements))
+    for row in anchors:
+        assert len(set(row.tolist())) == row.size
 
 
 def test_quad_block_anchors_form_the_nine_node_patch():
     mesh = build_mesh(4, "quad")
-    for b in macroelements(mesh):
-        pts = mesh.nodes[b.anchor_nodes]
-        assert b.anchor_nodes.size == 9
+    anchors, _ = macroelements(mesh)
+    for row in anchors:
+        pts = mesh.nodes[row]
         # corners, then edge midpoints, then the center
         corners = pts[:4]
         center = corners.mean(axis=0)
@@ -127,9 +127,8 @@ def test_quad_block_anchors_form_the_nine_node_patch():
 def test_triangle_block_anchors_are_vertices_plus_edge_midpoints():
     mesh = build_mesh(4, "tri")
     a2 = signed_double_areas(mesh)
-    for b in macroelements(mesh):
-        pts = mesh.nodes[b.anchor_nodes]
-        assert b.anchor_nodes.size == 6
+    for row, fine in zip(*macroelements(mesh)):
+        pts = mesh.nodes[row]
         v = pts[:3]
         mids = np.array([(v[0] + v[1]) / 2, (v[1] + v[2]) / 2, (v[2] + v[0]) / 2])
         assert pts[3:] == pytest.approx(mids)
@@ -138,10 +137,89 @@ def test_triangle_block_anchors_are_vertices_plus_edge_midpoints():
             (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1])
             - (v[2, 0] - v[0, 0]) * (v[1, 1] - v[0, 1])
         )
-        assert a2[b.fine_elements].sum() == pytest.approx(block_area2, abs=1e-15)
+        assert a2[fine].sum() == pytest.approx(block_area2, abs=1e-15)
         # every fine-element vertex lies inside the doubled triangle
-        fine_nodes = np.unique(mesh.elements[b.fine_elements])
-        assert set(b.anchor_nodes.tolist()) == set(fine_nodes.tolist())
+        fine_nodes = np.unique(mesh.elements[fine])
+        assert set(row.tolist()) == set(fine_nodes.tolist())
+
+
+def test_macroelement_blocks_run_row_major_over_the_patches():
+    # Block b of the quad grouping, and blocks 2b and 2b + 1 of the triangle
+    # grouping, sit on patch b: the order `PostProcessedField.locate_blocks`
+    # assumes.
+    M = 6
+    for kind, per_patch in (("quad", 1), ("tri", 2)):
+        mesh = build_mesh(M, kind)
+        anchors, _ = macroelements(mesh)
+        lower_left = mesh.nodes[anchors].min(axis=1)
+        patch = np.repeat(np.arange((M // 2) ** 2), per_patch)
+        want = 2 * np.column_stack([patch % (M // 2), patch // (M // 2)]) / M
+        assert lower_left == pytest.approx(want)
+
+
+def loop_macroelements(mesh):
+    """The block-by-block grouping that `macroelements` vectorizes, kept as
+    its reference: anchors and fine elements of each block, in block order."""
+    M = mesh.M
+    node = lambda i, j: j * (M + 1) + i  # noqa: E731
+    anchors, fine = [], []
+    for J in range(M // 2):
+        for I in range(M // 2):
+            i, j = 2 * I, 2 * J
+            if mesh.elem_kind == "quad":
+                cell = lambda a, b: b * M + a  # noqa: E731
+                fine.append([cell(i, j), cell(i + 1, j), cell(i, j + 1), cell(i + 1, j + 1)])
+                anchors.append([
+                    node(i, j), node(i + 2, j), node(i + 2, j + 2), node(i, j + 2),
+                    node(i + 1, j), node(i + 2, j + 1), node(i + 1, j + 2), node(i, j + 1),
+                    node(i + 1, j + 1),
+                ])
+                continue
+            lower = lambda a, b: 2 * (b * M + a)  # noqa: E731
+            upper = lambda a, b: 2 * (b * M + a) + 1  # noqa: E731
+            fine.append([lower(i, j), upper(i, j), lower(i + 1, j), lower(i, j + 1)])
+            anchors.append([
+                node(i, j), node(i + 2, j), node(i, j + 2),
+                node(i + 1, j), node(i + 1, j + 1), node(i, j + 1),
+            ])
+            fine.append([upper(i + 1, j), lower(i + 1, j + 1), upper(i + 1, j + 1), upper(i, j + 1)])
+            anchors.append([
+                node(i + 2, j), node(i + 2, j + 2), node(i, j + 2),
+                node(i + 2, j + 1), node(i + 1, j + 2), node(i + 1, j + 1),
+            ])
+    return np.array(anchors), np.array(fine)
+
+
+@pytest.mark.parametrize("kind", ["quad", "tri"])
+@pytest.mark.parametrize("M", [2, 4, 8, 10])
+def test_macroelements_equal_the_block_by_block_loop(kind, M):
+    mesh = build_mesh(M, kind)
+    anchors, fine = macroelements(mesh)
+    want_anchors, want_fine = loop_macroelements(mesh)
+    assert np.array_equal(anchors, want_anchors)
+    assert np.array_equal(fine, want_fine)
+
+
+even_M = st.integers(1, 20).map(lambda k: 2 * k)
+kinds = st.sampled_from(["quad", "tri"])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(M=even_M, kind=kinds)
+def test_fine_blocks_partition_the_elements(M, kind):
+    mesh = build_mesh(M, kind)
+    _, fine = macroelements(mesh)
+    assert np.array_equal(np.sort(fine.ravel()), np.arange(mesh.n_elements))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(M=even_M, kind=kinds)
+def test_anchor_rows_are_the_nodes_of_their_fine_elements(M, kind):
+    mesh = build_mesh(M, kind)
+    anchors, fine = macroelements(mesh)
+    for row, elems in zip(anchors, fine):
+        assert len(set(row.tolist())) == row.size
+        assert set(row.tolist()) == set(mesh.elements[elems].ravel().tolist())
 
 
 def test_macroelements_rejects_foreign_mesh():

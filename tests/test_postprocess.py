@@ -3,20 +3,23 @@ identities, stability, and the superconvergent lift it provides."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermistor_fem import (
     FeSpace,
     build_mesh,
     eoc,
     fe_h1_norm,
+    fe_l2_norm,
     h1_error,
     h1_error_postprocessed,
     i2h_postprocess,
     interpolate_nodal,
-    l2_error_postprocessed,
+    l2_error,
     macroelements,
+    quadrature_norm,
 )
-from thermistor_fem.analysis import fe_h1_norm_postprocessed
 from thermistor_fem.manufactured import exact_u, grad_u
 
 
@@ -59,7 +62,9 @@ def test_block_polynomials_are_reproduced_exactly(kind):
     assert np.abs(g[:, 0] - gx).max() < 1e-11
     assert np.abs(g[:, 1] - gy).max() < 1e-11
 
-    assert l2_error_postprocessed(field, space, p, 0.0) < 1e-12
+    tb = space.error_tables
+    diff = field.values_on_tables(tb) - p(tb.x[..., 0], tb.x[..., 1], 0.0)
+    assert quadrature_norm(tb, diff) < 1e-12
     assert h1_error_postprocessed(field, space, p, grad, 0.0) < 1e-11
 
 
@@ -69,8 +74,7 @@ def test_postprocessed_field_interpolates_at_the_anchors(kind):
     rng = np.random.default_rng(4)
     coeffs = rng.standard_normal(space.n_dofs)
     field = i2h_postprocess(space, blocks, coeffs)
-    for b, block in enumerate(blocks):
-        anchors = np.asarray(block.anchor_nodes)
+    for b, anchors in enumerate(blocks[0]):
         pts = space.mesh.nodes[anchors]
         got = field.values_in_blocks(np.full(len(anchors), b), pts)
         assert np.abs(got - coeffs[anchors]).max() < 1e-11
@@ -98,7 +102,9 @@ def test_postprocessing_is_h1_stable(kind):
         for _ in range(10):
             c = rng.standard_normal(space.n_dofs)
             field = i2h_postprocess(space, blocks, c)
-            assert fe_h1_norm_postprocessed(field, space) <= 2.0 * fe_h1_norm(space, c)
+            tb = space.error_tables
+            lifted = quadrature_norm(tb, field.values_on_tables(tb), field.gradients_on_tables(tb))
+            assert lifted <= 2.0 * fe_h1_norm(space, c)
 
 
 @pytest.mark.parametrize("kind", ["tri", "quad"])
@@ -129,5 +135,71 @@ def test_single_point_evaluation_returns_a_scalar():
 
 def test_postprocess_rejects_empty_block_list():
     space = FeSpace(build_mesh(4, "quad"))
+    empty = (np.empty((0, 9), dtype=int), np.empty((0, 4), dtype=int))
+    with pytest.raises(ValueError, match="do not cover the mesh"):
+        i2h_postprocess(space, empty, np.zeros(space.n_dofs))
+
+
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_quadrature_norm_is_the_fe_norms_bit_for_bit(kind):
+    # The FE norms and errors are quadrature_norm on the error rule; zero
+    # gradients add nothing to the L2 part.
+    space = FeSpace(build_mesh(4, kind))
+    c = np.random.default_rng(6).standard_normal(space.n_dofs)
+    tb = space.error_tables
+    v, g = space.values_at_quad(c, tb), space.gradients_at_quad(c, tb)
+    assert quadrature_norm(tb, v) == fe_l2_norm(space, c)
+    assert quadrature_norm(tb, v, g) == fe_h1_norm(space, c)
+    assert quadrature_norm(tb, v, np.zeros_like(g)) == fe_l2_norm(space, c)
+    zero = lambda x, y, t: 0.0 * x  # noqa: E731
+    zero_grad = lambda x, y, t: (0.0 * x, 0.0 * y)  # noqa: E731
+    assert l2_error(space, c, zero, 0.0) == fe_l2_norm(space, c)
+    assert h1_error(space, c, zero, zero_grad, 0.0) == fe_h1_norm(space, c)
+    assert quadrature_norm(tb, np.ones_like(v)) == pytest.approx(1.0, abs=1e-14)
+
+
+@st.composite
+def block_polynomials(draw):
+    """A mesh and a random polynomial of its block space, with the gradient."""
+    M = 2 * draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["quad", "tri"]))
+    powers = (
+        [(i, j) for j in range(3) for i in range(3)]
+        if kind == "quad"
+        else [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    )
+    c = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(powers), max_size=len(powers)))
+
+    def p(x, y, t):
+        return sum(ck * x**i * y**j for ck, (i, j) in zip(c, powers))
+
+    def grad(x, y, t):
+        return (
+            sum(ck * i * x ** max(i - 1, 0) * y**j for ck, (i, j) in zip(c, powers)),
+            sum(ck * j * x**i * y ** max(j - 1, 0) for ck, (i, j) in zip(c, powers)),
+        )
+
+    return M, kind, p, grad
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(block_polynomials())
+def test_lift_of_the_interpolant_of_a_block_polynomial_is_the_polynomial(case):
+    M, kind, p, grad = case
+    space = FeSpace(build_mesh(M, kind))
+    field = i2h_postprocess(space, macroelements(space.mesh), interpolate_nodal(space, p, 0.0))
+    tb = space.error_tables
+    x, y = tb.x[..., 0], tb.x[..., 1]
+    assert np.abs(field.values_on_tables(tb) - p(x, y, 0.0)).max() <= 1e-11
+    gx, gy = grad(x, y, 0.0)
+    g = field.gradients_on_tables(tb)
+    assert np.abs(g[..., 0] - gx).max() <= 1e-11
+    assert np.abs(g[..., 1] - gy).max() <= 1e-11
+
+
+@pytest.mark.parametrize("kind,other", [("tri", "quad"), ("quad", "tri")])
+def test_postprocess_rejects_blocks_of_the_other_element_kind(kind, other):
+    # The anchors of the other block shape do not fit this block space.
+    space = FeSpace(build_mesh(4, kind))
     with pytest.raises(ValueError):
-        i2h_postprocess(space, [], np.zeros(space.n_dofs))
+        i2h_postprocess(space, macroelements(build_mesh(4, other)), np.zeros(space.n_dofs))

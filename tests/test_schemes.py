@@ -1,6 +1,8 @@
 """Time-stepping schemes: step resolution, algebraic identities, step-level
 structure (decoupling, degeneracies), and the dense reference step."""
 
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -382,6 +384,19 @@ def test_cg_and_direct_solvers_agree_on_a_full_run():
     b, _ = run_simulation(cfg(solver="cg", solver_tol=1e-14), problem)
     assert np.abs(a.u_n - b.u_n).max() < 1e-9
     assert np.abs(a.phi_n - b.phi_n).max() < 1e-9
+
+
+def test_operator_cache_holds_only_the_current_heat_system():
+    # A run's heat coefficient only moves forward (Euler, BDF2, BDF3), so the
+    # cache keeps one system and frees the earlier factorization.
+    ops = OperatorCache(FeSpace(build_mesh(4, "tri")))
+    first = ops.heat_system(10.0)
+    assert ops.heat_system(10.0) is first
+    freed = weakref.ref(first)
+    del first
+    ops.heat_system(15.0)
+    gc.collect()
+    assert freed() is None
 
 
 def test_potential_solve_is_second_order_accurate():
