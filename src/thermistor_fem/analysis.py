@@ -9,12 +9,21 @@ gradient converges one order faster than the FE gradient for supercloseness
 reasons; it only ever sees nodal values, so applying it to the nodal
 interpolant of a smooth function gives the same result as applying it to the
 function itself.  The blocks are the index arrays of `mesh.macroelements`.
-Every norm here is `quadrature_norm` on the space's error rule.
+
+On the uniform mesh every block is a translate of the blocks of its shape
+(one shape for quads, two for triangles: below and above the block
+diagonal).  `i2h_postprocess` therefore groups the blocks by their centred
+anchor offsets and solves one Vandermonde system per shape, with all blocks
+of the shape as right-hand sides; on quadrature tables the field is one
+monomial table per shape and fine-element slot, taken from the first block of
+the shape, times the block coefficients.  Every norm here is
+`quadrature_norm` on the space's error rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,6 +69,13 @@ def _monomials(d: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return d[..., None, 0] ** powers[:, 0] * d[..., None, 1] ** powers[:, 1]
 
 
+def _derivative_monomials(d: np.ndarray, powers: np.ndarray, axis: int) -> np.ndarray:
+    """Partial derivative along ``axis`` of each monomial: (..., 2) -> (..., n_terms)."""
+    # d/dx of x^p y^q is p x^(p-1) y^q; clip keeps 0^negative out.
+    lowered = np.maximum(powers - np.eye(2, dtype=int)[axis], 0)
+    return powers[:, axis] * _monomials(d, lowered)
+
+
 @dataclass(frozen=True)
 class PostProcessedField:
     """Piecewise polynomial produced by macroelement post-processing.
@@ -67,15 +83,23 @@ class PostProcessedField:
     The polynomial on block ``b`` is ``sum_k coeffs[b, k] *
     (x - center[b,0])**powers[k,0] * (y - center[b,1])**powers[k,1]``.
 
-    ``block_of_element`` maps each fine element to its block, which is how the
-    field is evaluated on quadrature tables for norm computations.
+    ``fine`` holds the fine elements of each block (the second array of
+    `mesh.macroelements`), ``block_of_element`` maps each fine element to its
+    block, and ``shapes`` holds the block indices of each block shape.  On
+    quadrature tables the field is evaluated per shape: the blocks of one
+    shape are translates of each other, so the monomials at the points of
+    fine slot ``k`` are the same for all of them and are taken from the
+    shape's first block.  ``__call__`` and the ``*_in_blocks`` methods
+    evaluate at arbitrary points, block by block.
     """
 
     mesh: Mesh
     powers: np.ndarray
     coeffs: np.ndarray
     centers: np.ndarray
+    fine: np.ndarray
     block_of_element: np.ndarray
+    shapes: tuple
 
     def values_in_blocks(self, block_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate at ``points`` (..., 2) lying in the blocks ``block_ids`` (broadcast)."""
@@ -85,19 +109,31 @@ class PostProcessedField:
     def gradients_in_blocks(self, block_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
         d = points - self.centers[block_ids]
         c = self.coeffs[block_ids]
-        grads = []
-        for axis in (0, 1):
-            # d/dx of x^p y^q is p x^(p-1) y^q; clip keeps 0^negative out.
-            lowered = np.maximum(self.powers - np.eye(2, dtype=int)[axis], 0)
-            mono = self.powers[:, axis] * _monomials(d, lowered)
-            grads.append(np.einsum("...k,...k->...", mono, c))
-        return np.stack(grads, axis=-1)
+        return np.stack(
+            [np.einsum("...k,...k->...", _derivative_monomials(d, self.powers, axis), c) for axis in (0, 1)],
+            axis=-1,
+        )
+
+    def _fill_on_tables(self, out: np.ndarray, tables: RuleTables, monomials) -> None:
+        """Write ``sum_k coeffs[b, k] * monomials(x - center[b])[k]`` at the
+        points of ``tables`` into ``out`` (``(ne, nq)``), one product per shape."""
+        for blocks in self.shapes:
+            first = blocks[0]
+            mono = monomials(tables.x[self.fine[first]] - self.centers[first])  # (4, nq, n_terms)
+            vals = self.coeffs[blocks] @ mono.reshape(-1, mono.shape[-1]).T
+            out[self.fine[blocks]] = vals.reshape(len(blocks), *mono.shape[:-1])
 
     def values_on_tables(self, tables: RuleTables) -> np.ndarray:
-        return self.values_in_blocks(self.block_of_element[:, None], tables.x)
+        out = np.empty(tables.wdet.shape)
+        self._fill_on_tables(out, tables, partial(_monomials, powers=self.powers))
+        return out
 
     def gradients_on_tables(self, tables: RuleTables) -> np.ndarray:
-        return self.gradients_in_blocks(self.block_of_element[:, None], tables.x)
+        out = np.empty(tables.x.shape)
+        for axis in (0, 1):
+            monomials = partial(_derivative_monomials, powers=self.powers, axis=axis)
+            self._fill_on_tables(out[..., axis], tables, monomials)
+        return out
 
     def locate_blocks(self, points: np.ndarray) -> np.ndarray:
         """Map physical points to block indices (structured-layout lookup)."""
@@ -129,8 +165,9 @@ def i2h_postprocess(
 
     ``blocks`` is the ``(anchors, fine)`` pair of `mesh.macroelements`.
     Solves, for every block, the small interpolation system that matches the
-    block polynomial to ``coeffs`` at the anchor nodes.  All block systems are
-    solved in one batched call.
+    block polynomial to ``coeffs`` at the anchor nodes.  Blocks whose centred
+    anchor offsets agree (to 1e-9 of the cell size) share one system, which
+    is solved once with all of their anchor values as right-hand sides.
     """
     anchors, fine = blocks  # (nb, na), (nb, 4)
     mesh = space.mesh
@@ -138,11 +175,28 @@ def i2h_postprocess(
     pts = mesh.nodes[anchors]  # (nb, na, 2)
     centers = pts.mean(axis=1)  # (nb, 2)
     d = pts - centers[:, None, :]
-    # Vandermonde in centered monomials, (nb, na, nterms); anchors of another
-    # block shape make it non-square, which solve rejects (LinAlgError).
-    V = _monomials(d, powers)
-    rhs = np.asarray(coeffs, dtype=float)[anchors]
-    block_coeffs = np.linalg.solve(V, rhs[..., None])[..., 0]
+    # One block shape per distinct set of centred anchors, in cell units;
+    # adding 0.0 turns -0.0 into 0.0 so equal offsets compare equal.
+    key = np.round(d * mesh.M, 9) + 0.0
+    _, first, shape_of_block = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    # One matrix serves all blocks of a shape, so its rounding errors do not
+    # average out over the blocks.  Solving for the anchor values less the
+    # block's first one (the constant monomial, column 0, is exactly 1) makes
+    # those errors scale with the field's variation over the block, not with
+    # the field itself divided by h in the gradient coefficients.
+    values = np.asarray(coeffs, dtype=float)[anchors]
+    base = values[:, 0]
+    rhs = values - base[:, None]
+    block_coeffs = np.empty((len(anchors), len(powers)))
+    shapes = []
+    for s, b in enumerate(first):
+        ids = np.flatnonzero(shape_of_block == s)
+        # Vandermonde in centered monomials, (na, nterms); anchors of another
+        # block shape make it non-square, which solve rejects (LinAlgError).
+        V = _monomials(d[b], powers)
+        block_coeffs[ids] = np.linalg.solve(V, rhs[ids].T).T
+        shapes.append(ids)
+    block_coeffs[:, 0] += base
 
     block_of_element = np.full(mesh.n_elements, -1, dtype=int)
     block_of_element[fine.ravel()] = np.repeat(np.arange(len(anchors)), fine.shape[1])
@@ -154,7 +208,9 @@ def i2h_postprocess(
         powers=powers,
         coeffs=block_coeffs,
         centers=centers,
+        fine=fine,
         block_of_element=block_of_element,
+        shapes=tuple(shapes),
     )
 
 

@@ -1,7 +1,10 @@
 """Command line interface for single runs and preset convergence sweeps.
 
 Exit codes: 0 on success, 2 for invalid configuration, 3 when a solve fails
-(non-elliptic coefficient or a linear solver that does not converge).
+(non-elliptic coefficient or a linear solver that does not converge).  A
+failed run is classified by the type of its exception: `ConductivityNotPositive`
+and `NoConvergence` are solver failures, any other `ValueError` is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -69,10 +72,11 @@ def main(argv=None) -> int:
         return 2
 
     result = run_plan(plan, out_path=args.out)
-    for config, message in result.failures:
+    for failure in result.failures:
+        config = failure.config
         print(
             f"run failed (scheme={config.scheme} M={config.M} "
-            f"tau_rule={config.tau_rule}): {message}",
+            f"tau_rule={config.tau_rule}): {failure.message}",
             file=sys.stderr,
         )
 
@@ -81,7 +85,8 @@ def main(argv=None) -> int:
     print(render_order_table(result.reports), end="")
     if result.failures:
         solver_failure = any(
-            not msg.startswith("ValueError") for _, msg in result.failures
+            isinstance(failure.error, (ConductivityNotPositive, NoConvergence))
+            for failure in result.failures
         )
         return 3 if solver_failure else 2
     return 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "ErrorReport",
     "ExperimentPlan",
     "PlanResult",
+    "RunFailure",
     "CSV_COLUMNS",
     "compute_error_report",
     "run_plan",
@@ -147,10 +148,22 @@ class ExperimentPlan:
     runs: tuple
 
 
+class RunFailure(NamedTuple):
+    """A run of a plan that raised: its configuration and the exception."""
+
+    config: SchemeConfig
+    error: Exception
+
+    @property
+    def message(self) -> str:
+        """``"<exception type>: <text>"``, as the CSV comment line shows it."""
+        return f"{type(self.error).__name__}: {self.error}"
+
+
 @dataclass
 class PlanResult:
     reports: list
-    failures: list
+    failures: list  # of RunFailure
     csv_text: str
 
 
@@ -176,7 +189,7 @@ def run_plan(plan: ExperimentPlan, out_path=None, problem: Optional[ProblemData]
         try:
             reports.append(run_one(config, problem))
         except (ConductivityNotPositive, NoConvergence, ValueError) as exc:
-            failures.append((config, f"{type(exc).__name__}: {exc}"))
+            failures.append(RunFailure(config, exc))
     csv_text = reports_to_csv(reports, failures)
     if out_path is not None:
         with open(out_path, "w") as fh:
@@ -230,14 +243,16 @@ def _eoc_rows(reports):
 
 
 def reports_to_csv(reports, failures=()) -> str:
-    """Serialize reports (plus appended order rows) to CSV text."""
+    """Serialize reports (plus appended order rows and a comment line per
+    `RunFailure`) to CSV text."""
     lines = [",".join(CSV_COLUMNS)]
     for r in reports:
         lines.append(",".join(_fmt(getattr(r, name)) for name in CSV_COLUMNS))
     for row in _eoc_rows(reports):
         lines.append(",".join(_fmt(row[name]) for name in CSV_COLUMNS))
-    for config, message in failures:
-        lines.append(f"# run failed: scheme={config.scheme} elem={config.elem_kind} M={config.M} tau_rule={config.tau_rule}: {message}")
+    for failure in failures:
+        config = failure.config
+        lines.append(f"# run failed: scheme={config.scheme} elem={config.elem_kind} M={config.M} tau_rule={config.tau_rule}: {failure.message}")
     return "\n".join(lines) + "\n"
 
 

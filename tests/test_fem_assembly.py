@@ -16,6 +16,7 @@ from thermistor_fem import (
     assemble_weighted_stiffness,
     build_mesh,
 )
+from thermistor_fem.fem import _shape_quad, _shape_tri
 
 
 @pytest.fixture(params=["tri", "quad"])
@@ -145,3 +146,32 @@ def test_three_point_quad_rules_and_triangle_rules_are_accepted():
     space = FeSpace(build_mesh(4, "quad"), assembly_points=3, error_points=3)
     assert space.tables.wdet.shape == space.error_tables.wdet.shape == (16, 9)
     FeSpace(build_mesh(4, "tri"), assembly_points=5, error_points=5)
+
+
+def einsum_tables(mesh, rule):
+    """``grad``, ``wdet`` and ``x`` of a rule, written as the einsum formulas
+    that the node-by-node sums of the table build must reproduce."""
+    shape = _shape_quad if mesh.elem_kind == "quad" else _shape_tri
+    N, dN = shape(rule.points)
+    coords = mesh.nodes[mesh.elements]
+    J = np.einsum("qib,eia->eqab", dN, coords)
+    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    inv = np.empty_like(J)
+    inv[..., 0, 0] = J[..., 1, 1]
+    inv[..., 0, 1] = -J[..., 0, 1]
+    inv[..., 1, 0] = -J[..., 1, 0]
+    inv[..., 1, 1] = J[..., 0, 0]
+    inv /= detJ[..., None, None]
+    grad = np.einsum("eqba,qib->eqia", inv, dN)
+    return grad, rule.weights[None, :] * detJ, np.einsum("qi,eia->eqa", N, coords)
+
+
+@pytest.mark.parametrize("M", [2, 8, 64])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_tables_equal_the_einsum_formulas_bit_for_bit(kind, M):
+    space = FeSpace(build_mesh(M, kind))
+    for tb in (space.tables, space.error_tables):
+        grad, wdet, x = einsum_tables(space.mesh, tb.rule)
+        assert np.array_equal(tb.grad, grad)
+        assert np.array_equal(tb.wdet, wdet)
+        assert np.array_equal(tb.x, x)

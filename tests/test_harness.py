@@ -10,8 +10,10 @@ import pytest
 
 from thermistor_fem import (
     CSV_COLUMNS,
+    ConductivityNotPositive,
     ErrorReport,
     ExperimentPlan,
+    NoConvergence,
     PRESETS,
     SchemeConfig,
     make_problem,
@@ -22,7 +24,7 @@ from thermistor_fem import (
     run_plan,
 )
 from thermistor_fem.cli import main
-from thermistor_fem.harness import PlanResult
+from thermistor_fem.harness import PlanResult, RunFailure
 
 SCHEMA = (
     "scheme,elem,M,h,tau,N,err_u_l2,err_u_h1,superclose_u_h1,superconv_u_h1,"
@@ -132,7 +134,7 @@ def test_csv_emits_no_order_row_across_scheme_or_kind_changes():
 
 
 def test_csv_reports_failures_as_comment_lines():
-    text = reports_to_csv([report()], failures=[(tiny(M=6), "NoConvergence: boom")])
+    text = reports_to_csv([report()], failures=[RunFailure(tiny(M=6), NoConvergence("boom"))])
     last = text.splitlines()[-1]
     assert last.startswith("# run failed:")
     assert "M=6" in last and "NoConvergence: boom" in last
@@ -162,7 +164,7 @@ def test_run_plan_continues_past_failures():
     result = run_plan(plan, problem=bad)
     assert result.reports == []
     assert len(result.failures) == 2
-    assert all("ConductivityNotPositive" in msg for _, msg in result.failures)
+    assert all(isinstance(f.error, ConductivityNotPositive) for f in result.failures)
     assert result.csv_text.count("# run failed:") == 2
 
 
@@ -171,7 +173,7 @@ def test_run_plan_records_invalid_horizons_as_failures():
     result = run_plan(plan)
     assert len(result.reports) == 1
     assert len(result.failures) == 1
-    assert result.failures[0][1].startswith("ValueError")
+    assert result.failures[0].message.startswith("ValueError")
 
 
 def test_run_plan_records_coarse_quad_rules_as_value_errors():
@@ -181,7 +183,7 @@ def test_run_plan_records_coarse_quad_rules_as_value_errors():
     result = run_plan(plan)
     assert result.reports == []
     assert len(result.failures) == 1
-    assert result.failures[0][1].startswith("ValueError: quads need Gauss rules")
+    assert result.failures[0].message.startswith("ValueError: quads need Gauss rules")
 
 
 # ----------------------------------------------------------------------------
@@ -311,7 +313,7 @@ def test_cli_unknown_preset_is_an_argparse_error(tmp_path):
 def test_cli_maps_solver_failures_to_exit_3(tmp_path, monkeypatch, capsys):
     def fake_run_plan(plan, out_path=None):
         return PlanResult(
-            reports=[], failures=[(plan.runs[0], "NoConvergence: fake")], csv_text=""
+            reports=[], failures=[RunFailure(plan.runs[0], NoConvergence("fake"))], csv_text=""
         )
 
     monkeypatch.setattr("thermistor_fem.cli.run_plan", fake_run_plan)
@@ -324,6 +326,22 @@ def test_cli_maps_solver_failures_to_exit_3(tmp_path, monkeypatch, capsys):
 
     code = main(["sweep", "--preset", "fig-u", "--out", str(tmp_path / "y.csv")])
     assert code == 3
+
+
+def test_cli_maps_other_value_errors_to_exit_2(tmp_path, monkeypatch, capsys):
+    # A ValueError subclass that is not a solver failure (numpy's LinAlgError
+    # here) is a configuration error, whatever its name.
+    def fake_run_plan(plan, out_path=None):
+        error = np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
+        return PlanResult(reports=[], failures=[RunFailure(plan.runs[0], error)], csv_text="")
+
+    monkeypatch.setattr("thermistor_fem.cli.run_plan", fake_run_plan)
+    code = main(
+        ["run", "--scheme", "bdf2", "--elem", "tri", "--M", "4",
+         "--tau-rule", "fixed:0.25", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert "LinAlgError" in capsys.readouterr().err
 
 
 def test_cli_module_entry_point(tmp_path):

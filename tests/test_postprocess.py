@@ -203,3 +203,21 @@ def test_postprocess_rejects_blocks_of_the_other_element_kind(kind, other):
     space = FeSpace(build_mesh(4, kind))
     with pytest.raises(ValueError):
         i2h_postprocess(space, macroelements(build_mesh(4, other)), np.zeros(space.n_dofs))
+
+
+@pytest.mark.parametrize("rule", ["tables", "error_tables"])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(half_M=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_table_evaluation_equals_the_block_by_block_evaluation(kind, rule, half_M, seed):
+    # The per-shape tables must give what evaluating each element's points
+    # in its own block gives, for rough nodal data too.
+    space = FeSpace(build_mesh(2 * half_M, kind))
+    coeffs = np.random.default_rng(seed).standard_normal(space.n_dofs)
+    field = i2h_postprocess(space, macroelements(space.mesh), coeffs)
+    tb = getattr(space, rule)
+    ids = field.block_of_element[:, None]
+    want_v = field.values_in_blocks(ids, tb.x)
+    want_g = field.gradients_in_blocks(ids, tb.x)
+    assert np.abs(field.values_on_tables(tb) - want_v).max() <= 1e-13 * np.abs(want_v).max()
+    assert np.abs(field.gradients_on_tables(tb) - want_g).max() <= 1e-13 * np.abs(want_g).max()
