@@ -11,7 +11,6 @@ convergence studies.
 """
 
 from .analysis import (
-    PostProcessedField,
     eoc,
     fe_h1_norm,
     fe_l2_norm,
@@ -27,7 +26,6 @@ from .fem import (
     DirichletSystem,
     FeSpace,
     NoConvergence,
-    QuadRule,
     assemble_joule_load,
     assemble_load,
     assemble_mass,
@@ -42,7 +40,6 @@ from .harness import (
     ErrorReport,
     ExperimentPlan,
     PRESETS,
-    compute_error_report,
     preset_plan,
     render_order_table,
     reports_to_csv,
@@ -50,21 +47,17 @@ from .harness import (
     run_plan,
 )
 from .manufactured import make_problem
-from .mesh import Mesh, build_mesh, macroelements
+from .mesh import build_mesh, macroelements
 from .schemes import (
     TABLES,
-    ImexTable,
     OperatorCache,
-    ProblemData,
     SchemeConfig,
-    StepRecord,
     TimeState,
     gao_step,
     imex_step,
     potential_solve,
     resolve_tau,
     run_simulation,
-    temperature_solve,
     validate_config,
 )
 

@@ -14,10 +14,11 @@ On the uniform mesh every block is a translate of the blocks of its shape
 (one shape for quads, two for triangles: below and above the block
 diagonal).  `i2h_postprocess` therefore groups the blocks by their centred
 anchor offsets and solves one Vandermonde system per shape, with all blocks
-of the shape as right-hand sides; on quadrature tables the field is one
-monomial table per shape and fine-element slot, taken from the first block of
-the shape, times the block coefficients.  Every norm here is
-`quadrature_norm` on the space's error rule.
+of the shape as right-hand sides.  The field is only ever evaluated on
+quadrature tables, as one monomial table per shape and fine-element slot,
+taken from the first block of the shape, times the block coefficients; the
+point-by-point reference evaluation lives in the tests' dense oracle.  Every
+norm here is `quadrature_norm` on the space's error rule.
 """
 
 from __future__ import annotations
@@ -84,13 +85,11 @@ class PostProcessedField:
     (x - center[b,0])**powers[k,0] * (y - center[b,1])**powers[k,1]``.
 
     ``fine`` holds the fine elements of each block (the second array of
-    `mesh.macroelements`), ``block_of_element`` maps each fine element to its
-    block, and ``shapes`` holds the block indices of each block shape.  On
-    quadrature tables the field is evaluated per shape: the blocks of one
-    shape are translates of each other, so the monomials at the points of
-    fine slot ``k`` are the same for all of them and are taken from the
-    shape's first block.  ``__call__`` and the ``*_in_blocks`` methods
-    evaluate at arbitrary points, block by block.
+    `mesh.macroelements`) and ``shapes`` holds the block indices of each
+    block shape.  The field is evaluated on quadrature tables, per shape: the
+    blocks of one shape are translates of each other, so the monomials at
+    the points of fine slot ``k`` are the same for all of them and are taken
+    from the shape's first block.
     """
 
     mesh: Mesh
@@ -98,21 +97,7 @@ class PostProcessedField:
     coeffs: np.ndarray
     centers: np.ndarray
     fine: np.ndarray
-    block_of_element: np.ndarray
     shapes: tuple
-
-    def values_in_blocks(self, block_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate at ``points`` (..., 2) lying in the blocks ``block_ids`` (broadcast)."""
-        mono = _monomials(points - self.centers[block_ids], self.powers)
-        return np.einsum("...k,...k->...", mono, self.coeffs[block_ids])
-
-    def gradients_in_blocks(self, block_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
-        d = points - self.centers[block_ids]
-        c = self.coeffs[block_ids]
-        return np.stack(
-            [np.einsum("...k,...k->...", _derivative_monomials(d, self.powers, axis), c) for axis in (0, 1)],
-            axis=-1,
-        )
 
     def _fill_on_tables(self, out: np.ndarray, tables: RuleTables, monomials) -> None:
         """Write ``sum_k coeffs[b, k] * monomials(x - center[b])[k]`` at the
@@ -135,28 +120,6 @@ class PostProcessedField:
             self._fill_on_tables(out[..., axis], tables, monomials)
         return out
 
-    def locate_blocks(self, points: np.ndarray) -> np.ndarray:
-        """Map physical points to block indices (structured-layout lookup)."""
-        M = self.mesh.M
-        nb = M // 2
-        pts = np.atleast_2d(points)
-        I = np.clip((pts[:, 0] * nb).astype(int), 0, nb - 1)
-        J = np.clip((pts[:, 1] * nb).astype(int), 0, nb - 1)
-        if self.mesh.elem_kind == "quad":
-            return J * nb + I
-        # Triangle blocks come in (lower, upper) pairs per coarse cell, cut
-        # along the lower-right to upper-left diagonal.
-        xi = pts[:, 0] * nb - I
-        eta = pts[:, 1] * nb - J
-        upper = xi + eta > 1.0
-        return 2 * (J * nb + I) + upper.astype(int)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at arbitrary points of the unit square."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = self.values_in_blocks(self.locate_blocks(pts), pts)
-        return vals if np.asarray(points).ndim > 1 else vals[0]
-
 
 def i2h_postprocess(
     space: FeSpace, blocks: tuple[np.ndarray, np.ndarray], coeffs: np.ndarray
@@ -171,6 +134,8 @@ def i2h_postprocess(
     """
     anchors, fine = blocks  # (nb, na), (nb, 4)
     mesh = space.mesh
+    if np.bincount(fine.ravel(), minlength=mesh.n_elements).min() == 0:
+        raise ValueError("macroelement blocks do not cover the mesh")
     powers = _POWERS[mesh.elem_kind]
     pts = mesh.nodes[anchors]  # (nb, na, 2)
     centers = pts.mean(axis=1)  # (nb, 2)
@@ -198,18 +163,12 @@ def i2h_postprocess(
         shapes.append(ids)
     block_coeffs[:, 0] += base
 
-    block_of_element = np.full(mesh.n_elements, -1, dtype=int)
-    block_of_element[fine.ravel()] = np.repeat(np.arange(len(anchors)), fine.shape[1])
-    if np.any(block_of_element < 0):
-        raise ValueError("macroelement blocks do not cover the mesh")
-
     return PostProcessedField(
         mesh=mesh,
         powers=powers,
         coeffs=block_coeffs,
         centers=centers,
         fine=fine,
-        block_of_element=block_of_element,
         shapes=tuple(shapes),
     )
 

@@ -20,7 +20,7 @@ from .harness import (
     render_order_table,
     run_plan,
 )
-from .schemes import SchemeConfig, validate_config
+from .schemes import SCHEMES, SchemeConfig, validate_config
 
 __all__ = ["main"]
 
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one configuration and write its error report")
-    run.add_argument("--scheme", required=True, choices=["bdf2", "bdf3", "gao", "ext1", "euler"])
+    run.add_argument("--scheme", required=True, choices=SCHEMES)
     run.add_argument("--elem", default="quad", choices=["quad", "tri"])
     run.add_argument("--M", required=True, type=int, help="cells per side (even)")
     run.add_argument(

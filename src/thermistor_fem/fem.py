@@ -102,15 +102,13 @@ _TRI_RULES = {
 
 
 def _orbit(bary):
-    """All distinct permutations of a barycentric triple, in a fixed order."""
-    seen = []
-    for perm in (
-        (0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2),
-    ):
-        p = tuple(bary[k] for k in perm)
-        if not any(np.allclose(p, q, rtol=0, atol=1e-14) for q in seen):
-            seen.append(p)
-    return seen
+    """All distinct permutations of a barycentric triple, in a fixed order.
+
+    The tabulated triples repeat their values exactly, so exact comparison
+    removes the duplicates; the first occurrence keeps its place.
+    """
+    perms = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
+    return list(dict.fromkeys(tuple(bary[k] for k in perm) for perm in perms))
 
 
 def gauss_rule_triangle(degree: int) -> QuadRule:
@@ -438,15 +436,15 @@ class DirichletSystem:
     """A Dirichlet-reduced SPD system prepared for one or many solves.
 
     ``method="direct"`` factorizes the reduced matrix once (sparse LU, which
-    is deterministic); ``method="cg"`` uses `solve_spd` per right-hand side.
+    is deterministic); ``method="cg"`` uses `solve_spd` per right-hand side,
+    at its default tolerance.
     """
 
-    def __init__(self, space: FeSpace, A: sp.spmatrix, method: str = "direct", tol: float = 1e-12):
+    def __init__(self, space: FeSpace, A: sp.spmatrix, method: str = "direct"):
         if method not in ("direct", "cg"):
             raise ValueError(f"method must be 'direct' or 'cg', got {method!r}")
         self.space = space
         self.method = method
-        self.tol = tol
         A = A.tocsr()
         I = space.interior_dofs
         B = space.boundary_dofs
@@ -474,7 +472,7 @@ class DirichletSystem:
             if not np.all(np.isfinite(x_red)):
                 raise NoConvergence("sparse factorization produced non-finite values")
         else:
-            x_red = solve_spd(self.A_red, b_red, tol=self.tol)
+            x_red = solve_spd(self.A_red, b_red)
         full = np.zeros(self.space.n_dofs)
         full[self.space.boundary_dofs] = g
         full[self.space.interior_dofs] = x_red

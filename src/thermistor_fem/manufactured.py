@@ -33,7 +33,6 @@ __all__ = [
     "grad_phi",
     "source_f1",
     "source_f2",
-    "exact_fields",
     "make_problem",
 ]
 
@@ -87,20 +86,6 @@ def source_f2(x, y, t):
     s = np.sin(x + y + t)
     c = np.cos(x + y + t)
     return -sigma_prime(u) * (ux + uy) * c + 2.0 * sigma(u) * s
-
-
-def exact_fields(x, y, t):
-    """All exact quantities at once (handy for debugging and oracles)."""
-    u = exact_u(x, y, t)
-    return {
-        "u": u,
-        "u_t": -2.0 * u,
-        "lap_u": -2.0 * PI**2 * u,
-        "grad_u": grad_u(x, y, t),
-        "phi": exact_phi(x, y, t),
-        "lap_phi": -2.0 * np.sin(x + y + t),
-        "grad_phi": grad_phi(x, y, t),
-    }
 
 
 def make_problem() -> ProblemData:

@@ -22,8 +22,9 @@ relatives, and ``ext1`` pairs the two-step difference with first-order
 extrapolation (``sigma* = sigma(U^{n-1})``).  `gao_step` advances the
 temperature first, using Joule data extrapolated from previous potentials.
 ``ext1`` and ``gao`` lose accuracy and are kept for comparison studies.
-`run_simulation` builds the history levels a row needs by steps of rising
-order (Euler, then BDF2) or from the exact solution.
+`run_simulation` builds the history levels a row needs: two-level rows
+start with one implicit Euler step, and ``bdf3`` starts from the nodal
+interpolants of the exact solution.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ class ProblemData:
     """Data defining one thermistor problem instance.
 
     ``exact_u`` and ``exact_phi`` are space-time fields ``f(x, y, t)`` used
-    for the initial condition, the potential's Dirichlet data, and error
-    norms.  ``grad_u``/``grad_phi`` return pairs of partials and are only
-    needed for H1 error reporting.
+    for the initial condition, the start levels of ``bdf3``, the potential's
+    Dirichlet data, and error norms.  ``grad_u``/``grad_phi`` return pairs
+    of partials and are only needed for H1 error reporting.
     """
 
     sigma: Callable
@@ -144,10 +145,10 @@ class SchemeConfig:
     ``"fixed:<value>"``.  The realized step divides ``T`` evenly:
     ``N = ceil(T / target)``, ``tau = T / N``.
 
-    ``init`` selects the start-up: ``"euler"`` (steps of rising order,
-    implicit Euler then BDF2) or ``"exact"`` (nodal interpolants of the exact
-    solution for the starting levels); the empty string picks the scheme
-    default (exact for bdf3, Euler otherwise).
+    ``solver`` is ``"direct"`` (sparse LU) or ``"cg"`` (Jacobi-preconditioned
+    conjugate gradients to a relative residual of 1e-12).
+    ``assembly_points`` and ``error_points`` choose the quadrature rules of
+    `FeSpace` (None picks its defaults).
     """
 
     scheme: str
@@ -156,10 +157,8 @@ class SchemeConfig:
     T: float = 1.0
     tau_rule: str = "sqrt-h"
     solver: str = "direct"
-    solver_tol: float = 1e-12
     assembly_points: Optional[int] = None
     error_points: Optional[int] = None
-    init: str = ""
 
 
 def validate_config(config: SchemeConfig) -> None:
@@ -170,14 +169,10 @@ def validate_config(config: SchemeConfig) -> None:
         raise ValueError(f"elem_kind must be 'quad' or 'tri', got {config.elem_kind!r}")
     if not isinstance(config.M, (int, np.integer)) or config.M < 2 or config.M % 2:
         raise ValueError(f"M must be an even integer >= 2, got {config.M!r}")
-    if not (config.T > 0):
-        raise ValueError(f"T must be positive, got {config.T!r}")
+    if not (isinstance(config.T, (int, float, np.integer, np.floating)) and 0 < config.T < math.inf):
+        raise ValueError(f"T must be a positive finite number, got {config.T!r}")
     if config.solver not in ("direct", "cg"):
         raise ValueError(f"solver must be 'direct' or 'cg', got {config.solver!r}")
-    if config.init not in ("", "euler", "exact"):
-        raise ValueError(f"init must be 'euler' or 'exact', got {config.init!r}")
-    if not (isinstance(config.solver_tol, (int, float)) and 0 < config.solver_tol < 1):
-        raise ValueError(f"solver_tol must lie in (0, 1), got {config.solver_tol!r}")
     for name in ("assembly_points", "error_points"):
         value = getattr(config, name)
         if value is not None and not (isinstance(value, (int, np.integer)) and value > 0):
@@ -223,10 +218,9 @@ class OperatorCache:
     potential matrix changes every step; `potential_solve` assembles it.
     """
 
-    def __init__(self, space: FeSpace, solver: str = "direct", tol: float = 1e-12):
+    def __init__(self, space: FeSpace, solver: str = "direct"):
         self.space = space
         self.solver = solver
-        self.tol = tol
         self.mass = assemble_mass(space)
         self.stiffness = assemble_stiffness(space)
         self._heat: tuple[float, DirichletSystem] | None = None
@@ -236,7 +230,7 @@ class OperatorCache:
         if self._heat is None or self._heat[0] != key:
             self._heat = None  # free the old factorization before the new one
             A = (key * self.mass + self.stiffness).tocsr()
-            self._heat = (key, DirichletSystem(self.space, A, self.solver, self.tol))
+            self._heat = (key, DirichletSystem(self.space, A, self.solver))
         return self._heat[1]
 
 
@@ -258,7 +252,7 @@ def potential_solve(space, problem, ops, sigma_star, t, record=None) -> np.ndarr
     the assembly quadrature points.
     """
     A = assemble_weighted_stiffness(space, sigma_star)
-    system = DirichletSystem(space, A, ops.solver, ops.tol)
+    system = DirichletSystem(space, A, ops.solver)
     b = assemble_load(space, lambda x, y: problem.f2(x, y, t))
     g = _boundary_values(space, problem.exact_phi, t)
     phi = system.solve(b, g)
@@ -398,7 +392,6 @@ def run_simulation(
         mesh = build_mesh(config.M, config.elem_kind)
         space = FeSpace(mesh, config.assembly_points, config.error_points)
     tau, N = resolve_tau(config, space.mesh.h)
-    init = config.init or ("exact" if config.scheme == "bdf3" else "euler")
     table = TABLES["bdf2" if config.scheme == "gao" else config.scheme]
     if N < table.levels:
         raise ValueError(
@@ -406,7 +399,7 @@ def run_simulation(
             f"tau rule {config.tau_rule!r} gives N={N}"
         )
 
-    ops = OperatorCache(space, config.solver, config.solver_tol)
+    ops = OperatorCache(space, config.solver)
     u0 = interpolate_nodal(space, problem.exact_u, 0.0)
     state = TimeState(n=0, t=0.0, u_n=u0)
     trace: list[StepRecord] = []
@@ -423,17 +416,17 @@ def run_simulation(
         sigma0 = _sigma_at_quad(space, problem, u0)
         state = replace(state, phi_n=potential_solve(space, problem, ops, sigma0, 0.0))
 
-    # Start-up: build the history levels the scheme reads, either by steps
-    # of rising order (Euler, then BDF2) or from the exact solution.
-    startup = (TABLES["euler"], TABLES["bdf2"])
+    # Start-up: build the history levels the scheme reads.  BDF3 takes its
+    # first two levels from the exact solution; a two-level row takes one
+    # implicit Euler step.
     while state.n < table.levels - 1:
-        if init == "euler":
-            state = advance(partial(imex_step, startup[state.n]), state)
-        else:
+        if config.scheme == "bdf3":
             t = (state.n + 1) * tau
             u = interpolate_nodal(space, problem.exact_u, t)
             phi = potential_solve(space, problem, ops, _sigma_at_quad(space, problem, u), t)
             state = state.advanced(u, phi, tau)
+        else:
+            state = advance(partial(imex_step, TABLES["euler"]), state)
 
     step = gao_step if config.scheme == "gao" else partial(imex_step, table)
     while state.n < N:

@@ -5,7 +5,9 @@ matrices, hand-coded quadrature tables, per-element Python loops, dense numpy
 solves — so that agreement with the package is evidence of correctness rather
 than shared code.  Only the raw mesh arrays (node coordinates, connectivity,
 boundary node list) are taken from the package, and those are pinned by their
-own hand-checked tests.
+own hand-checked tests.  The post-processing evaluators at the end take a
+post-processed field's block polynomials and evaluate them at arbitrary
+points, block by block, as the reference for the package's table path.
 """
 
 from __future__ import annotations
@@ -250,3 +252,54 @@ def oracle_bdf2_step(mesh, problem, u_n, u_nm1, tau, t_new):
     b_u += dense_load(nodes, elements, lambda x, y: problem.f1(x, y, t_new))
     u_new = dense_dirichlet_solve(A_u, b_u, boundary, np.zeros(len(boundary)), n)
     return u_new, phi_new
+
+
+# ----------------------------------------------------------------------------
+# Point-by-point evaluation of a macroelement post-processed field
+# ----------------------------------------------------------------------------
+
+
+def block_of_element(fine, n_elements):
+    """Block index of every fine element (-1 where no block holds it), from
+    the ``(n_blocks, 4)`` fine-element array of the blocks."""
+    out = np.full(n_elements, -1)
+    for b, elems in enumerate(fine):
+        out[elems] = b
+    return out
+
+
+def locate_blocks(mesh, points):
+    """Block index of each physical point, from the structured layout.
+
+    Blocks run row-major over the 2x2 patches of the mesh; triangle blocks
+    come in (lower, upper) pairs per patch, cut along the lower-right to
+    upper-left diagonal.
+    """
+    nb = mesh.M // 2
+    pts = np.atleast_2d(points)
+    I = np.clip((pts[:, 0] * nb).astype(int), 0, nb - 1)
+    J = np.clip((pts[:, 1] * nb).astype(int), 0, nb - 1)
+    if mesh.elem_kind == "quad":
+        return J * nb + I
+    upper = pts[:, 0] * nb - I + pts[:, 1] * nb - J > 1.0
+    return 2 * (J * nb + I) + upper.astype(int)
+
+
+def block_values(field, block_ids, points):
+    """Evaluate the block polynomials of a post-processed field at ``points``
+    (..., 2) lying in the blocks ``block_ids`` (broadcast), term by term from
+    the field's ``powers``, ``coeffs`` and ``centers``."""
+    d = points - field.centers[block_ids]
+    c = field.coeffs[block_ids]
+    return sum(c[..., k] * d[..., 0] ** p * d[..., 1] ** q for k, (p, q) in enumerate(field.powers))
+
+
+def block_gradients(field, block_ids, points):
+    """Gradients of the block polynomials, like `block_values`; shape (..., 2)."""
+    d = points - field.centers[block_ids]
+    dx, dy = d[..., 0], d[..., 1]
+    c = field.coeffs[block_ids]
+    terms = list(enumerate(field.powers))
+    gx = sum(c[..., k] * p * dx ** max(p - 1, 0) * dy**q for k, (p, q) in terms)
+    gy = sum(c[..., k] * q * dx**p * dy ** max(q - 1, 0) for k, (p, q) in terms)
+    return np.stack([gx, gy], axis=-1)

@@ -3,6 +3,8 @@ hand-derived identities."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _dense_oracle as oracle
 from thermistor_fem import (
@@ -43,6 +45,23 @@ def test_mass_total_is_domain_area(space):
 def test_stiffness_rows_sum_to_zero(space):
     row_sums = np.asarray(assemble_stiffness(space).sum(axis=1)).ravel()
     assert np.abs(row_sums).max() < 1e-13
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    half_M=st.integers(1, 12),
+    kind=st.sampled_from(["tri", "quad"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stiffness_matrices_are_symmetric_with_zero_row_sums(half_M, kind, seed):
+    # Constants lie in the kernel of every (weighted) stiffness matrix, and
+    # the bilinear forms are symmetric, whatever the conductivity in (1, 2].
+    space = FeSpace(build_mesh(2 * half_M, kind))
+    sigma = 2.0 - np.random.default_rng(seed).uniform(0.0, 1.0, space.tables.wdet.shape)
+    for A in (assemble_stiffness(space), assemble_weighted_stiffness(space, sigma)):
+        bound = 1e-12 * abs(A).max()
+        assert abs(A - A.T).max() <= bound
+        assert np.abs(np.asarray(A.sum(axis=1))).max() <= bound
 
 
 def test_interior_stiffness_stencil_on_triangles():
@@ -121,7 +140,7 @@ def test_dirichlet_elimination_reproduces_linear_solution(space):
     # u(x, y) = 2x - 3y + 1 is harmonic and lies in the FE space, so the
     # discrete Poisson solution must equal its nodal values exactly.
     exact = lambda x, y: 2.0 * x - 3.0 * y + 1.0  # noqa: E731
-    system = DirichletSystem(space, assemble_stiffness(space), "cg", tol=1e-14)
+    system = DirichletSystem(space, assemble_stiffness(space), "cg")
     xb = space.mesh.nodes[space.boundary_dofs]
     full = system.solve(np.zeros(space.n_dofs), exact(xb[:, 0], xb[:, 1]))
     want = exact(space.mesh.nodes[:, 0], space.mesh.nodes[:, 1])
@@ -129,7 +148,7 @@ def test_dirichlet_elimination_reproduces_linear_solution(space):
 
 
 def test_dirichlet_system_rejects_wrong_boundary_length(space):
-    system = DirichletSystem(space, assemble_stiffness(space), "cg", tol=1e-14)
+    system = DirichletSystem(space, assemble_stiffness(space), "cg")
     with pytest.raises(ValueError):
         system.solve(np.zeros(space.n_dofs), np.zeros(3))
 

@@ -23,8 +23,9 @@ from thermistor_fem import (
     run_one,
     run_plan,
 )
-from thermistor_fem.cli import main
+from thermistor_fem.cli import _build_parser, main
 from thermistor_fem.harness import PlanResult, RunFailure
+from thermistor_fem.schemes import SCHEMES
 
 SCHEMA = (
     "scheme,elem,M,h,tau,N,err_u_l2,err_u_h1,superclose_u_h1,superconv_u_h1,"
@@ -293,6 +294,21 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys):
     )
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_non_finite_horizon(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["run", "--scheme", "bdf2", "--M", "4", "--T", "inf", "--out", str(out)])
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_offers_every_scheme():
+    parser = _build_parser()
+    for scheme in SCHEMES:
+        args = parser.parse_args(["run", "--scheme", scheme, "--M", "4", "--out", "x.csv"])
+        assert args.scheme == scheme
 
 
 def test_cli_run_maps_startup_horizon_errors_to_exit_2(tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_triangle_block_anchors_are_vertices_plus_edge_midpoints():
 
 def test_macroelement_blocks_run_row_major_over_the_patches():
     # Block b of the quad grouping, and blocks 2b and 2b + 1 of the triangle
-    # grouping, sit on patch b: the order `PostProcessedField.locate_blocks`
+    # grouping, sit on patch b: the order the oracle's `locate_blocks`
     # assumes.
     M = 6
     for kind, per_patch in (("quad", 1), ("tri", 2)):

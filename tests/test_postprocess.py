@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _dense_oracle as oracle
 from thermistor_fem import (
     FeSpace,
     build_mesh,
@@ -54,10 +55,10 @@ def test_block_polynomials_are_reproduced_exactly(kind):
 
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 1.0, size=(200, 2))
-    assert np.abs(field(pts) - p(pts[:, 0], pts[:, 1], 0.0)).max() < 1e-12
+    ids = oracle.locate_blocks(space.mesh, pts)
+    assert np.abs(oracle.block_values(field, ids, pts) - p(pts[:, 0], pts[:, 1], 0.0)).max() < 1e-12
 
-    ids = field.locate_blocks(pts)
-    g = field.gradients_in_blocks(ids, pts)
+    g = oracle.block_gradients(field, ids, pts)
     gx, gy = grad(pts[:, 0], pts[:, 1], 0.0)
     assert np.abs(g[:, 0] - gx).max() < 1e-11
     assert np.abs(g[:, 1] - gy).max() < 1e-11
@@ -76,19 +77,19 @@ def test_postprocessed_field_interpolates_at_the_anchors(kind):
     field = i2h_postprocess(space, blocks, coeffs)
     for b, anchors in enumerate(blocks[0]):
         pts = space.mesh.nodes[anchors]
-        got = field.values_in_blocks(np.full(len(anchors), b), pts)
+        got = oracle.block_values(field, np.full(len(anchors), b), pts)
         assert np.abs(got - coeffs[anchors]).max() < 1e-11
 
 
 @pytest.mark.parametrize("kind", ["tri", "quad"])
 def test_locate_blocks_agrees_with_the_element_partition(kind):
-    space, blocks = setup(8, kind)
-    field = i2h_postprocess(space, blocks, np.zeros(space.n_dofs))
-    # strictly interior quadrature points of every element must locate to the
-    # block that owns the element
+    # The oracle's two ways of finding a block must agree: strictly interior
+    # quadrature points of every element locate to the block that owns the
+    # element.
+    space, (_, fine) = setup(8, kind)
     tb = space.tables
-    ids = field.locate_blocks(tb.x.reshape(-1, 2)).reshape(tb.x.shape[:2])
-    want = np.broadcast_to(field.block_of_element[:, None], ids.shape)
+    ids = oracle.locate_blocks(space.mesh, tb.x.reshape(-1, 2)).reshape(tb.x.shape[:2])
+    want = np.broadcast_to(oracle.block_of_element(fine, space.mesh.n_elements)[:, None], ids.shape)
     assert np.array_equal(ids, want)
 
 
@@ -123,14 +124,6 @@ def test_postprocessing_lifts_the_interpolant_gradient_order(kind):
         assert order == pytest.approx(1.0, abs=0.05)
     for order in eoc(lifted):
         assert order == pytest.approx(2.0, abs=0.1)
-
-
-def test_single_point_evaluation_returns_a_scalar():
-    space, blocks = setup(4, "quad")
-    field = i2h_postprocess(space, blocks, interpolate_nodal(space, lambda x, y, t: x + y, 0.0))
-    val = field(np.array([0.3, 0.4]))
-    assert np.ndim(val) == 0
-    assert val == pytest.approx(0.7, abs=1e-13)
 
 
 def test_postprocess_rejects_empty_block_list():
@@ -214,10 +207,11 @@ def test_table_evaluation_equals_the_block_by_block_evaluation(kind, rule, half_
     # in its own block gives, for rough nodal data too.
     space = FeSpace(build_mesh(2 * half_M, kind))
     coeffs = np.random.default_rng(seed).standard_normal(space.n_dofs)
-    field = i2h_postprocess(space, macroelements(space.mesh), coeffs)
+    blocks = macroelements(space.mesh)
+    field = i2h_postprocess(space, blocks, coeffs)
     tb = getattr(space, rule)
-    ids = field.block_of_element[:, None]
-    want_v = field.values_in_blocks(ids, tb.x)
-    want_g = field.gradients_in_blocks(ids, tb.x)
+    ids = oracle.block_of_element(blocks[1], space.mesh.n_elements)[:, None]
+    want_v = oracle.block_values(field, ids, tb.x)
+    want_g = oracle.block_gradients(field, ids, tb.x)
     assert np.abs(field.values_on_tables(tb) - want_v).max() <= 1e-13 * np.abs(want_v).max()
     assert np.abs(field.gradients_on_tables(tb) - want_g).max() <= 1e-13 * np.abs(want_g).max()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermistor_fem import gauss_rule_square, gauss_rule_triangle
+from thermistor_fem.fem import _TRI_RULES
 
 
 def square_monomial_integral(p, q):
@@ -49,6 +50,33 @@ def test_triangle_rule_is_exact_to_degree(degree):
 def test_triangle_rule_sizes():
     assert gauss_rule_triangle(5).n_points == 7
     assert gauss_rule_triangle(6).n_points == 12
+
+
+def tolerant_orbit(bary):
+    """Distinct permutations of a barycentric triple, duplicates found to
+    1e-14 with the first occurrence kept: the reference for the exact dedup."""
+    seen = []
+    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)):
+        p = tuple(bary[k] for k in perm)
+        if not any(np.allclose(p, q, rtol=0, atol=1e-14) for q in seen):
+            seen.append(p)
+    return seen
+
+
+@pytest.mark.parametrize("degree, n_points", [(5, 7), (6, 12)])
+def test_triangle_rule_points_are_distinct_and_in_orbit_order(degree, n_points):
+    # Exact dedup of the orbits gives the same points, in the same order, as
+    # dedup to 1e-14: the tabulated triples repeat their values exactly.
+    rule = gauss_rule_triangle(degree)
+    assert rule.n_points == n_points
+    assert len(np.unique(rule.points, axis=0)) == n_points
+    want_pts, want_wts = [], []
+    for w, bary in _TRI_RULES[degree]:
+        for b in tolerant_orbit(bary):
+            want_pts.append((b[1], b[2]))
+            want_wts.append(w * 0.5)
+    assert np.array_equal(rule.points, np.array(want_pts))
+    assert np.array_equal(rule.weights, np.array(want_wts))
 
 
 def test_triangle_rule_rejects_unknown_degree():
