@@ -3,7 +3,16 @@
 Everything here is for continuous piecewise-bilinear elements on squares or
 piecewise-linear elements on triangles, with one degree of freedom per mesh
 node.  Assembly is vectorized over elements and returns ``scipy.sparse.csr``
-matrices.
+matrices on one fixed `SparsityPattern` per space: the pattern, and the
+maps that sum element entries into it and cut the Dirichlet blocks out of
+it, are built once, so a time step only gathers and sums values.
+
+The fast paths are held to the arithmetic of the straightforward ones bit
+for bit (``np.array_equal``): matrices equal ``coo_matrix(...).tocsr()`` of
+the einsum element matrices, loads equal ``np.add.at``, the Dirichlet
+blocks equal fancy indexing of the full matrix, and the quadrature values
+equal their einsum formulas.  Each is checked against those formulations
+in the tests.
 
 Coefficient fields (e.g. the electric conductivity evaluated from a previous
 time level) are represented as arrays of values at the quadrature points of
@@ -25,6 +34,7 @@ __all__ = [
     "NoConvergence",
     "QuadRule",
     "FeSpace",
+    "SparsityPattern",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_weighted_stiffness",
@@ -37,6 +47,10 @@ __all__ = [
 #: Coefficient fields below this threshold at any quadrature point make the
 #: weighted stiffness form (possibly) non-elliptic and are rejected.
 POSITIVITY_FLOOR = 1e-10
+
+#: Elements per block of the blocked kernels: their temporaries stay small
+#: and in cache.
+_CHUNK = 2048
 
 
 class ConductivityNotPositive(ValueError):
@@ -193,32 +207,37 @@ class RuleTables:
 def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
     shape = _shape_quad if mesh.elem_kind == "quad" else _shape_tri
     N, dN = shape(rule.points)
-    coords = mesh.nodes[mesh.elements]  # (ne, ndof, 2)
+    (ne, ndof), nq = mesh.elements.shape, rule.n_points
+    grad = np.empty((ne, nq, ndof, 2))
+    detJ = np.empty((ne, nq))
+    x = np.empty((ne, nq, 2))
 
     # The sums below run over the element nodes (or the reference axes) in
     # index order: that reproduces the einsum formulas in the comments bit
-    # for bit, at about half their cost.
-    # Jacobian of the reference-to-physical map at each quadrature point:
-    # J[e,q,a,b] = sum_i dN[q,i,b] * coords[e,i,a]
-    J = sum(dN[None, :, i, None, :] * coords[:, None, i, :, None] for i in range(N.shape[1]))
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    if np.any(detJ <= 0):
-        raise ValueError("mesh contains degenerate or inverted elements")
-    inv = np.empty_like(J)
-    inv[..., 0, 0] = J[..., 1, 1]
-    inv[..., 0, 1] = -J[..., 0, 1]
-    inv[..., 1, 0] = -J[..., 1, 0]
-    inv[..., 1, 1] = J[..., 0, 0]
-    inv /= detJ[..., None, None]
-
-    # grad_x N = J^{-T} grad_ref N: grad[e,q,i,a] = sum_b inv[e,q,b,a] * dN[q,i,b]
-    grad = (
-        inv[:, :, None, 0, :] * dN[None, :, :, 0, None]
-        + inv[:, :, None, 1, :] * dN[None, :, :, 1, None]
-    )
+    # for bit, at a fraction of their cost.  Each block of elements is laid
+    # out element-last, so that every operation is one long contiguous loop.
+    for lo in range(0, ne, _CHUNK):
+        block = mesh.elements[lo : lo + _CHUNK]
+        c = np.ascontiguousarray(mesh.nodes[block].transpose(1, 2, 0))  # (ndof, 2, ne)
+        # Jacobian of the reference-to-physical map at each quadrature point:
+        # J[e,q,a,b] = sum_i dN[q,i,b] * coords[e,i,a]; J[a][b] is (nq, ne).
+        J = [[sum(dN[:, i, b, None] * c[i, a] for i in range(ndof)) for b in range(2)] for a in range(2)]
+        det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+        if np.any(det <= 0):
+            raise ValueError("mesh contains degenerate or inverted elements")
+        inv = [[J[1][1] / det, -J[0][1] / det], [-J[1][0] / det, J[0][0] / det]]
+        # grad_x N = J^{-T} grad_ref N: grad[e,q,i,a] = sum_b inv[e,q,b,a] * dN[q,i,b]
+        g = np.empty((nq, ndof, 2, c.shape[-1]))
+        for i in range(ndof):
+            for a in range(2):
+                np.multiply(inv[0][a], dN[:, i, 0, None], out=g[:, i, a])
+                g[:, i, a] += inv[1][a] * dN[:, i, 1, None]
+        grad[lo : lo + _CHUNK] = g.transpose(3, 0, 1, 2)
+        detJ[lo : lo + _CHUNK] = det.T
+        # x[e,q,a] = sum_i N[q,i] * coords[e,i,a]
+        for a in range(2):
+            x[lo : lo + _CHUNK, :, a] = sum(N[:, i, None] * c[i, a] for i in range(ndof)).T
     wdet = rule.weights[None, :] * detJ
-    # x[e,q,a] = sum_i N[q,i] * coords[e,i,a]
-    x = sum(N[None, :, i, None] * coords[:, None, i, :] for i in range(N.shape[1]))
     return RuleTables(rule=rule, N=N, grad=grad, wdet=wdet, x=x)
 
 
@@ -229,6 +248,10 @@ def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
 
 class FeSpace:
     """Nodal finite element space on a structured mesh.
+
+    Holds the quadrature tables of the assembly rule, and builds on first
+    use those of the error rule (`error_tables`) and the sparsity pattern
+    with its assembly and reduction maps (`pattern`).
 
     Parameters
     ----------
@@ -264,14 +287,7 @@ class FeSpace:
         self.tables = _build_tables(mesh, a_rule)
         self._error_rule = e_rule
         self._error_tables = None
-
-        ndof = mesh.elements.shape[1]
-        self._rows = np.broadcast_to(
-            mesh.elements[:, :, None], (mesh.n_elements, ndof, ndof)
-        ).ravel()
-        self._cols = np.broadcast_to(
-            mesh.elements[:, None, :], (mesh.n_elements, ndof, ndof)
-        ).ravel()
+        self._pattern = None
 
     @property
     def error_tables(self) -> RuleTables:
@@ -279,6 +295,13 @@ class FeSpace:
         if self._error_tables is None:
             self._error_tables = _build_tables(self.mesh, self._error_rule)
         return self._error_tables
+
+    @property
+    def pattern(self) -> "SparsityPattern":
+        """The CSR pattern of every assembled matrix (built lazily)."""
+        if self._pattern is None:
+            self._pattern = SparsityPattern(self)
+        return self._pattern
 
     def values_at_quad(self, coeffs: np.ndarray, tables: RuleTables | None = None) -> np.ndarray:
         """Evaluate the FE function at quadrature points, shape ``(ne, nq)``."""
@@ -290,13 +313,106 @@ class FeSpace:
         """Evaluate the FE gradient at quadrature points, shape ``(ne, nq, 2)``."""
         tb = tables if tables is not None else self.tables
         nodal = coeffs[self.mesh.elements]
-        return np.einsum("eqia,ei->eqa", tb.grad, nodal)
+        # g[e,q,a] = sum_i grad[e,q,i,a] * nodal[e,i], summed from zero in
+        # node order like the einsum "eqia,ei->eqa", bit for bit; in blocks
+        # of elements, so that the one temporary stays small.
+        g = np.zeros(tb.grad.shape[:2] + (2,))
+        for lo in range(0, g.shape[0], _CHUNK):
+            block, grad = g[lo : lo + _CHUNK], tb.grad[lo : lo + _CHUNK]
+            term = np.empty_like(block)
+            for i in range(nodal.shape[1]):
+                block += np.multiply(grad[:, :, i, :], nodal[lo : lo + _CHUNK, None, i, None], out=term)
+        return g
 
-    def _to_csr(self, elem_mats: np.ndarray) -> sp.csr_matrix:
-        A = sp.coo_matrix(
-            (elem_mats.ravel(), (self._rows, self._cols)), shape=(self.n_dofs, self.n_dofs)
+
+class _Submatrix:
+    """A submatrix cut from the pattern: the pattern slot of each of its
+    entries, in the order of its own ``data``, and its index arrays."""
+
+    def __init__(self, tagged: sp.spmatrix):
+        self.slots = tagged.data - 1  # the tags are slot + 1
+        self.indices, self.indptr = tagged.indices, tagged.indptr
+        self.shape, self._cls = tagged.shape, type(tagged)
+
+    def take(self, data: np.ndarray) -> sp.spmatrix:
+        """The submatrix of the pattern matrix with values ``data``."""
+        return self._cls((data[self.slots], self.indices.copy(), self.indptr.copy()), shape=self.shape)
+
+
+class SparsityPattern:
+    """The fixed CSR pattern of a space's matrices, with the maps that
+    assemble and reduce on it.
+
+    Assembly reproduces ``coo_matrix((entries, (rows, cols))).tocsr()`` bit
+    for bit: the element entries of one CSR slot are summed from zero in the
+    order in which scipy's conversion sums them.  That order is element order
+    only in rows short enough to be sorted by insertion; longer rows (18
+    entries on triangles) go through an unstable sort.  So the order is read
+    from scipy's own kernel, by sorting a matrix whose values are the entry
+    indices.  The Dirichlet submatrices are read the same way: the fancy
+    indexing ``A[I][:, I]``, ``A[I][:, B]`` and ``A[I][:, I].tocsc()`` is
+    applied once to a matrix whose values tag its slots.
+
+    Attributes
+    ----------
+    indptr, indices : int32 arrays
+        The CSR pattern, sorted, without duplicates.
+    perm, slot : int32 arrays
+        Element entry ``perm[k]`` (an index into ``elem_mats.ravel()``) is
+        the ``k``-th term summed, into CSR slot ``slot[k]``.
+    interior, interior_boundary, interior_csc : `_Submatrix`
+        The interior x interior block (CSR), the interior x boundary block
+        (CSR) and the interior x interior block as CSC for the factorization.
+    """
+
+    def __init__(self, space: FeSpace):
+        elements = space.mesh.elements.astype(np.int32)
+        n, ndof = space.n_dofs, elements.shape[1]
+        self.shape = (n, n)
+        # Element entry k = (e*ndof + i)*ndof + j lies in row elements[e, i]
+        # and column elements[e, j].  coo_tocsr buckets the entries by row
+        # in the order of k; sorting the rows then orders each one as the
+        # conversion does before summing.  The sort moves the values with
+        # the columns, so values k come out as the summation order.
+        by_row = np.argsort(elements.ravel(), kind="stable").astype(np.int32)
+        order = (by_row[:, None] * ndof + np.arange(ndof, dtype=np.int32)).ravel()
+        row_ptr = np.concatenate([[0], np.cumsum(ndof * np.bincount(elements.ravel(), minlength=n))])
+        cols = elements[by_row // ndof].ravel()
+        tag = sp.csr_matrix((order, cols, row_ptr.astype(np.int32)), shape=self.shape)
+        tag.sort_indices()
+        self.perm = tag.data
+        first = np.empty(self.perm.size, dtype=bool)  # the first entry of each slot
+        np.not_equal(tag.indices[1:], tag.indices[:-1], out=first[1:])
+        first[row_ptr[:-1]] = True
+        self.slot = np.cumsum(first, dtype=np.int32)
+        self.slot -= 1
+        self.indices = tag.indices[first]
+        self.nnz = self.indices.size
+        self.indptr = np.append(self.slot[row_ptr[:-1]], self.nnz).astype(np.int32)
+
+        slots = self.matrix(np.arange(1, self.nnz + 1, dtype=np.int32))
+        interior_rows = slots[space.interior_dofs]
+        interior = interior_rows[:, space.interior_dofs]
+        self.interior = _Submatrix(interior)
+        self.interior_csc = _Submatrix(interior.tocsc())
+        self.interior_boundary = _Submatrix(interior_rows[:, space.boundary_dofs])
+
+    def assemble(self, elem_mats: np.ndarray) -> sp.csr_matrix:
+        """Sum ``(ne, ndof, ndof)`` element matrices into a CSR matrix."""
+        return self.matrix(np.bincount(self.slot, elem_mats.ravel()[self.perm], minlength=self.nnz))
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix with values ``data`` on this pattern."""
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+
+    def holds(self, A: sp.spmatrix) -> bool:
+        """Whether ``A`` is a CSR matrix on exactly this pattern."""
+        return (
+            A.format == "csr"
+            and A.shape == self.shape
+            and np.array_equal(A.indptr, self.indptr)
+            and np.array_equal(A.indices, self.indices)
         )
-        return A.tocsr()
 
 
 # ----------------------------------------------------------------------------
@@ -308,14 +424,43 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     """Mass matrix ``A_ij = (phi_j, phi_i)``."""
     tb = space.tables
     elem = np.einsum("eq,qi,qj->eij", tb.wdet, tb.N, tb.N)
-    return space._to_csr(elem)
+    return space.pattern.assemble(elem)
 
 
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     """Stiffness matrix ``A_ij = (grad phi_j, grad phi_i)``."""
-    tb = space.tables
-    elem = np.einsum("eq,eqia,eqja->eij", tb.wdet, tb.grad, tb.grad)
-    return space._to_csr(elem)
+    return space.pattern.assemble(_stiffness_kernel(space.tables.grad, space.tables.wdet))
+
+
+def _stiffness_kernel(grad: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Element matrices ``sum_q s[e,q] grad[e,q,i,:] . grad[e,q,j,:]``.
+
+    Bit for bit the einsum ``"eq,eqia,eqja->eij"`` of ``(s, grad, grad)``:
+    for each quadrature point it forms ``(s g_i0) g_j0 + (s g_i1) g_j1`` and
+    adds that to a sum started at zero, one point after another.  Each block
+    of elements is laid out element-last, so every product is one long
+    contiguous loop.
+    """
+    ne, nq, ndof, _ = grad.shape
+    out = np.empty((ne, ndof, ndof))
+    for lo in range(0, ne, _CHUNK):
+        g = np.ascontiguousarray(grad[lo : lo + _CHUNK].transpose(1, 3, 2, 0))  # (nq, 2, ndof, ne)
+        sg = s[lo : lo + _CHUNK].T[:, None, None, :] * g
+        acc = np.zeros((ndof, ndof, g.shape[-1]))
+        term = np.empty_like(acc)
+        term1 = np.empty_like(acc)
+        for q in range(nq):
+            np.multiply(sg[q, 0, :, None], g[q, 0, None, :], out=term)
+            term += np.multiply(sg[q, 1, :, None], g[q, 1, None, :], out=term1)
+            acc += term
+        out[lo : lo + _CHUNK] = acc.transpose(2, 0, 1)
+    return out
+
+
+def _scatter(space: FeSpace, contrib: np.ndarray) -> np.ndarray:
+    """Sum ``(ne, ndof)`` element contributions into a nodal vector, in
+    element order from zero (as ``np.add.at`` does)."""
+    return np.bincount(space.mesh.elements.ravel(), contrib.ravel(), minlength=space.n_dofs)
 
 
 def _check_coefficient(space: FeSpace, sigma_star: np.ndarray) -> np.ndarray:
@@ -349,8 +494,7 @@ def assemble_weighted_stiffness(space: FeSpace, sigma_star: np.ndarray) -> sp.cs
             "the weighted form is not uniformly elliptic"
         )
     tb = space.tables
-    elem = np.einsum("eq,eqia,eqja->eij", sigma_star * tb.wdet, tb.grad, tb.grad)
-    return space._to_csr(elem)
+    return space.pattern.assemble(_stiffness_kernel(tb.grad, sigma_star * tb.wdet))
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:
@@ -359,9 +503,7 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
     fq = f(tb.x[..., 0], tb.x[..., 1])
     fq = np.broadcast_to(np.asarray(fq, dtype=float), tb.wdet.shape)
     contrib = np.einsum("eq,qi->ei", fq * tb.wdet, tb.N)
-    b = np.zeros(space.n_dofs)
-    np.add.at(b, space.mesh.elements, contrib)
-    return b
+    return _scatter(space, contrib)
 
 
 def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.ndarray) -> np.ndarray:
@@ -375,9 +517,7 @@ def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.n
     g = space.gradients_at_quad(phi_coeffs)
     g2 = g[..., 0] ** 2 + g[..., 1] ** 2
     contrib = np.einsum("eq,qi->ei", sigma_star * g2 * tb.wdet, tb.N)
-    b = np.zeros(space.n_dofs)
-    np.add.at(b, space.mesh.elements, contrib)
-    return b
+    return _scatter(space, contrib)
 
 
 # ----------------------------------------------------------------------------
@@ -435,6 +575,10 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 class DirichletSystem:
     """A Dirichlet-reduced SPD system prepared for one or many solves.
 
+    ``A`` must lie on the space's sparsity pattern, as every assembled
+    matrix does (else ValueError).  The interior block ``A_red`` and the
+    interior x boundary block ``A_ib`` are gathered through the pattern's
+    slot maps; they equal ``A[I][:, I]`` and ``A[I][:, B]`` bit for bit.
     ``method="direct"`` factorizes the reduced matrix once (sparse LU, which
     is deterministic); ``method="cg"`` uses `solve_spd` per right-hand side,
     at its default tolerance.
@@ -445,15 +589,15 @@ class DirichletSystem:
             raise ValueError(f"method must be 'direct' or 'cg', got {method!r}")
         self.space = space
         self.method = method
+        pattern = space.pattern
         A = A.tocsr()
-        I = space.interior_dofs
-        B = space.boundary_dofs
-        rows = A[I]
-        self.A_red = rows[:, I].tocsr()
-        self.A_ib = rows[:, B].tocsr()
+        if not pattern.holds(A):
+            raise ValueError("the matrix is not on the space's sparsity pattern")
+        self.A_red = pattern.interior.take(A.data)
+        self.A_ib = pattern.interior_boundary.take(A.data)
         if method == "direct":
             try:
-                self._lu = spla.splu(self.A_red.tocsc())
+                self._lu = spla.splu(pattern.interior_csc.take(A.data))
             except RuntimeError as exc:  # singular factorization
                 raise NoConvergence(f"sparse factorization failed: {exc}") from exc
 

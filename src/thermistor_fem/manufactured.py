@@ -81,8 +81,12 @@ def source_f1(x, y, t):
 
 def source_f2(x, y, t):
     """Potential equation source: ``-div(sigma(u) grad phi)``."""
-    u = exact_u(x, y, t)
-    ux, uy = grad_u(x, y, t)
+    # exact_u and grad_u, sharing sin(pi x) and sin(pi y).
+    sx, sy = np.sin(PI * x), np.sin(PI * y)
+    u = np.exp(-2.0 * t) * sx * sy
+    common = PI * np.exp(-2.0 * t)
+    ux = common * np.cos(PI * x) * sy
+    uy = common * sx * np.cos(PI * y)
     s = np.sin(x + y + t)
     c = np.cos(x + y + t)
     return -sigma_prime(u) * (ux + uy) * c + 2.0 * sigma(u) * s

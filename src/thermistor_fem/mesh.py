@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "build_mesh", "macroelements"]
+__all__ = ["Mesh", "build_mesh", "mesh_size", "macroelements"]
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,12 @@ class Mesh:
     @property
     def h(self) -> float:
         """Mesh size: the element diameter ``sqrt(2)/M``."""
-        return np.sqrt(2.0) / self.M
+        return mesh_size(self.M)
+
+
+def mesh_size(M: int) -> float:
+    """The element diameter ``sqrt(2)/M`` of the ``M x M`` mesh."""
+    return np.sqrt(2.0) / M
 
 
 def build_mesh(M: int, elem_kind: str = "quad") -> Mesh:

@@ -8,11 +8,18 @@ boundary node list) are taken from the package, and those are pinned by their
 own hand-checked tests.  The post-processing evaluators at the end take a
 post-processed field's block polynomials and evaluate them at arbitrary
 points, block by block, as the reference for the package's table path.
+
+The sparse reference paths (`coo_assemble`, `add_at_scatter`,
+`fancy_reduction`) are of a different kind: they are the straightforward
+numpy/scipy formulations whose arithmetic the package's fixed-pattern
+assembly, load scatter and slot-mapped Dirichlet reduction must reproduce
+bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 # 3-point Gauss-Legendre rule on [-1, 1] (classical closed form).
 _G3_NODES = (-np.sqrt(0.6), 0.0, np.sqrt(0.6))
@@ -252,6 +259,34 @@ def oracle_bdf2_step(mesh, problem, u_n, u_nm1, tau, t_new):
     b_u += dense_load(nodes, elements, lambda x, y: problem.f1(x, y, t_new))
     u_new = dense_dirichlet_solve(A_u, b_u, boundary, np.zeros(len(boundary)), n)
     return u_new, phi_new
+
+
+# ----------------------------------------------------------------------------
+# Sparse reference paths: COO summation and fancy-index Dirichlet reduction
+# ----------------------------------------------------------------------------
+
+
+def coo_assemble(elements, elem_mats, n):
+    """Element matrices ``(ne, ndof, ndof)`` summed by scipy's COO to CSR
+    conversion."""
+    ne, ndof = elements.shape
+    rows = np.broadcast_to(elements[:, :, None], (ne, ndof, ndof)).ravel()
+    cols = np.broadcast_to(elements[:, None, :], (ne, ndof, ndof)).ravel()
+    return sp.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def add_at_scatter(elements, contrib, n):
+    """Element contributions ``(ne, ndof)`` summed into a nodal vector."""
+    b = np.zeros(n)
+    np.add.at(b, elements, contrib)
+    return b
+
+
+def fancy_reduction(A, interior, boundary):
+    """``(A_red, A_ib, A_red as CSC)`` by fancy indexing of the full matrix."""
+    rows = A.tocsr()[interior]
+    A_red = rows[:, interior].tocsr()
+    return A_red, rows[:, boundary].tocsr(), A_red.tocsc()
 
 
 # ----------------------------------------------------------------------------

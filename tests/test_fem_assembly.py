@@ -1,6 +1,8 @@
 """Assembly of mass/stiffness/load operators against the dense oracle and
 hand-derived identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,13 @@ def test_dirichlet_system_rejects_wrong_boundary_length(space):
     system = DirichletSystem(space, assemble_stiffness(space), "cg")
     with pytest.raises(ValueError):
         system.solve(np.zeros(space.n_dofs), np.zeros(3))
+
+
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_space_rejects_inverted_elements(kind):
+    mesh = build_mesh(4, kind)
+    with pytest.raises(ValueError, match="degenerate or inverted"):
+        FeSpace(replace(mesh, nodes=mesh.nodes * [-1.0, 1.0]))
 
 
 @pytest.mark.parametrize("points", [dict(assembly_points=2), dict(error_points=2), dict(error_points=1)])

@@ -9,6 +9,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _dense_oracle as oracle
 from thermistor_fem import (
@@ -29,6 +31,8 @@ from thermistor_fem import (
     validate_config,
 )
 from thermistor_fem.manufactured import exact_phi, exact_u, sigma
+from thermistor_fem.mesh import mesh_size
+from thermistor_fem.schemes import MAX_STEPS, SCHEMES
 
 
 STEPS = {
@@ -103,6 +107,26 @@ def test_resolve_tau_step_never_exceeds_horizon():
 def test_validate_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         validate_config(cfg(**bad))
+
+
+@pytest.mark.parametrize(
+    "T, rule", [(1e300, "fixed:0.5"), (1.0, "fixed:1e-300"), (1e300, "fixed:1e-300"), (2e5, "fixed:1")]
+)
+def test_step_count_is_capped(T, rule):
+    # Without the cap these ask for up to ~1e600 steps: a run that never ends.
+    config = cfg(scheme="euler", M=2, T=T, tau_rule=rule)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        resolve_tau(config, mesh_size(2))
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        validate_config(config)
+
+
+def test_step_count_may_reach_the_cap():
+    config = cfg(scheme="euler", M=2, T=float(MAX_STEPS), tau_rule="fixed:1")
+    validate_config(config)
+    assert resolve_tau(config, mesh_size(2)) == (1.0, MAX_STEPS)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        resolve_tau(replace(config, T=MAX_STEPS + 1.0), mesh_size(2))
 
 
 def test_run_simulation_validates_first():
@@ -376,6 +400,27 @@ def test_exact_init_seeds_interpolants():
     assert [r.n for r in trace] == [3]
     assert np.array_equal(state.u_nm2, interpolate_nodal(space, exact_u, 0.25))
     assert np.array_equal(state.u_nm1, interpolate_nodal(space, exact_u, 0.5))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    half_M=st.integers(1, 4),
+    kind=st.sampled_from(["tri", "quad"]),
+    solver=st.sampled_from(["direct", "cg"]),
+    N=st.integers(3, 5),
+)
+def test_runs_hold_the_boundary_values_exactly(scheme, half_M, kind, solver, N):
+    # The Dirichlet reduction writes the boundary values straight into the
+    # solution: the temperature is exactly 0 there and the potential is
+    # exactly the exact trace at the final time.
+    config = cfg(scheme=scheme, M=2 * half_M, elem_kind=kind, T=0.25 * N, solver=solver)
+    space = FeSpace(build_mesh(config.M, kind))
+    state, _ = run_simulation(config, make_problem(), space)
+    xb = space.mesh.nodes[space.boundary_dofs]
+    assert state.n == N
+    assert np.all(state.u_n[space.boundary_dofs] == 0.0)
+    assert np.array_equal(state.phi_n[space.boundary_dofs], exact_phi(xb[:, 0], xb[:, 1], state.t))
 
 
 def test_cg_and_direct_solvers_agree_on_a_full_run():

@@ -1,0 +1,129 @@
+"""The fixed sparsity pattern, the slot-mapped Dirichlet reduction and the
+assembly kernels reproduce the straightforward formulations bit for bit."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import _dense_oracle as oracle
+from thermistor_fem import (
+    DirichletSystem,
+    FeSpace,
+    OperatorCache,
+    assemble_joule_load,
+    assemble_load,
+    assemble_mass,
+    assemble_stiffness,
+    assemble_weighted_stiffness,
+    build_mesh,
+)
+from thermistor_fem import fem
+
+@pytest.fixture(
+    scope="module",
+    params=[(kind, M) for kind in ("tri", "quad") for M in (2, 8, 10, 64)],
+    ids=lambda p: f"{p[0]}-M{p[1]}",
+)
+def space(request):
+    kind, M = request.param
+    return FeSpace(build_mesh(M, kind))
+
+
+def conductivity(space, seed=0):
+    return 2.0 - np.random.default_rng(seed).uniform(0.0, 1.0, space.tables.wdet.shape)
+
+
+def assert_identical(got, want):
+    assert got.format == want.format
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def einsum_matrices(space, sigma):
+    """Mass, stiffness and weighted stiffness the COO way, from einsums."""
+    tb, el, n = space.tables, space.mesh.elements, space.n_dofs
+    return (
+        oracle.coo_assemble(el, np.einsum("eq,qi,qj->eij", tb.wdet, tb.N, tb.N), n),
+        oracle.coo_assemble(el, np.einsum("eq,eqia,eqja->eij", tb.wdet, tb.grad, tb.grad), n),
+        oracle.coo_assemble(el, np.einsum("eq,eqia,eqja->eij", sigma * tb.wdet, tb.grad, tb.grad), n),
+    )
+
+
+def test_matrices_equal_the_coo_conversion(space):
+    sigma = conductivity(space)
+    got = (assemble_mass(space), assemble_stiffness(space), assemble_weighted_stiffness(space, sigma))
+    for A, want in zip(got, einsum_matrices(space, sigma)):
+        assert_identical(A, want)
+
+
+def test_stiffness_kernel_equals_the_einsum(space):
+    for tb in (space.tables, space.error_tables):
+        s = conductivity(space, 1)[:, :1] * tb.wdet
+        want = np.einsum("eq,eqia,eqja->eij", s, tb.grad, tb.grad)
+        assert np.array_equal(fem._stiffness_kernel(tb.grad, s), want)
+
+
+def test_gradients_equal_the_einsum(space):
+    coeffs = np.random.default_rng(2).standard_normal(space.n_dofs)
+    for tb in (space.tables, space.error_tables):
+        want = np.einsum("eqia,ei->eqa", tb.grad, coeffs[space.mesh.elements])
+        assert np.array_equal(space.gradients_at_quad(coeffs, tb), want)
+
+
+def test_loads_equal_add_at(space):
+    tb, el, n = space.tables, space.mesh.elements, space.n_dofs
+    f = lambda x, y: np.cos(3.0 * x - y) + x * y  # noqa: E731
+    fq = f(tb.x[..., 0], tb.x[..., 1])
+    want = oracle.add_at_scatter(el, np.einsum("eq,qi->ei", fq * tb.wdet, tb.N), n)
+    assert np.array_equal(assemble_load(space, f), want)
+
+    sigma = conductivity(space, 3)
+    phi = np.random.default_rng(4).standard_normal(n)
+    g = np.einsum("eqia,ei->eqa", tb.grad, phi[el])
+    g2 = g[..., 0] ** 2 + g[..., 1] ** 2
+    want = oracle.add_at_scatter(el, np.einsum("eq,qi->ei", sigma * g2 * tb.wdet, tb.N), n)
+    assert np.array_equal(assemble_joule_load(space, sigma, phi), want)
+
+
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_dirichlet_reduction_equals_fancy_indexing(space, method, monkeypatch):
+    factored = []
+
+    def splu(A, *args, **kwargs):
+        factored.append(A)
+        return real_splu(A, *args, **kwargs)
+
+    real_splu = fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu", splu)
+    mass, stiffness, weighted = einsum_matrices(space, conductivity(space))
+    alpha = 1.5 / 0.1
+    ops = OperatorCache(space, method)
+    systems = [
+        (DirichletSystem(space, assemble_weighted_stiffness(space, conductivity(space)), method), weighted),
+        (ops.heat_system(alpha), (alpha * mass + stiffness).tocsr()),
+    ]
+    assert len(factored) == (2 if method == "direct" else 0)
+    for k, (system, A) in enumerate(systems):
+        A_red, A_ib, csc = oracle.fancy_reduction(A, space.interior_dofs, space.boundary_dofs)
+        assert_identical(system.A_red, A_red)
+        assert_identical(system.A_ib, A_ib)
+        if factored:
+            assert_identical(factored[k], csc)
+
+
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_dirichlet_system_rejects_a_matrix_off_the_pattern(kind):
+    space = FeSpace(build_mesh(4, kind))
+    n = space.n_dofs
+    K = assemble_stiffness(space)
+    missing = K.copy()
+    missing.data[1] = 0.0
+    missing.eliminate_zeros()
+    extra = K + sp.csr_matrix(([1.0], ([0], [n - 1])), shape=(n, n))
+    for A in (missing, extra, sp.identity(n, format="csr"), assemble_stiffness(FeSpace(build_mesh(6, kind)))):
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            DirichletSystem(space, A)
+    DirichletSystem(space, K.tocoo())  # the same entries in another format
