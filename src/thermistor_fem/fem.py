@@ -48,6 +48,9 @@ __all__ = [
 #: weighted stiffness form (possibly) non-elliptic and are rejected.
 POSITIVITY_FLOOR = 1e-10
 
+#: Relative residual tolerance of `solve_spd`.
+CG_RTOL = 1e-12
+
 #: Elements per block of the blocked kernels: their temporaries stay small
 #: and in cache.
 _CHUNK = 2048
@@ -483,14 +486,14 @@ def assemble_weighted_stiffness(space: FeSpace, sigma_star: np.ndarray) -> sp.cs
     Raises
     ------
     ConductivityNotPositive
-        If the coefficient is not strictly positive (min <= 1e-10): the
+        If the coefficient's minimum is not above 1e-10 (NaN included): the
         resulting operator could not be guaranteed elliptic.
     """
     sigma_star = _check_coefficient(space, sigma_star)
     smin = sigma_star.min()
-    if smin <= POSITIVITY_FLOOR:
+    if not smin > POSITIVITY_FLOOR:  # NaN fails too
         raise ConductivityNotPositive(
-            f"coefficient field min {smin:.3e} <= {POSITIVITY_FLOOR:.0e}; "
+            f"coefficient field min {smin:.3e} is not above {POSITIVITY_FLOOR:.0e}; "
             "the weighted form is not uniformly elliptic"
         )
     tb = space.tables
@@ -525,51 +528,43 @@ def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.n
 # ----------------------------------------------------------------------------
 
 
-def solve_spd(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite sparse system by preconditioned CG.
 
-    Deterministic conjugate gradients with a Jacobi preconditioner, relative
-    residual tolerance ``tol``, zero initial guess.
+    ``scipy.sparse.linalg.cg`` with the Jacobi preconditioner, zero initial
+    guess, relative residual tolerance `CG_RTOL` and at most ``50 * n``
+    iterations.  A zero right-hand side returns a fresh zero vector.
 
     Raises
     ------
     NoConvergence
-        If the iteration hits ``50 * n`` iterations, or the matrix reveals
-        itself as not positive definite.
+        If the matrix has a diagonal entry that is not positive, if a search
+        direction ``p`` meets ``p . Ap`` that is not positive (an indefinite
+        matrix, or NaN), or if the iteration cap is reached.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
+    if np.linalg.norm(b) == 0.0:
         return np.zeros(n)
     diag = A.diagonal()
-    if np.any(diag <= 0):
+    if not np.all(diag > 0):
         raise NoConvergence("matrix has a non-positive diagonal entry; not SPD")
 
-    x = np.zeros(n)
-    r = b.copy()
-    z = r / diag
-    p = z.copy()
-    rz = r @ z
-    max_iter = 50 * n
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * norm_b:
-            return x
-        Ap = A @ p
-        pAp = p @ Ap
-        if pAp <= 0.0:
+    def matvec(p):
+        q = A @ p
+        if not p @ q > 0.0:
             raise NoConvergence("conjugate gradients broke down; matrix not SPD")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = r / diag
-        rz_next = r @ z
-        beta = rz_next / rz
-        rz = rz_next
-        p = z + beta * p
-    if np.linalg.norm(r) <= tol * norm_b:
-        return x
-    raise NoConvergence(f"conjugate gradients did not converge in {max_iter} iterations")
+        return q
+
+    # Divide by the diagonal: the solutions are pinned bit for bit to the
+    # reference Jacobi CG, and multiplying by the reciprocal rounds differently.
+    op = spla.LinearOperator(A.shape, matvec=matvec, dtype=float)
+    jacobi = spla.LinearOperator(A.shape, matvec=lambda r: r / diag, dtype=float)
+    max_iter = 50 * n
+    x, info = spla.cg(op, b, rtol=CG_RTOL, atol=0.0, maxiter=max_iter, M=jacobi)
+    if info:
+        raise NoConvergence(f"conjugate gradients did not converge in {max_iter} iterations")
+    return x
 
 
 class DirichletSystem:
@@ -580,8 +575,8 @@ class DirichletSystem:
     interior x boundary block ``A_ib`` are gathered through the pattern's
     slot maps; they equal ``A[I][:, I]`` and ``A[I][:, B]`` bit for bit.
     ``method="direct"`` factorizes the reduced matrix once (sparse LU, which
-    is deterministic); ``method="cg"`` uses `solve_spd` per right-hand side,
-    at its default tolerance.
+    is deterministic); ``method="cg"`` solves each right-hand side with
+    `solve_spd`, scipy's CG with the Jacobi preconditioner.
     """
 
     def __init__(self, space: FeSpace, A: sp.spmatrix, method: str = "direct"):

@@ -33,7 +33,7 @@ from . import analysis
 from .fem import ConductivityNotPositive, FeSpace, NoConvergence
 from .manufactured import make_problem
 from .mesh import build_mesh, macroelements
-from .schemes import ProblemData, SchemeConfig, TimeState, resolve_tau, run_simulation
+from .schemes import ProblemData, SchemeConfig, TimeState, resolve_tau, run_simulation, validate_config
 
 __all__ = [
     "ErrorReport",
@@ -169,6 +169,7 @@ class PlanResult:
 
 def run_one(config: SchemeConfig, problem: Optional[ProblemData] = None) -> ErrorReport:
     """Run a single configuration and measure its errors."""
+    validate_config(config)
     problem = problem or make_problem()
     mesh = build_mesh(config.M, config.elem_kind)
     space = FeSpace(mesh, config.assembly_points, config.error_points)
@@ -211,12 +212,14 @@ _ERROR_FIELDS = CSV_COLUMNS[6:]
 def _refinement_ratio(a, b):
     """Refinement ratio between consecutive runs: against ``h`` whenever the
     mesh changes (even if the time step is tied to it), else against ``tau``.
-    Returns ``None`` when nothing refines."""
+    Returns ``None`` unless the pair refines (ratio above 1)."""
     if a.M != b.M:
-        return a.h / b.h
-    if not np.isclose(a.tau, b.tau, rtol=1e-12, atol=0):
-        return a.tau / b.tau
-    return None
+        ratio = a.h / b.h
+    elif not np.isclose(a.tau, b.tau, rtol=1e-12, atol=0):
+        ratio = a.tau / b.tau
+    else:
+        return None
+    return ratio if ratio > 1 else None
 
 
 def _eoc_rows(reports):
@@ -226,7 +229,7 @@ def _eoc_rows(reports):
         if (a.scheme, a.elem) != (b.scheme, b.elem):
             continue
         ratio = _refinement_ratio(a, b)
-        if ratio is None or ratio <= 1:
+        if ratio is None:
             continue
         row = {
             "scheme": f"eoc:{b.scheme}",
@@ -299,9 +302,7 @@ def render_order_table(reports) -> str:
                 cells = ["--".rjust(col_w)]
                 for a, b, ea, eb in zip(rs[:-1], rs[1:], vals[:-1], vals[1:]):
                     ratio = _refinement_ratio(a, b)
-                    order = float("nan")
-                    if ratio is not None and ratio > 1:
-                        order = analysis.convergence_order(ea, eb, ratio)
+                    order = float("nan") if ratio is None else analysis.convergence_order(ea, eb, ratio)
                     cells.append(("--" if math.isnan(order) else f"{order:.2f}").rjust(col_w))
                 out.append("  order".ljust(label_w) + "".join(cells))
         out.append("")

@@ -147,8 +147,8 @@ class SchemeConfig:
     ``"fixed:<value>"``.  The realized step divides ``T`` evenly:
     ``N = ceil(T / target)``, ``tau = T / N``.
 
-    ``solver`` is ``"direct"`` (sparse LU) or ``"cg"`` (Jacobi-preconditioned
-    conjugate gradients to a relative residual of 1e-12).
+    ``solver`` is ``"direct"`` (sparse LU) or ``"cg"`` (scipy's conjugate
+    gradients with the Jacobi preconditioner, to a relative residual of 1e-12).
     ``assembly_points`` and ``error_points`` choose the quadrature rules of
     `FeSpace` (None picks its defaults).
     """
@@ -184,6 +184,8 @@ def validate_config(config: SchemeConfig) -> None:
 
 def _parse_tau_rule(rule: str) -> Optional[float]:
     """Return the fixed step if the rule is ``fixed:<v>``, else None."""
+    if not isinstance(rule, str):
+        raise ValueError(f"tau rule must be a string, got {rule!r}")
     if rule in TAU_RULES:
         return None
     if rule.startswith("fixed:"):

@@ -10,10 +10,10 @@ post-processed field's block polynomials and evaluate them at arbitrary
 points, block by block, as the reference for the package's table path.
 
 The sparse reference paths (`coo_assemble`, `add_at_scatter`,
-`fancy_reduction`) are of a different kind: they are the straightforward
-numpy/scipy formulations whose arithmetic the package's fixed-pattern
-assembly, load scatter and slot-mapped Dirichlet reduction must reproduce
-bit for bit.
+`fancy_reduction`, `jacobi_cg`) are of a different kind: they are the
+straightforward numpy/scipy formulations whose arithmetic the package's
+fixed-pattern assembly, load scatter, slot-mapped Dirichlet reduction and
+scipy-backed conjugate gradients must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -287,6 +287,45 @@ def fancy_reduction(A, interior, boundary):
     rows = A.tocsr()[interior]
     A_red = rows[:, interior].tocsr()
     return A_red, rows[:, boundary].tocsr(), A_red.tocsc()
+
+
+def jacobi_cg(A, b, tol=1e-12):
+    """Jacobi-preconditioned conjugate gradients from a zero initial guess,
+    stopping at relative residual ``tol`` or after ``50 * n`` iterations
+    (then RuntimeError, as for a curvature ``p . Ap <= 0``)."""
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0.0:
+        return np.zeros(n)
+    diag = A.diagonal()
+    if np.any(diag <= 0):
+        raise RuntimeError("matrix has a non-positive diagonal entry; not SPD")
+
+    x = np.zeros(n)
+    r = b.copy()
+    z = r / diag
+    p = z.copy()
+    rz = r @ z
+    max_iter = 50 * n
+    for _ in range(max_iter):
+        if np.linalg.norm(r) <= tol * norm_b:
+            return x
+        Ap = A @ p
+        pAp = p @ Ap
+        if pAp <= 0.0:
+            raise RuntimeError("conjugate gradients broke down; matrix not SPD")
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        z = r / diag
+        rz_next = r @ z
+        beta = rz_next / rz
+        rz = rz_next
+        p = z + beta * p
+    if np.linalg.norm(r) <= tol * norm_b:
+        return x
+    raise RuntimeError(f"conjugate gradients did not converge in {max_iter} iterations")
 
 
 # ----------------------------------------------------------------------------

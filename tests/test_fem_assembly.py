@@ -103,6 +103,9 @@ def test_weighted_stiffness_rejects_nonpositive_coefficient(space):
         assemble_weighted_stiffness(space, sigma)
     with pytest.raises(ConductivityNotPositive):
         assemble_weighted_stiffness(space, -np.ones_like(space.tables.wdet))
+    sigma[0, 0] = np.nan  # NaN fails the floor comparison too
+    with pytest.raises(ConductivityNotPositive):
+        assemble_weighted_stiffness(space, sigma)
 
 
 def test_weighted_stiffness_rejects_wrong_shape(space):

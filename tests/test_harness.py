@@ -177,6 +177,17 @@ def test_run_plan_records_invalid_horizons_as_failures():
     assert result.failures[0].message.startswith("ValueError")
 
 
+def test_run_plan_records_bad_config_types_as_value_errors():
+    # Validated before anything is built: a string horizon or a missing tau
+    # rule is a recorded ValueError, not a TypeError or AttributeError that
+    # aborts the plan.
+    plan = ExperimentPlan(study="t", runs=(tiny(), tiny(T="1.0"), tiny(tau_rule=None)))
+    result = run_plan(plan)
+    assert len(result.reports) == 1
+    assert len(result.failures) == 2
+    assert all(f.message.startswith("ValueError") for f in result.failures)
+
+
 def test_run_plan_records_coarse_quad_rules_as_value_errors():
     # FeSpace refuses quad Gauss rules below 3 points; the run fails as a
     # ValueError, which the CLI maps to exit code 2.

@@ -102,6 +102,8 @@ def test_resolve_tau_step_never_exceeds_horizon():
         dict(assembly_points=2.0),
         dict(error_points=0),
         dict(error_points="4"),
+        dict(tau_rule=None),
+        dict(tau_rule=0.1),
     ],
 )
 def test_validate_config_rejects_bad_values(bad):

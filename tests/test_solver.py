@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
+import _dense_oracle as oracle
 from thermistor_fem import (
     DirichletSystem,
     FeSpace,
@@ -11,9 +13,13 @@ from thermistor_fem import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    assemble_weighted_stiffness,
     build_mesh,
+    interpolate_nodal,
+    make_problem,
     solve_spd,
 )
+from thermistor_fem.schemes import OperatorCache
 
 
 def random_spd(n, seed):
@@ -22,12 +28,88 @@ def random_spd(n, seed):
     return sp.csr_matrix(B @ B.T + n * np.eye(n))
 
 
+class CountingMatrix:
+    """A sparse matrix that counts its products with vectors."""
+
+    def __init__(self, A):
+        self.A = sp.csr_matrix(A)
+        self.shape = self.A.shape
+        self.products = 0
+
+    def diagonal(self):
+        return self.A.diagonal()
+
+    def __matmul__(self, p):
+        self.products += 1
+        return self.A @ p
+
+
 def test_solve_spd_matches_dense_solver():
     A = random_spd(40, seed=1)
     b = np.random.default_rng(2).standard_normal(40)
-    x = solve_spd(A, b, tol=1e-14)
+    x = solve_spd(A, b)
     want = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - want).max() < 1e-10
+
+
+def reduced_systems(M, kind):
+    """The reduced potential and heat systems of one bdf2 step at t = 0.5."""
+    space = FeSpace(build_mesh(M, kind))
+    problem = make_problem()
+    t = 0.5
+    u = interpolate_nodal(space, problem.exact_u, t)
+    potential = DirichletSystem(
+        space, assemble_weighted_stiffness(space, problem.sigma(space.values_at_quad(u))), "cg"
+    )
+    xb = space.mesh.nodes[space.boundary_dofs]
+    g = problem.exact_phi(xb[:, 0], xb[:, 1], t)
+    b_phi = assemble_load(space, lambda x, y: problem.f2(x, y, t))
+    b_phi = b_phi[space.interior_dofs] - potential.A_ib @ g
+    heat = OperatorCache(space, "cg").heat_system(3 / (2 * 0.1))
+    b_u = assemble_load(space, lambda x, y: problem.f1(x, y, t))[space.interior_dofs]
+    return {"potential": (potential.A_red, b_phi), "heat": (heat.A_red, b_u)}
+
+
+@pytest.mark.parametrize("M", [6, 10, 64])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_solve_spd_is_the_reference_jacobi_cg_bit_for_bit(kind, M):
+    for name, (A, b) in reduced_systems(M, kind).items():
+        assert np.array_equal(solve_spd(A, b), oracle.jacobi_cg(A, b)), name
+
+
+@pytest.mark.parametrize("n, seed", [(40, 1), (10, 3), (25, 4)])
+def test_solve_spd_is_the_reference_jacobi_cg_on_random_matrices(n, seed):
+    A = random_spd(n, seed)
+    b = np.random.default_rng(seed + 1).standard_normal(n)
+    assert np.array_equal(solve_spd(A, b), oracle.jacobi_cg(A, b))
+
+
+def nan_right_hand_side(n):
+    b = np.ones(n)
+    b[7] = np.nan
+    return b
+
+
+@pytest.mark.parametrize(
+    "A, b",
+    [
+        ([[1.0, 1.0], [1.0, 1.0]], np.array([1.0, -1.0])),  # p . Ap = 0
+        (sp.diags(np.arange(1.0, 1001.0)), nan_right_hand_side(1000)),  # p . Ap is NaN
+    ],
+    ids=["zero-curvature", "nan-rhs"],
+)
+def test_solve_spd_stops_at_the_first_breakdown(A, b):
+    A = CountingMatrix(A)
+    with pytest.raises(NoConvergence, match="broke down"):
+        solve_spd(A, b)
+    assert A.products == 1
+
+
+def test_solve_spd_raises_at_the_iteration_cap():
+    # Hilbert(12), condition number ~1e16: the residual never reaches 1e-12.
+    A = sp.csr_matrix(scipy.linalg.hilbert(12))
+    with pytest.raises(NoConvergence, match="did not converge in 600 iterations"):
+        solve_spd(A, np.ones(12))
 
 
 def test_solve_spd_zero_rhs_returns_zero():
