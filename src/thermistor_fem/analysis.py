@@ -29,7 +29,6 @@ from functools import partial
 import numpy as np
 
 from .fem import FeSpace, RuleTables
-from .mesh import Mesh
 
 __all__ = [
     "interpolate_nodal",
@@ -92,7 +91,6 @@ class PostProcessedField:
     from the shape's first block.
     """
 
-    mesh: Mesh
     powers: np.ndarray
     coeffs: np.ndarray
     centers: np.ndarray
@@ -164,7 +162,6 @@ def i2h_postprocess(
     block_coeffs[:, 0] += base
 
     return PostProcessedField(
-        mesh=mesh,
         powers=powers,
         coeffs=block_coeffs,
         centers=centers,

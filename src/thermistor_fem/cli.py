@@ -4,13 +4,14 @@ Exit codes: 0 on success, 2 for invalid configuration, 3 when a solve fails
 (non-elliptic coefficient or a linear solver that does not converge).  A
 failed run is classified by the type of its exception: `ConductivityNotPositive`
 and `NoConvergence` are solver failures, any other `ValueError` is a
-configuration error.
+configuration error, as is an ``--out`` that names no file in an existing directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .fem import ConductivityNotPositive, NoConvergence
 from .harness import (
@@ -67,6 +68,9 @@ def main(argv=None) -> int:
             plan = ExperimentPlan(study="cli-run", runs=(config,))
         else:
             plan = preset_plan(args.preset)
+        out = Path(args.out)
+        if out.is_dir() or not out.parent.is_dir():
+            raise ValueError(f"cannot write the CSV to {args.out!r}: not a file in an existing directory")
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

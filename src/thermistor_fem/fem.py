@@ -33,6 +33,7 @@ __all__ = [
     "ConductivityNotPositive",
     "NoConvergence",
     "QuadRule",
+    "quadrature_rules",
     "FeSpace",
     "SparsityPattern",
     "assemble_mass",
@@ -143,6 +144,27 @@ def gauss_rule_triangle(degree: int) -> QuadRule:
             pts.append((b[1], b[2]))
             wts.append(w * 0.5)
     return QuadRule(np.array(pts), np.array(wts))
+
+
+def quadrature_rules(elem_kind: str, assembly_points: int | None = None, error_points: int | None = None):
+    """The assembly and the error-norm `QuadRule` of a space on ``elem_kind`` elements.
+
+    Sizes are Gauss points per direction for quads (defaults 3 and 4; at
+    least 3, exact to degree 5 like the coarsest triangle rule) or degrees
+    for triangles (defaults 5 and 6, the only ones tabulated).  ``None``
+    picks the default; a size that cannot be built raises ValueError.
+    """
+    sizes = {"assembly_points": assembly_points, "error_points": error_points}
+    for name, value in sizes.items():
+        if value is not None and not (isinstance(value, (int, np.integer)) and value > 0):
+            raise ValueError(f"{name} must be None or a positive integer, got {value!r}")
+    defaults = {"quad": (3, 4), "tri": (5, 6)}[elem_kind]
+    a, e = (d if v is None else v for v, d in zip(sizes.values(), defaults))
+    if elem_kind == "tri":
+        return gauss_rule_triangle(a), gauss_rule_triangle(e)
+    if min(a, e) < 3:
+        raise ValueError(f"quads need Gauss rules of at least 3 points per direction, got {sizes}")
+    return gauss_rule_square(a), gauss_rule_square(e)
 
 
 # ----------------------------------------------------------------------------
@@ -259,13 +281,8 @@ class FeSpace:
     Parameters
     ----------
     mesh : Mesh
-    assembly_points : int, optional
-        Assembly quadrature: Gauss points per direction for quads (default 3)
-        or polynomial degree for triangles (default 5).
-    error_points : int, optional
-        Error-norm quadrature: Gauss points per direction for quads (default
-        4) or polynomial degree for triangles (default 6).  Quad rules need
-        at least 3 points (exact to degree 5, like the coarsest triangle rule).
+    assembly_points, error_points : int, optional
+        Rule sizes, as `quadrature_rules` reads them (None: the defaults).
     """
 
     def __init__(self, mesh: Mesh, assembly_points: int | None = None, error_points: int | None = None):
@@ -276,19 +293,8 @@ class FeSpace:
         mask[self.boundary_dofs] = False
         self.interior_dofs = np.nonzero(mask)[0]
 
-        if mesh.elem_kind == "quad":
-            if min(assembly_points or 3, error_points or 4) < 3:
-                raise ValueError(
-                    "quads need Gauss rules of at least 3 points per direction, got "
-                    f"assembly_points={assembly_points}, error_points={error_points}"
-                )
-            a_rule = gauss_rule_square(assembly_points or 3)
-            e_rule = gauss_rule_square(error_points or 4)
-        else:
-            a_rule = gauss_rule_triangle(assembly_points or 5)
-            e_rule = gauss_rule_triangle(error_points or 6)
+        a_rule, self._error_rule = quadrature_rules(mesh.elem_kind, assembly_points, error_points)
         self.tables = _build_tables(mesh, a_rule)
-        self._error_rule = e_rule
         self._error_tables = None
         self._pattern = None
 
@@ -329,17 +335,15 @@ class FeSpace:
 
 
 class _Submatrix:
-    """A submatrix cut from the pattern: the pattern slot of each of its
-    entries, in the order of its own ``data``, and its index arrays."""
+    """A CSR submatrix of the pattern: the pattern slot of each entry, in ``data`` order, and the index arrays."""
 
-    def __init__(self, tagged: sp.spmatrix):
+    def __init__(self, tagged: sp.csr_matrix):
         self.slots = tagged.data - 1  # the tags are slot + 1
-        self.indices, self.indptr = tagged.indices, tagged.indptr
-        self.shape, self._cls = tagged.shape, type(tagged)
+        self.indices, self.indptr, self.shape = tagged.indices, tagged.indptr, tagged.shape
 
-    def take(self, data: np.ndarray) -> sp.spmatrix:
+    def take(self, data: np.ndarray) -> sp.csr_matrix:
         """The submatrix of the pattern matrix with values ``data``."""
-        return self._cls((data[self.slots], self.indices.copy(), self.indptr.copy()), shape=self.shape)
+        return sp.csr_matrix((data[self.slots], self.indices.copy(), self.indptr.copy()), shape=self.shape)
 
 
 class SparsityPattern:
@@ -352,9 +356,9 @@ class SparsityPattern:
     only in rows short enough to be sorted by insertion; longer rows (18
     entries on triangles) go through an unstable sort.  So the order is read
     from scipy's own kernel, by sorting a matrix whose values are the entry
-    indices.  The Dirichlet submatrices are read the same way: the fancy
-    indexing ``A[I][:, I]``, ``A[I][:, B]`` and ``A[I][:, I].tocsc()`` is
-    applied once to a matrix whose values tag its slots.
+    indices.  The two Dirichlet submatrices are read the same way: the fancy
+    indexing ``A[I][:, I]`` and ``A[I][:, B]`` is applied once to a matrix
+    whose values tag its slots.  `DirichletSystem` factors ``A_red.tocsc()``.
 
     Attributes
     ----------
@@ -363,9 +367,8 @@ class SparsityPattern:
     perm, slot : int32 arrays
         Element entry ``perm[k]`` (an index into ``elem_mats.ravel()``) is
         the ``k``-th term summed, into CSR slot ``slot[k]``.
-    interior, interior_boundary, interior_csc : `_Submatrix`
-        The interior x interior block (CSR), the interior x boundary block
-        (CSR) and the interior x interior block as CSC for the factorization.
+    interior, interior_boundary : `_Submatrix`
+        The interior x interior and the interior x boundary blocks (CSR).
     """
 
     def __init__(self, space: FeSpace):
@@ -395,9 +398,7 @@ class SparsityPattern:
 
         slots = self.matrix(np.arange(1, self.nnz + 1, dtype=np.int32))
         interior_rows = slots[space.interior_dofs]
-        interior = interior_rows[:, space.interior_dofs]
-        self.interior = _Submatrix(interior)
-        self.interior_csc = _Submatrix(interior.tocsc())
+        self.interior = _Submatrix(interior_rows[:, space.interior_dofs])
         self.interior_boundary = _Submatrix(interior_rows[:, space.boundary_dofs])
 
     def assemble(self, elem_mats: np.ndarray) -> sp.csr_matrix:
@@ -592,7 +593,7 @@ class DirichletSystem:
         self.A_ib = pattern.interior_boundary.take(A.data)
         if method == "direct":
             try:
-                self._lu = spla.splu(pattern.interior_csc.take(A.data))
+                self._lu = spla.splu(self.A_red.tocsc())
             except RuntimeError as exc:  # singular factorization
                 raise NoConvergence(f"sparse factorization failed: {exc}") from exc
 

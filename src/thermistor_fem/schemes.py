@@ -45,6 +45,7 @@ from .fem import (
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_stiffness,
+    quadrature_rules,
 )
 from .mesh import build_mesh, mesh_size
 
@@ -78,7 +79,7 @@ class ProblemData:
     ``exact_u`` and ``exact_phi`` are space-time fields ``f(x, y, t)`` used
     for the initial condition, the start levels of ``bdf3``, the potential's
     Dirichlet data, and error norms.  ``grad_u``/``grad_phi`` return pairs
-    of partials and are only needed for H1 error reporting.
+    of partials for the H1 errors that every run reports.
     """
 
     sigma: Callable
@@ -86,8 +87,8 @@ class ProblemData:
     exact_phi: Callable
     f1: Callable
     f2: Callable
-    grad_u: Optional[Callable] = None
-    grad_phi: Optional[Callable] = None
+    grad_u: Callable
+    grad_phi: Callable
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ class SchemeConfig:
     ``solver`` is ``"direct"`` (sparse LU) or ``"cg"`` (scipy's conjugate
     gradients with the Jacobi preconditioner, to a relative residual of 1e-12).
     ``assembly_points`` and ``error_points`` choose the quadrature rules of
-    `FeSpace` (None picks its defaults).
+    `FeSpace`, as `quadrature_rules` reads them (None picks the defaults).
     """
 
     scheme: str
@@ -175,10 +176,7 @@ def validate_config(config: SchemeConfig) -> None:
         raise ValueError(f"T must be a positive finite number, got {config.T!r}")
     if config.solver not in ("direct", "cg"):
         raise ValueError(f"solver must be 'direct' or 'cg', got {config.solver!r}")
-    for name in ("assembly_points", "error_points"):
-        value = getattr(config, name)
-        if value is not None and not (isinstance(value, (int, np.integer)) and value > 0):
-            raise ValueError(f"{name} must be None or a positive integer, got {value!r}")
+    quadrature_rules(config.elem_kind, config.assembly_points, config.error_points)
     resolve_tau(config, mesh_size(config.M))
 
 

@@ -13,12 +13,14 @@ from thermistor_fem import (
     ConductivityNotPositive,
     DirichletSystem,
     FeSpace,
+    SchemeConfig,
     assemble_joule_load,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_stiffness,
     build_mesh,
+    validate_config,
 )
 from thermistor_fem.fem import _shape_quad, _shape_tri
 
@@ -171,6 +173,28 @@ def test_quad_space_rejects_gauss_rules_below_three_points(points):
     # error_points=2 moved superconv_u_h1 from 6.98e-3 to 6.77e-3).
     with pytest.raises(ValueError, match="at least 3 points"):
         FeSpace(build_mesh(4, "quad"), **points)
+
+
+@pytest.mark.parametrize("points", [dict(assembly_points=0), dict(error_points=0)])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_space_rejects_empty_rules(kind, points):
+    with pytest.raises(ValueError, match="positive integer"):
+        FeSpace(build_mesh(4, kind), **points)
+
+
+@pytest.mark.parametrize("name", ["assembly_points", "error_points"])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_space_and_validate_config_accept_the_same_rules(kind, name):
+    mesh = build_mesh(2, kind)
+    for size in (None, *range(8)):
+        config = SchemeConfig("bdf2", 2, kind, tau_rule="fixed:0.5", **{name: size})
+        try:
+            validate_config(config)
+        except ValueError:
+            with pytest.raises(ValueError):
+                FeSpace(mesh, **{name: size})
+        else:
+            FeSpace(mesh, **{name: size})
 
 
 def test_three_point_quad_rules_and_triangle_rules_are_accepted():

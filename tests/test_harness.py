@@ -315,6 +315,21 @@ def test_cli_rejects_a_non_finite_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_cli_refuses_an_unwritable_out_before_any_run(tmp_path, monkeypatch, capsys, out):
+    def no_run_plan(plan, out_path=None):
+        raise AssertionError("run_plan called")
+
+    monkeypatch.setattr("thermistor_fem.cli.run_plan", no_run_plan)
+    code = main(
+        ["run", "--scheme", "bdf2", "--elem", "tri", "--M", "4",
+         "--tau-rule", "fixed:0.25", "--out", str(tmp_path / out)]
+    )
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_offers_every_scheme():
     parser = _build_parser()
     for scheme in SCHEMES:

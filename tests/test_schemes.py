@@ -32,7 +32,7 @@ from thermistor_fem import (
 )
 from thermistor_fem.manufactured import exact_phi, exact_u, sigma
 from thermistor_fem.mesh import mesh_size
-from thermistor_fem.schemes import MAX_STEPS, SCHEMES
+from thermistor_fem.schemes import MAX_STEPS, SCHEMES, ProblemData
 
 
 STEPS = {
@@ -104,6 +104,8 @@ def test_resolve_tau_step_never_exceeds_horizon():
         dict(error_points="4"),
         dict(tau_rule=None),
         dict(tau_rule=0.1),
+        dict(elem_kind="tri", assembly_points=3),
+        dict(elem_kind="tri", error_points=4),
     ],
 )
 def test_validate_config_rejects_bad_values(bad):
@@ -129,6 +131,13 @@ def test_step_count_may_reach_the_cap():
     assert resolve_tau(config, mesh_size(2)) == (1.0, MAX_STEPS)
     with pytest.raises(ValueError, match="MAX_STEPS"):
         resolve_tau(replace(config, T=MAX_STEPS + 1.0), mesh_size(2))
+
+
+def test_problem_data_requires_the_exact_gradients():
+    # Every run reports H1 errors, so a problem without them cannot be built.
+    problem = make_problem()
+    with pytest.raises(TypeError):
+        ProblemData(problem.sigma, problem.exact_u, problem.exact_phi, problem.f1, problem.f2)
 
 
 def test_run_simulation_validates_first():
