@@ -11,6 +11,7 @@ convergence studies.
 """
 
 from .analysis import (
+    FeEvaluation,
     eoc,
     fe_h1_norm,
     fe_l2_norm,

@@ -338,7 +338,8 @@ class _Submatrix:
     """A CSR submatrix of the pattern: the pattern slot of each entry, in ``data`` order, and the index arrays."""
 
     def __init__(self, tagged: sp.csr_matrix):
-        self.slots = tagged.data - 1  # the tags are slot + 1
+        tagged.data -= 1  # the tags are slot + 1; in place, tagged is a temporary
+        self.slots = tagged.data
         self.indices, self.indptr, self.shape = tagged.indices, tagged.indptr, tagged.shape
 
     def take(self, data: np.ndarray) -> sp.csr_matrix:
@@ -372,6 +373,8 @@ class SparsityPattern:
     """
 
     def __init__(self, space: FeSpace):
+        # Each temporary is released as soon as it has been read, so the
+        # build needs little more memory than the maps it keeps.
         elements = space.mesh.elements.astype(np.int32)
         n, ndof = space.n_dofs, elements.shape[1]
         self.shape = (n, n)
@@ -384,20 +387,28 @@ class SparsityPattern:
         order = (by_row[:, None] * ndof + np.arange(ndof, dtype=np.int32)).ravel()
         row_ptr = np.concatenate([[0], np.cumsum(ndof * np.bincount(elements.ravel(), minlength=n))])
         cols = elements[by_row // ndof].ravel()
+        del elements, by_row
         tag = sp.csr_matrix((order, cols, row_ptr.astype(np.int32)), shape=self.shape)
+        del order, cols
         tag.sort_indices()
         self.perm = tag.data
         first = np.empty(self.perm.size, dtype=bool)  # the first entry of each slot
         np.not_equal(tag.indices[1:], tag.indices[:-1], out=first[1:])
         first[row_ptr[:-1]] = True
-        self.slot = np.cumsum(first, dtype=np.int32)
-        self.slot -= 1
         self.indices = tag.indices[first]
+        del tag
+        self.slot = np.cumsum(first, dtype=np.int32)
+        del first
+        self.slot -= 1
         self.nnz = self.indices.size
         self.indptr = np.append(self.slot[row_ptr[:-1]], self.nnz).astype(np.int32)
+        del row_ptr
 
-        slots = self.matrix(np.arange(1, self.nnz + 1, dtype=np.int32))
+        # This tag matrix shares the pattern's index arrays; indexing only reads them.
+        tags = np.arange(1, self.nnz + 1, dtype=np.int32)
+        slots = sp.csr_matrix((tags, self.indices, self.indptr), shape=self.shape)
         interior_rows = slots[space.interior_dofs]
+        del tags, slots
         self.interior = _Submatrix(interior_rows[:, space.interior_dofs])
         self.interior_boundary = _Submatrix(interior_rows[:, space.boundary_dofs])
 

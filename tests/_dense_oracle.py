@@ -10,16 +10,22 @@ post-processed field's block polynomials and evaluate them at arbitrary
 points, block by block, as the reference for the package's table path.
 
 The sparse reference paths (`coo_assemble`, `add_at_scatter`,
-`fancy_reduction`, `jacobi_cg`) are of a different kind: they are the
-straightforward numpy/scipy formulations whose arithmetic the package's
-fixed-pattern assembly, load scatter, slot-mapped Dirichlet reduction and
-scipy-backed conjugate gradients must reproduce bit for bit.
+`fancy_reduction`, `jacobi_cg`) and the per-norm error report
+(`per_norm_field_errors`) are of a different kind: they are the
+straightforward formulations whose arithmetic the package's fixed-pattern
+assembly, load scatter, slot-mapped Dirichlet reduction, scipy-backed
+conjugate gradients and once-per-field error report must reproduce bit for
+bit.  The per-norm report is built from the package's nodal interpolant,
+post-processing and `quadrature_norm`, which are checked on their own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+
+from thermistor_fem.analysis import i2h_postprocess, interpolate_nodal, quadrature_norm
+from thermistor_fem.mesh import macroelements
 
 # 3-point Gauss-Legendre rule on [-1, 1] (classical closed form).
 _G3_NODES = (-np.sqrt(0.6), 0.0, np.sqrt(0.6))
@@ -377,3 +383,61 @@ def block_gradients(field, block_ids, points):
     gx = sum(c[..., k] * p * dx ** max(p - 1, 0) * dy**q for k, (p, q) in terms)
     gy = sum(c[..., k] * q * dx**p * dy ** max(q - 1, 0) for k, (p, q) in terms)
     return np.stack([gx, gy], axis=-1)
+
+
+# ----------------------------------------------------------------------------
+# The error report, one evaluation per norm
+# ----------------------------------------------------------------------------
+#
+# Each norm evaluates what it needs from nodal coefficients and callables on
+# the space's error rule, as the package did before it evaluated each
+# quantity once per field: the report must equal this one bit for bit.
+
+
+def _h1_error(tb, values, grads, exact, exact_grad, t):
+    x, y = tb.x[..., 0], tb.x[..., 1]
+    gx, gy = exact_grad(x, y, t)
+    grads[..., 0] -= gx
+    grads[..., 1] -= gy
+    return quadrature_norm(tb, values - exact(x, y, t), grads)
+
+
+def l2_error(space, coeffs, exact, t):
+    tb = space.error_tables
+    diff = space.values_at_quad(coeffs, tb) - exact(tb.x[..., 0], tb.x[..., 1], t)
+    return quadrature_norm(tb, diff)
+
+
+def h1_error(space, coeffs, exact, exact_grad, t):
+    tb = space.error_tables
+    v, g = space.values_at_quad(coeffs, tb), space.gradients_at_quad(coeffs, tb)
+    return _h1_error(tb, v, g, exact, exact_grad, t)
+
+
+def fe_l2_norm(space, coeffs):
+    tb = space.error_tables
+    return quadrature_norm(tb, space.values_at_quad(coeffs, tb))
+
+
+def fe_h1_norm(space, coeffs):
+    tb = space.error_tables
+    return quadrature_norm(tb, space.values_at_quad(coeffs, tb), space.gradients_at_quad(coeffs, tb))
+
+
+def h1_error_postprocessed(field, space, exact, exact_grad, t):
+    tb = space.error_tables
+    v, g = field.values_on_tables(tb), field.gradients_on_tables(tb)
+    return _h1_error(tb, v, g, exact, exact_grad, t)
+
+
+def per_norm_field_errors(space, coeffs, exact, grad, t, name):
+    """The error measures of one field, keyed by their `ErrorReport` names."""
+    interp = interpolate_nodal(space, exact, t)
+    post = i2h_postprocess(space, macroelements(space.mesh), coeffs)
+    return {
+        f"err_{name}_l2": l2_error(space, coeffs, exact, t),
+        f"err_{name}_h1": h1_error(space, coeffs, exact, grad, t),
+        f"superclose_{name}_h1": fe_h1_norm(space, coeffs - interp),
+        f"superclose_{name}_l2": fe_l2_norm(space, coeffs - interp),
+        f"superconv_{name}_h1": h1_error_postprocessed(post, space, exact, grad, t),
+    }

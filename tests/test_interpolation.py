@@ -5,6 +5,7 @@ import pytest
 
 import _dense_oracle as oracle
 from thermistor_fem import (
+    FeEvaluation,
     FeSpace,
     build_mesh,
     eoc,
@@ -20,6 +21,12 @@ from thermistor_fem.manufactured import exact_u, grad_u
 @pytest.fixture(params=["tri", "quad"])
 def space(request):
     return FeSpace(build_mesh(8, request.param))
+
+
+def at_error_points(space, f, t):
+    """``f(x, y, t)`` at the points of the space's error rule."""
+    tb = space.error_tables
+    return f(tb.x[..., 0], tb.x[..., 1], t)
 
 
 def test_interpolate_nodal_evaluates_at_nodes(space):
@@ -40,9 +47,10 @@ def test_functions_in_the_fe_space_interpolate_exactly(space):
             np.full_like(np.asarray(x, dtype=float), 2.0),
             np.full_like(np.asarray(x, dtype=float), -1.0),
         )
-    coeffs = interpolate_nodal(space, f, 0.0)
-    assert l2_error(space, coeffs, f, 0.0) < 1e-14
-    assert h1_error(space, coeffs, f, g, 0.0) < 1e-13
+    fe = FeEvaluation(space, interpolate_nodal(space, f, 0.0))
+    values = at_error_points(space, f, 0.0)
+    assert l2_error(fe, values) < 1e-14
+    assert h1_error(fe, values, at_error_points(space, g, 0.0)) < 1e-13
 
 
 def test_fe_norms_match_dense_matrices(space):
@@ -52,8 +60,9 @@ def test_fe_norms_match_dense_matrices(space):
     c = rng.standard_normal(space.n_dofs)
     M = oracle.dense_mass(space.mesh.nodes, space.mesh.elements)
     K = oracle.dense_stiffness(space.mesh.nodes, space.mesh.elements)
-    assert fe_l2_norm(space, c) == pytest.approx(np.sqrt(c @ M @ c), rel=1e-13)
-    assert fe_h1_norm(space, c) == pytest.approx(np.sqrt(c @ (M + K) @ c), rel=1e-13)
+    fe = FeEvaluation(space, c)
+    assert fe_l2_norm(fe) == pytest.approx(np.sqrt(c @ M @ c), rel=1e-13)
+    assert fe_h1_norm(fe) == pytest.approx(np.sqrt(c @ (M + K) @ c), rel=1e-13)
 
 
 def test_error_against_zero_is_the_norm(space):
@@ -61,10 +70,10 @@ def test_error_against_zero_is_the_norm(space):
     c = rng.standard_normal(space.n_dofs)
     zero = lambda x, y, t: np.zeros_like(x)  # noqa: E731
     zero_grad = lambda x, y, t: (np.zeros_like(x), np.zeros_like(x))  # noqa: E731
-    assert l2_error(space, c, zero, 0.0) == pytest.approx(fe_l2_norm(space, c), rel=1e-14)
-    assert h1_error(space, c, zero, zero_grad, 0.0) == pytest.approx(
-        fe_h1_norm(space, c), rel=1e-14
-    )
+    fe = FeEvaluation(space, c)
+    values, grads = at_error_points(space, zero, 0.0), at_error_points(space, zero_grad, 0.0)
+    assert l2_error(fe, values) == pytest.approx(fe_l2_norm(fe), rel=1e-14)
+    assert h1_error(fe, values, grads) == pytest.approx(fe_h1_norm(FeEvaluation(space, c)), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["tri", "quad"])
@@ -73,9 +82,10 @@ def test_interpolant_converges_at_the_expected_orders(kind):
     rows_l2, rows_h1 = [], []
     for M in (8, 16, 32, 64):
         space = FeSpace(build_mesh(M, kind))
-        coeffs = interpolate_nodal(space, exact_u, t)
-        rows_l2.append((space.mesh.h, l2_error(space, coeffs, exact_u, t)))
-        rows_h1.append((space.mesh.h, h1_error(space, coeffs, exact_u, grad_u, t)))
+        fe = FeEvaluation(space, interpolate_nodal(space, exact_u, t))
+        values = at_error_points(space, exact_u, t)
+        rows_l2.append((space.mesh.h, l2_error(fe, values)))
+        rows_h1.append((space.mesh.h, h1_error(fe, values, at_error_points(space, grad_u, t))))
     for order in eoc(rows_l2):
         assert order == pytest.approx(2.0, abs=0.05)
     for order in eoc(rows_h1):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import _dense_oracle as oracle
 from thermistor_fem import (
+    FeEvaluation,
     FeSpace,
     build_mesh,
     eoc,
@@ -27,6 +28,12 @@ from thermistor_fem.manufactured import exact_u, grad_u
 def setup(M, kind):
     space = FeSpace(build_mesh(M, kind))
     return space, macroelements(space.mesh)
+
+
+def at_error_points(space, f, t):
+    """``f(x, y, t)`` at the points of the space's error rule."""
+    tb = space.error_tables
+    return f(tb.x[..., 0], tb.x[..., 1], t)
 
 
 def block_polynomial(kind):
@@ -66,7 +73,8 @@ def test_block_polynomials_are_reproduced_exactly(kind):
     tb = space.error_tables
     diff = field.values_on_tables(tb) - p(tb.x[..., 0], tb.x[..., 1], 0.0)
     assert quadrature_norm(tb, diff) < 1e-12
-    assert h1_error_postprocessed(field, space, p, grad, 0.0) < 1e-11
+    exact = at_error_points(space, p, 0.0), at_error_points(space, grad, 0.0)
+    assert h1_error_postprocessed(field, space, *exact) < 1e-11
 
 
 @pytest.mark.parametrize("kind", ["tri", "quad"])
@@ -105,7 +113,7 @@ def test_postprocessing_is_h1_stable(kind):
             field = i2h_postprocess(space, blocks, c)
             tb = space.error_tables
             lifted = quadrature_norm(tb, field.values_on_tables(tb), field.gradients_on_tables(tb))
-            assert lifted <= 2.0 * fe_h1_norm(space, c)
+            assert lifted <= 2.0 * fe_h1_norm(FeEvaluation(space, c))
 
 
 @pytest.mark.parametrize("kind", ["tri", "quad"])
@@ -118,8 +126,9 @@ def test_postprocessing_lifts_the_interpolant_gradient_order(kind):
         space, blocks = setup(M, kind)
         coeffs = interpolate_nodal(space, exact_u, t)
         field = i2h_postprocess(space, blocks, coeffs)
-        plain.append((space.mesh.h, h1_error(space, coeffs, exact_u, grad_u, t)))
-        lifted.append((space.mesh.h, h1_error_postprocessed(field, space, exact_u, grad_u, t)))
+        exact = at_error_points(space, exact_u, t), at_error_points(space, grad_u, t)
+        plain.append((space.mesh.h, h1_error(FeEvaluation(space, coeffs), *exact)))
+        lifted.append((space.mesh.h, h1_error_postprocessed(field, space, *exact)))
     for order in eoc(plain):
         assert order == pytest.approx(1.0, abs=0.05)
     for order in eoc(lifted):
@@ -141,13 +150,18 @@ def test_quadrature_norm_is_the_fe_norms_bit_for_bit(kind):
     c = np.random.default_rng(6).standard_normal(space.n_dofs)
     tb = space.error_tables
     v, g = space.values_at_quad(c, tb), space.gradients_at_quad(c, tb)
-    assert quadrature_norm(tb, v) == fe_l2_norm(space, c)
-    assert quadrature_norm(tb, v, g) == fe_h1_norm(space, c)
-    assert quadrature_norm(tb, v, np.zeros_like(g)) == fe_l2_norm(space, c)
+    fe = FeEvaluation(space, c)
+    h1 = fe_h1_norm(fe)
+    assert quadrature_norm(tb, v) == fe_l2_norm(fe)
+    assert quadrature_norm(tb, v, g) == h1
+    assert quadrature_norm(tb, v, np.zeros_like(g)) == fe_l2_norm(fe)
     zero = lambda x, y, t: 0.0 * x  # noqa: E731
     zero_grad = lambda x, y, t: (0.0 * x, 0.0 * y)  # noqa: E731
-    assert l2_error(space, c, zero, 0.0) == fe_l2_norm(space, c)
-    assert h1_error(space, c, zero, zero_grad, 0.0) == fe_h1_norm(space, c)
+    values, grads = at_error_points(space, zero, 0.0), at_error_points(space, zero_grad, 0.0)
+    assert l2_error(fe, values) == fe_l2_norm(fe)
+    assert h1_error(fe, values, grads) == h1
+    # h1_error took the gradients over; the next read evaluates them afresh.
+    assert fe_h1_norm(fe) == h1
     assert quadrature_norm(tb, np.ones_like(v)) == pytest.approx(1.0, abs=1e-14)
 
 
