@@ -17,6 +17,12 @@ in the tests.
 Coefficient fields (e.g. the electric conductivity evaluated from a previous
 time level) are represented as arrays of values at the quadrature points of
 the assembly rule, shape ``(n_elements, n_qpoints)``.
+
+The quadrature tables hold the physical shape-function gradients once per
+element when the reference gradients are the same at every point of the
+rule, as they are for linear triangles: their point axis then has length
+one, and the kernels broadcast it over the points with the arithmetic of
+the full table.
 """
 
 from __future__ import annotations
@@ -214,8 +220,11 @@ class RuleTables:
     rule : QuadRule
     N : (nq, ndof) array
         Shape function values at the reference quadrature points.
-    grad : (ne, nq, ndof, 2) array
-        Physical gradients of the shape functions.
+    grad : (ne, nq or 1, ndof, 2) array
+        Physical gradients of the shape functions.  The point axis has
+        length 1 when the reference gradients are equal at every point of
+        the rule (linear triangles): the gradients are then constant on
+        each element, and that one value stands for every point.
     wdet : (ne, nq) array
         Quadrature weight times Jacobian determinant.
     x : (ne, nq, 2) array
@@ -230,10 +239,16 @@ class RuleTables:
 
 
 def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
+    if not np.all(np.isfinite(mesh.nodes)):
+        raise ValueError("mesh has non-finite node coordinates")
     shape = _shape_quad if mesh.elem_kind == "quad" else _shape_tri
     N, dN = shape(rule.points)
-    (ne, ndof), nq = mesh.elements.shape, rule.n_points
-    grad = np.empty((ne, nq, ndof, 2))
+    # Reference gradients equal at every point give the same J, det J and
+    # physical gradients at every point, bit for bit: compute them once.
+    if np.all(dN == dN[:1]):
+        dN = dN[:1]
+    (ne, ndof), nq, ng = mesh.elements.shape, rule.n_points, dN.shape[0]
+    grad = np.empty((ne, ng, ndof, 2))
     detJ = np.empty((ne, nq))
     x = np.empty((ne, nq, 2))
 
@@ -245,14 +260,14 @@ def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
         block = mesh.elements[lo : lo + _CHUNK]
         c = np.ascontiguousarray(mesh.nodes[block].transpose(1, 2, 0))  # (ndof, 2, ne)
         # Jacobian of the reference-to-physical map at each quadrature point:
-        # J[e,q,a,b] = sum_i dN[q,i,b] * coords[e,i,a]; J[a][b] is (nq, ne).
+        # J[e,q,a,b] = sum_i dN[q,i,b] * coords[e,i,a]; J[a][b] is (ng, ne).
         J = [[sum(dN[:, i, b, None] * c[i, a] for i in range(ndof)) for b in range(2)] for a in range(2)]
         det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-        if np.any(det <= 0):
+        if not np.all(det > 0):  # NaN fails too
             raise ValueError("mesh contains degenerate or inverted elements")
         inv = [[J[1][1] / det, -J[0][1] / det], [-J[1][0] / det, J[0][0] / det]]
         # grad_x N = J^{-T} grad_ref N: grad[e,q,i,a] = sum_b inv[e,q,b,a] * dN[q,i,b]
-        g = np.empty((nq, ndof, 2, c.shape[-1]))
+        g = np.empty((ng, ndof, 2, c.shape[-1]))
         for i in range(ndof):
             for a in range(2):
                 np.multiply(inv[0][a], dN[:, i, 0, None], out=g[:, i, a])
@@ -321,17 +336,26 @@ class FeSpace:
     def gradients_at_quad(self, coeffs: np.ndarray, tables: RuleTables | None = None) -> np.ndarray:
         """Evaluate the FE gradient at quadrature points, shape ``(ne, nq, 2)``."""
         tb = tables if tables is not None else self.tables
-        nodal = coeffs[self.mesh.elements]
-        # g[e,q,a] = sum_i grad[e,q,i,a] * nodal[e,i], summed from zero in
-        # node order like the einsum "eqia,ei->eqa", bit for bit; in blocks
-        # of elements, so that the one temporary stays small.
-        g = np.zeros(tb.grad.shape[:2] + (2,))
-        for lo in range(0, g.shape[0], _CHUNK):
-            block, grad = g[lo : lo + _CHUNK], tb.grad[lo : lo + _CHUNK]
-            term = np.empty_like(block)
-            for i in range(nodal.shape[1]):
-                block += np.multiply(grad[:, :, i, :], nodal[lo : lo + _CHUNK, None, i, None], out=term)
-        return g
+        return _gradients(tb, coeffs[self.mesh.elements], np.empty(tb.wdet.shape + (2,)))
+
+
+def _gradients(tb: RuleTables, nodal: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """FE gradients from the ``(ne, ndof)`` nodal values into ``out``, of
+    shape ``(ne, nq, 2)`` or, when ``tb.grad`` holds one point, ``(ne, 1, 2)``.
+
+    ``g[e,q,a] = sum_i grad[e,q,i,a] * nodal[e,i]``, summed from zero in node
+    order like the einsum ``"eqia,ei->eqa"``, bit for bit, once per point of
+    ``tb.grad`` and broadcast over ``out``; in blocks of elements, so that
+    the temporaries stay small.
+    """
+    for lo in range(0, out.shape[0], _CHUNK):
+        grad = tb.grad[lo : lo + _CHUNK]
+        acc = np.zeros(grad.shape[:2] + (2,))
+        term = np.empty_like(acc)
+        for i in range(nodal.shape[1]):
+            acc += np.multiply(grad[:, :, i, :], nodal[lo : lo + _CHUNK, None, i, None], out=term)
+        out[lo : lo + _CHUNK] = acc
+    return out
 
 
 class _Submatrix:
@@ -450,17 +474,19 @@ def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
 def _stiffness_kernel(grad: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Element matrices ``sum_q s[e,q] grad[e,q,i,:] . grad[e,q,j,:]``.
 
-    Bit for bit the einsum ``"eq,eqia,eqja->eij"`` of ``(s, grad, grad)``:
-    for each quadrature point it forms ``(s g_i0) g_j0 + (s g_i1) g_j1`` and
-    adds that to a sum started at zero, one point after another.  Each block
-    of elements is laid out element-last, so every product is one long
+    Bit for bit the einsum ``"eq,eqia,eqja->eij"`` of ``(s, grad, grad)``,
+    with a one-point ``grad`` standing for every point of ``s``: for each
+    quadrature point it forms ``(s g_i0) g_j0 + (s g_i1) g_j1`` and adds that
+    to a sum started at zero, one point after another.  Each block of
+    elements is laid out element-last, so every product is one long
     contiguous loop.
     """
-    ne, nq, ndof, _ = grad.shape
+    (ne, nq), ndof = s.shape, grad.shape[2]
     out = np.empty((ne, ndof, ndof))
     for lo in range(0, ne, _CHUNK):
-        g = np.ascontiguousarray(grad[lo : lo + _CHUNK].transpose(1, 3, 2, 0))  # (nq, 2, ndof, ne)
+        g = np.ascontiguousarray(grad[lo : lo + _CHUNK].transpose(1, 3, 2, 0))  # (nq or 1, 2, ndof, ne)
         sg = s[lo : lo + _CHUNK].T[:, None, None, :] * g
+        g = np.broadcast_to(g, sg.shape)
         acc = np.zeros((ndof, ndof, g.shape[-1]))
         term = np.empty_like(acc)
         term1 = np.empty_like(acc)
@@ -529,8 +555,8 @@ def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.n
     """
     sigma_star = _check_coefficient(space, sigma_star)
     tb = space.tables
-    g = space.gradients_at_quad(phi_coeffs)
-    g2 = g[..., 0] ** 2 + g[..., 1] ** 2
+    g = _gradients(tb, phi_coeffs[space.mesh.elements], np.empty(tb.grad.shape[:2] + (2,)))
+    g2 = g[..., 0] ** 2 + g[..., 1] ** 2  # once per element where tb.grad holds one point
     contrib = np.einsum("eq,qi->ei", sigma_star * g2 * tb.wdet, tb.N)
     return _scatter(space, contrib)
 

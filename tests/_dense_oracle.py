@@ -10,13 +10,16 @@ post-processed field's block polynomials and evaluate them at arbitrary
 points, block by block, as the reference for the package's table path.
 
 The sparse reference paths (`coo_assemble`, `add_at_scatter`,
-`fancy_reduction`, `jacobi_cg`) and the per-norm error report
+`fancy_reduction`, `jacobi_cg`, with `materialized_grad` for the einsums
+that feed them), the one-expression potential source
+(`source_f2_formula`) and the per-norm error report
 (`per_norm_field_errors`) are of a different kind: they are the
 straightforward formulations whose arithmetic the package's fixed-pattern
 assembly, load scatter, slot-mapped Dirichlet reduction, scipy-backed
-conjugate gradients and once-per-field error report must reproduce bit for
-bit.  The per-norm report is built from the package's nodal interpolant,
-post-processing and `quadrature_norm`, which are checked on their own.
+conjugate gradients, in-place source and once-per-field error report must
+reproduce bit for bit.  The per-norm report is built from the package's
+nodal interpolant, post-processing and `quadrature_norm`, which are checked
+on their own.
 """
 
 from __future__ import annotations
@@ -267,9 +270,36 @@ def oracle_bdf2_step(mesh, problem, u_n, u_nm1, tau, t_new):
     return u_new, phi_new
 
 
+def source_f2_formula(x, y, t):
+    """The potential source as one expression of `exact_u`'s and
+    `grad_u`'s closed forms, every intermediate a new array: the in-place
+    `manufactured.source_f2` must equal it bit for bit."""
+    pi = np.pi
+    sx, sy = np.sin(pi * x), np.sin(pi * y)
+    u = np.exp(-2.0 * t) * sx * sy
+    common = pi * np.exp(-2.0 * t)
+    ux = common * np.cos(pi * x) * sy
+    uy = common * sx * np.cos(pi * y)
+    s = np.sin(x + y + t)
+    c = np.cos(x + y + t)
+    sigma_prime = -2.0 * u / (1.0 + u * u) ** 2
+    sigma = 1.0 / (1.0 + u * u) + 1.0
+    return -sigma_prime * (ux + uy) * c + 2.0 * sigma * s
+
+
 # ----------------------------------------------------------------------------
 # Sparse reference paths: COO summation and fancy-index Dirichlet reduction
 # ----------------------------------------------------------------------------
+
+
+def materialized_grad(tables):
+    """``tables.grad`` with its point axis at full length, contiguous.
+
+    A P1 table holds one point per element; the einsum references must run
+    on the full copy, because ``np.einsum`` over a broadcast (stride-0) axis
+    sums in another order than over a contiguous one.
+    """
+    return np.ascontiguousarray(np.broadcast_to(tables.grad, tables.wdet.shape + tables.grad.shape[2:]))
 
 
 def coo_assemble(elements, elem_mats, n):

@@ -167,6 +167,17 @@ def test_space_rejects_inverted_elements(kind):
         FeSpace(replace(mesh, nodes=mesh.nodes * [-1.0, 1.0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_space_rejects_non_finite_node_coordinates(kind, value):
+    mesh = build_mesh(4, kind)
+    for axis in (0, 1):
+        nodes = mesh.nodes.copy()
+        nodes[7, axis] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            FeSpace(replace(mesh, nodes=nodes))
+
+
 @pytest.mark.parametrize("points", [dict(assembly_points=2), dict(error_points=2), dict(error_points=1)])
 def test_quad_space_rejects_gauss_rules_below_three_points(points):
     # Coarser rules than degree 5 shift the reported errors (at bdf2, M=8,
@@ -221,12 +232,16 @@ def einsum_tables(mesh, rule):
     return grad, rule.weights[None, :] * detJ, np.einsum("qi,eia->eqa", N, coords)
 
 
-@pytest.mark.parametrize("M", [2, 8, 64])
+@pytest.mark.parametrize("M", [2, 8, 10, 64])
 @pytest.mark.parametrize("kind", ["tri", "quad"])
 def test_tables_equal_the_einsum_formulas_bit_for_bit(kind, M):
     space = FeSpace(build_mesh(M, kind))
+    ne, ndof = space.mesh.elements.shape
     for tb in (space.tables, space.error_tables):
+        # P1 gradients are constant per element: the table holds one point.
+        points = 1 if kind == "tri" else tb.rule.n_points
+        assert tb.grad.shape == (ne, points, ndof, 2)
         grad, wdet, x = einsum_tables(space.mesh, tb.rule)
-        assert np.array_equal(tb.grad, grad)
+        assert np.array_equal(oracle.materialized_grad(tb), grad)
         assert np.array_equal(tb.wdet, wdet)
         assert np.array_equal(tb.x, x)

@@ -10,7 +10,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from thermistor_fem import make_problem
+import _dense_oracle as oracle
+from thermistor_fem import FeSpace, build_mesh, make_problem
 from thermistor_fem.manufactured import (
     exact_phi,
     exact_u,
@@ -147,6 +148,17 @@ def test_exact_fields_are_internally_consistent(t):
         )
         assert abs(fields["lap_u"][i] - float(lap_u)) < 1e-10
         assert abs(fields["lap_phi"][i] - float(lap_phi)) < 1e-12
+
+
+def test_potential_source_equals_its_one_expression_form_bit_for_bit():
+    tb = FeSpace(build_mesh(10, "tri")).error_tables
+    x, y = tb.x[..., 0], tb.x[..., 1]
+    grid = np.meshgrid(np.linspace(-2.0, 3.0, 41), np.linspace(-1.0, 2.0, 37))
+    for t in (0.0, 0.1, 0.37, 1.0):
+        assert np.array_equal(source_f2(x, y, t), oracle.source_f2_formula(x, y, t))
+        assert np.array_equal(source_f2(*grid, t), oracle.source_f2_formula(*grid, t))
+        got = source_f2(0.3, 0.7, t)
+        assert np.ndim(got) == 0 and got == oracle.source_f2_formula(0.3, 0.7, t)
 
 
 def test_make_problem_bundles_the_manufactured_data():
