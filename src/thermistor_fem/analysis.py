@@ -274,15 +274,17 @@ def eoc(pairs) -> list[float]:
     """Experimental orders of convergence from ``(h, error)`` pairs.
 
     ``order_k = log(e_{k-1}/e_k) / log(h_{k-1}/h_k)`` for consecutive pairs.
+    Raises ValueError unless every error and every ``h`` is positive and
+    finite and ``h`` strictly decreases (NaN fails both checks).
     """
     pairs = list(pairs)
     if len(pairs) < 2:
         raise ValueError("need at least two (h, error) pairs")
     orders = []
     for (h0, e0), (h1, e1) in zip(pairs[:-1], pairs[1:]):
-        if e0 <= 0 or e1 <= 0:
-            raise ValueError(f"errors must be positive to compute orders, got {e0!r}, {e1!r}")
-        if h0 <= h1:
-            raise ValueError(f"h must decrease monotonically, got {h0!r} -> {h1!r}")
+        if not (0 < e0 < np.inf and 0 < e1 < np.inf):  # NaN fails too
+            raise ValueError(f"errors must be positive and finite to compute orders, got {e0!r}, {e1!r}")
+        if not np.inf > h0 > h1 > 0:  # NaN fails too
+            raise ValueError(f"h must be positive, finite and decreasing, got {h0!r} -> {h1!r}")
         orders.append(convergence_order(e0, e1, h0 / h1))
     return orders

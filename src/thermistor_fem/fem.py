@@ -16,7 +16,10 @@ in the tests.
 
 Coefficient fields (e.g. the electric conductivity evaluated from a previous
 time level) are represented as arrays of values at the quadrature points of
-the assembly rule, shape ``(n_elements, n_qpoints)``.
+the assembly rule, shape ``(n_elements, n_qpoints)``.  Source functions
+``f(x, y)`` are evaluated only by `assemble_load`, one block of `_CHUNK`
+elements at a time, like the blocked kernels: this module alone bounds the
+memory that evaluating any source takes.
 
 The quadrature tables hold the physical shape-function gradients once per
 element when the reference gradients are the same at every point of the
@@ -58,8 +61,8 @@ POSITIVITY_FLOOR = 1e-10
 #: Relative residual tolerance of `solve_spd`.
 CG_RTOL = 1e-12
 
-#: Elements per block of the blocked kernels: their temporaries stay small
-#: and in cache.
+#: Elements per block of the blocked kernels and of the source evaluations
+#: in `assemble_load`: their temporaries stay small and in cache.
 _CHUNK = 2048
 
 
@@ -498,9 +501,13 @@ def _stiffness_kernel(grad: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter(space: FeSpace, contrib: np.ndarray) -> np.ndarray:
-    """Sum ``(ne, ndof)`` element contributions into a nodal vector, in
-    element order from zero (as ``np.add.at`` does)."""
+def _scatter(space: FeSpace, values: np.ndarray) -> np.ndarray:
+    """Load vector ``b_i = sum_e sum_q values[e,q] wdet[e,q] N[q,i]`` of
+    ``(ne, nq)`` values at the assembly points: the element contributions
+    are summed into the nodes in element order from zero (as ``np.add.at``
+    does)."""
+    tb = space.tables
+    contrib = np.einsum("eq,qi->ei", values * tb.wdet, tb.N)
     return np.bincount(space.mesh.elements.ravel(), contrib.ravel(), minlength=space.n_dofs)
 
 
@@ -539,12 +546,19 @@ def assemble_weighted_stiffness(space: FeSpace, sigma_star: np.ndarray) -> sp.cs
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:
-    """Load vector ``b_i = (f, phi_i)`` for a spatial function ``f(x, y)``."""
+    """Load vector ``b_i = (f, phi_i)`` for a spatial function ``f(x, y)``.
+
+    ``f`` is called once per block of `_CHUNK` elements, in element order,
+    on the ``(block, nq)`` coordinates of their assembly points, and may
+    return anything that broadcasts to that shape.  So a source's
+    temporaries are as large as one block, whatever the mesh.
+    """
     tb = space.tables
-    fq = f(tb.x[..., 0], tb.x[..., 1])
-    fq = np.broadcast_to(np.asarray(fq, dtype=float), tb.wdet.shape)
-    contrib = np.einsum("eq,qi->ei", fq * tb.wdet, tb.N)
-    return _scatter(space, contrib)
+    fq = np.empty(tb.wdet.shape)
+    for lo in range(0, fq.shape[0], _CHUNK):
+        x = tb.x[lo : lo + _CHUNK]
+        fq[lo : lo + _CHUNK] = f(x[..., 0], x[..., 1])
+    return _scatter(space, fq)
 
 
 def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.ndarray) -> np.ndarray:
@@ -557,8 +571,7 @@ def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.n
     tb = space.tables
     g = _gradients(tb, phi_coeffs[space.mesh.elements], np.empty(tb.grad.shape[:2] + (2,)))
     g2 = g[..., 0] ** 2 + g[..., 1] ** 2  # once per element where tb.grad holds one point
-    contrib = np.einsum("eq,qi->ei", sigma_star * g2 * tb.wdet, tb.N)
-    return _scatter(space, contrib)
+    return _scatter(space, sigma_star * g2)
 
 
 # ----------------------------------------------------------------------------

@@ -23,6 +23,7 @@ a plan reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -232,26 +233,24 @@ def _refinement_ratio(a, b):
     return ratio if ratio > 1 else None
 
 
+def _groups(reports):
+    """``((scheme, elem), runs)`` for each stretch of consecutive reports of
+    one scheme and element kind: orders are taken only within a stretch."""
+    return [(key, list(rs)) for key, rs in itertools.groupby(reports, key=lambda r: (r.scheme, r.elem))]
+
+
 def _eoc_rows(reports):
     """Order rows for consecutive runs of the same scheme and element kind."""
     rows = []
-    for a, b in zip(reports[:-1], reports[1:]):
-        if (a.scheme, a.elem) != (b.scheme, b.elem):
-            continue
-        ratio = _refinement_ratio(a, b)
-        if ratio is None:
-            continue
-        row = {
-            "scheme": f"eoc:{b.scheme}",
-            "elem": b.elem,
-            "M": b.M,
-            "h": b.h,
-            "tau": b.tau,
-            "N": b.N,
-        }
-        for name in _ERROR_FIELDS:
-            row[name] = analysis.convergence_order(getattr(a, name), getattr(b, name), ratio)
-        rows.append(row)
+    for _, rs in _groups(reports):
+        for a, b in zip(rs[:-1], rs[1:]):
+            ratio = _refinement_ratio(a, b)
+            if ratio is None:
+                continue
+            row = {"scheme": f"eoc:{b.scheme}", "elem": b.elem, "M": b.M, "h": b.h, "tau": b.tau, "N": b.N}
+            for name in _ERROR_FIELDS:
+                row[name] = analysis.convergence_order(getattr(a, name), getattr(b, name), ratio)
+            rows.append(row)
     return rows
 
 
@@ -287,20 +286,17 @@ _TABLE_ROWS = [
 def render_order_table(reports) -> str:
     """Human-readable error/order table (4 significant digits).
 
-    Reports are grouped by scheme and element kind; within a group each error
-    quantity gets a row of values and, when the group has several runs, a row
-    of experimental orders computed against whichever of ``h`` or ``tau``
+    Consecutive reports of one scheme and element kind form a group, as
+    they do for the CSV's order rows; within a group each error quantity
+    gets a row of values and, when the group has several runs, a row of
+    experimental orders computed against whichever of ``h`` or ``tau``
     varies between consecutive runs.
     """
     if not reports:
         return "(no runs)\n"
-    groups: dict[tuple, list] = {}
-    for r in reports:
-        groups.setdefault((r.scheme, r.elem), []).append(r)
-
     out = []
     label_w = max(len(lbl) for lbl, _ in _TABLE_ROWS) + 2
-    for (scheme, elem), rs in groups.items():
+    for (scheme, elem), rs in _groups(reports):
         headers = [f"M={r.M},tau={r.tau:.4g}" for r in rs]
         col_w = max(11, max(len(head) for head in headers) + 2)
         out.append(f"scheme={scheme} elem={elem}")

@@ -83,48 +83,14 @@ def source_f2(x, y, t):
     """Potential equation source: ``-div(sigma(u) grad phi)``.
 
     That is ``-sigma'(u) (u_x + u_y) cos(x + y + t) + 2 sigma(u) sin(x + y + t)``,
-    with each factor rounded as `exact_u`, `grad_u`, `sigma` and
-    `sigma_prime` round it.  The arrays are updated in place and released
-    once read, so that at most four of the points' shape are alive at once.
-    ``t`` is a scalar.
+    with ``u`` and its partials rounded as `exact_u` and `grad_u` round them.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-    def of_pi(f, v):  # f(pi v), in a new array
-        out = np.multiply(PI, v, out=np.empty(x.shape))
-        return f(out, out=out)
-
+    sx, sy = np.sin(PI * x), np.sin(PI * y)
+    u = np.exp(-2.0 * t) * sx * sy
     common = PI * np.exp(-2.0 * t)
-    sx, sy = of_pi(np.sin, x), of_pi(np.sin, y)
-    u = np.multiply(np.exp(-2.0 * t), sx, out=np.empty(x.shape))
-    u *= sy
-    du = of_pi(np.cos, x)
-    du *= common
-    du *= sy  # u_x
-    sx *= common
-    sx *= np.cos(np.multiply(PI, y, out=sy), out=sy)  # u_y
-    del sy
-    du += sx
-    del sx
-    q = np.multiply(u, u, out=np.empty(x.shape))
-    q += 1.0
-    two_sigma = np.divide(1.0, q, out=np.empty(x.shape))
-    two_sigma += 1.0
-    two_sigma *= 2.0
-    q **= 2
-    u *= -2.0
-    u /= q  # sigma'(u)
-    del q
-    np.negative(u, out=u)
-    u *= du
-    del du
-    z = np.add(x, y, out=np.empty(x.shape))
-    z += t
-    two_sigma *= np.sin(z)
-    u *= np.cos(z, out=z)
-    del z
-    u += two_sigma
-    return u[()]  # a scalar for scalar points, as the other fields give
+    ux = common * np.cos(PI * x) * sy
+    uy = common * sx * np.cos(PI * y)
+    return -sigma_prime(u) * (ux + uy) * np.cos(x + y + t) + 2.0 * sigma(u) * np.sin(x + y + t)
 
 
 def make_problem() -> ProblemData:

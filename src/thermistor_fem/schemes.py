@@ -177,7 +177,13 @@ def validate_config(config: SchemeConfig) -> None:
     if config.solver not in ("direct", "cg"):
         raise ValueError(f"solver must be 'direct' or 'cg', got {config.solver!r}")
     quadrature_rules(config.elem_kind, config.assembly_points, config.error_points)
-    resolve_tau(config, mesh_size(config.M))
+    _, N = resolve_tau(config, mesh_size(config.M))
+    levels = TABLES["bdf2" if config.scheme == "gao" else config.scheme].levels
+    if N < levels:
+        raise ValueError(
+            f"scheme {config.scheme!r} needs at least {levels} time steps; "
+            f"tau rule {config.tau_rule!r} gives N={N}"
+        )
 
 
 def _parse_tau_rule(rule: str) -> Optional[float]:
@@ -395,22 +401,20 @@ def run_simulation(
 ) -> tuple[TimeState, list[StepRecord]]:
     """Run one scheme from ``t = 0`` to ``t = T``.
 
-    Builds the mesh and space (unless one is passed in), realizes the time
-    step from the tau rule, performs the scheme's starting procedure, then
-    steps to the final time.  Returns the final `TimeState` (whose newest
-    levels are the fields at ``T``) and the per-step diagnostics trace.
+    Builds the mesh and space (unless one is passed in: its mesh must be the
+    configuration's, else ValueError), realizes the time step from the tau
+    rule, performs the scheme's starting procedure, then steps to the final
+    time.  Returns the final `TimeState` (whose newest levels are the fields
+    at ``T``) and the per-step diagnostics trace.
     """
     validate_config(config)
     if space is None:
         mesh = build_mesh(config.M, config.elem_kind)
         space = FeSpace(mesh, config.assembly_points, config.error_points)
+    elif (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
+        raise ValueError(f"the space is on an M={space.mesh.M} {space.mesh.elem_kind} mesh, not the configuration's")
     tau, N = resolve_tau(config, space.mesh.h)
     table = TABLES["bdf2" if config.scheme == "gao" else config.scheme]
-    if N < table.levels:
-        raise ValueError(
-            f"scheme {config.scheme!r} needs at least {table.levels} time steps; "
-            f"tau rule {config.tau_rule!r} gives N={N}"
-        )
 
     ops = OperatorCache(space, config.solver)
     u0 = interpolate_nodal(space, problem.exact_u, 0.0)

@@ -16,7 +16,7 @@ that feed them), the one-expression potential source
 (`per_norm_field_errors`) are of a different kind: they are the
 straightforward formulations whose arithmetic the package's fixed-pattern
 assembly, load scatter, slot-mapped Dirichlet reduction, scipy-backed
-conjugate gradients, in-place source and once-per-field error report must
+conjugate gradients, potential source and once-per-field error report must
 reproduce bit for bit.  The per-norm report is built from the package's
 nodal interpolant, post-processing and `quadrature_norm`, which are checked
 on their own.
@@ -272,7 +272,7 @@ def oracle_bdf2_step(mesh, problem, u_n, u_nm1, tau, t_new):
 
 def source_f2_formula(x, y, t):
     """The potential source as one expression of `exact_u`'s and
-    `grad_u`'s closed forms, every intermediate a new array: the in-place
+    `grad_u`'s closed forms, every intermediate a new array:
     `manufactured.source_f2` must equal it bit for bit."""
     pi = np.pi
     sx, sy = np.sin(pi * x), np.sin(pi * y)

@@ -134,6 +134,16 @@ def test_csv_emits_no_order_row_across_scheme_or_kind_changes():
     assert len(reports_to_csv([a, c]).splitlines()) == 3
 
 
+def test_orders_pair_only_neighbouring_runs_in_the_csv_and_the_table():
+    # bdf2 M=4, ext1 M=4, bdf2 M=8: the two bdf2 runs are not neighbours.
+    a = report()
+    runs = [a, replace(a, scheme="ext1"), scaled(a, 8, 0.25)]
+    assert not any(line.startswith("eoc:") for line in reports_to_csv(runs).splitlines())
+    text = render_order_table(runs)
+    assert text.count("scheme=bdf2 elem=tri") == 2
+    assert "order" not in text
+
+
 def test_csv_reports_failures_as_comment_lines():
     text = reports_to_csv([report()], failures=[RunFailure(tiny(M=6), NoConvergence("boom"))])
     last = text.splitlines()[-1]
@@ -338,12 +348,16 @@ def test_cli_offers_every_scheme():
 
 
 def test_cli_run_maps_startup_horizon_errors_to_exit_2(tmp_path, capsys):
-    code = main(
-        ["run", "--scheme", "bdf2", "--elem", "tri", "--M", "4",
-         "--tau-rule", "fixed:1.0", "--out", str(tmp_path / "x.csv")]
-    )
-    assert code == 2
-    assert "run failed" in capsys.readouterr().err
+    # A horizon shorter than the start-up is refused before any run: no file is written.
+    for scheme, rule in (("bdf2", "fixed:1.0"), ("bdf3", "fixed:0.5")):
+        out = tmp_path / f"{scheme}.csv"
+        code = main(
+            ["run", "--scheme", scheme, "--elem", "tri", "--M", "4",
+             "--tau-rule", rule, "--out", str(out)]
+        )
+        assert code == 2
+        assert "invalid configuration: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_unknown_preset_is_an_argparse_error(tmp_path):

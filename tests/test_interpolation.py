@@ -104,3 +104,16 @@ def test_eoc_rejects_bad_input():
         eoc([(1.0, 1.0), (0.5, 0.0)])
     with pytest.raises(ValueError):
         eoc([(0.5, 1.0), (1.0, 0.5)])
+    nan, inf = float("nan"), float("inf")
+    for pairs in (
+        [(1.0, nan), (0.5, 1.0)],
+        [(1.0, 1.0), (0.5, nan)],
+        [(1.0, inf), (0.5, 1.0)],
+        [(1.0, 1.0), (0.5, inf)],
+        [(nan, 1.0), (0.5, 1.0)],
+        [(1.0, 1.0), (nan, 0.5)],
+        [(1.0, 1.0), (0.0, 0.5)],
+        [(inf, 1.0), (0.5, 0.5)],
+    ):
+        with pytest.raises(ValueError):
+            eoc(pairs)

@@ -113,6 +113,10 @@ def test_resolve_tau_step_never_exceeds_horizon():
         dict(tau_rule=0.1),
         dict(elem_kind="tri", assembly_points=3),
         dict(elem_kind="tri", error_points=4),
+        # horizons shorter than the start-up: N=1 < 2 levels, N=2 < 3 levels
+        dict(tau_rule="fixed:1.0"),
+        dict(scheme="gao", tau_rule="fixed:1.0"),
+        dict(scheme="bdf3", tau_rule="fixed:0.5"),
     ],
 )
 def test_validate_config_rejects_bad_values(bad):
@@ -406,6 +410,15 @@ def test_run_simulation_rejects_horizons_shorter_than_the_startup():
         run_simulation(cfg(scheme="bdf2", tau_rule="fixed:1.0"), make_problem())
     with pytest.raises(ValueError):
         run_simulation(cfg(scheme="bdf3", tau_rule="fixed:0.5"), make_problem())
+
+
+def test_run_simulation_refuses_a_space_on_another_mesh():
+    # validate_config resolves the step count on the configuration's mesh.
+    space = FeSpace(build_mesh(2, "tri"))
+    with pytest.raises(ValueError, match="not the configuration's"):
+        run_simulation(cfg(scheme="bdf3", M=64, tau_rule="sqrt-h"), make_problem(), space)
+    with pytest.raises(ValueError, match="not the configuration's"):
+        run_simulation(cfg(M=2, elem_kind="quad"), make_problem(), space)
 
 
 def test_exact_init_seeds_interpolants():

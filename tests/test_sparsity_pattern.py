@@ -18,6 +18,7 @@ from thermistor_fem import (
     build_mesh,
 )
 from thermistor_fem import fem
+from thermistor_fem.manufactured import source_f1, source_f2
 
 @pytest.fixture(
     scope="module",
@@ -91,6 +92,37 @@ def test_loads_equal_add_at(space):
     g2 = g[..., 0] ** 2 + g[..., 1] ** 2
     want = oracle.add_at_scatter(el, np.einsum("eq,qi->ei", sigma * g2 * tb.wdet, tb.N), n)
     assert np.array_equal(assemble_joule_load(space, sigma, phi), want)
+
+
+# tri M=34 (2,312 elements) and quad M=50 (2,500) end in a partial block of
+# `fem._CHUNK` (2,048) elements; the M=64 meshes are whole blocks.
+BLOCKED_MESHES = [("tri", 34), ("quad", 50), ("tri", 64), ("quad", 64)]
+
+
+@pytest.mark.parametrize("kind, M", BLOCKED_MESHES)
+def test_source_loads_equal_the_full_table_evaluation(kind, M):
+    space = FeSpace(build_mesh(M, kind))
+    tb, el, n = space.tables, space.mesh.elements, space.n_dofs
+    x, y = tb.x[..., 0], tb.x[..., 1]
+    for source in (source_f1, source_f2):
+        for t in (0.0, 0.1, 0.37, 1.0):
+            want = oracle.add_at_scatter(el, np.einsum("eq,qi->ei", source(x, y, t) * tb.wdet, tb.N), n)
+            assert np.array_equal(assemble_load(space, lambda x, y: source(x, y, t)), want)
+
+
+@pytest.mark.parametrize("kind, M", BLOCKED_MESHES)
+def test_load_evaluates_the_source_block_by_block_in_element_order(kind, M):
+    space = FeSpace(build_mesh(M, kind))
+    seen = []
+
+    def f(x, y):
+        seen.append(np.stack([x, y], axis=-1))
+        return x * y
+
+    assemble_load(space, f)
+    ne = space.mesh.elements.shape[0]
+    assert [len(block) for block in seen] == [min(fem._CHUNK, ne - lo) for lo in range(0, ne, fem._CHUNK)]
+    assert np.array_equal(np.concatenate(seen), space.tables.x)
 
 
 @pytest.mark.parametrize("method", ["direct", "cg"])
