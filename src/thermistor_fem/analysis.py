@@ -12,9 +12,9 @@ function itself.  The blocks are the index arrays of `mesh.macroelements`.
 
 On the uniform mesh every block is a translate of the blocks of its shape
 (one shape for quads, two for triangles: below and above the block
-diagonal).  `i2h_postprocess` therefore groups the blocks by their centred
-anchor offsets and solves one Vandermonde system per shape, with all blocks
-of the shape as right-hand sides.  The field is only ever evaluated on
+diagonal), as `mesh.macroelements` lists them.  `i2h_postprocess` solves
+one Vandermonde system per shape, built from its first block, with all
+blocks of the shape as right-hand sides.  The field is only ever evaluated on
 quadrature tables, as one monomial table per shape and fine-element slot,
 taken from the first block of the shape, times the block coefficients; the
 point-by-point reference evaluation lives in the tests' dense oracle.
@@ -91,12 +91,12 @@ class PostProcessedField:
     The polynomial on block ``b`` is ``sum_k coeffs[b, k] *
     (x - center[b,0])**powers[k,0] * (y - center[b,1])**powers[k,1]``.
 
-    ``fine`` holds the fine elements of each block (the second array of
-    `mesh.macroelements`) and ``shapes`` holds the block indices of each
-    block shape.  The field is evaluated on quadrature tables, per shape: the
-    blocks of one shape are translates of each other, so the monomials at
-    the points of fine slot ``k`` are the same for all of them and are taken
-    from the shape's first block.
+    ``fine`` holds the fine elements of each block and ``shapes`` the block
+    indices of each block shape, as `mesh.macroelements` returns them.  The
+    field is evaluated on quadrature tables, per shape: the blocks of one
+    shape are translates of each other, so the monomials at the points of
+    fine slot ``k`` are the same for all of them and are taken from the
+    shape's first block.
     """
 
     powers: np.ndarray
@@ -128,28 +128,22 @@ class PostProcessedField:
 
 
 def i2h_postprocess(
-    space: FeSpace, blocks: tuple[np.ndarray, np.ndarray], coeffs: np.ndarray
+    space: FeSpace, blocks: tuple[np.ndarray, np.ndarray, tuple], coeffs: np.ndarray
 ) -> PostProcessedField:
     """Apply the macroelement post-processing operator to nodal values.
 
-    ``blocks`` is the ``(anchors, fine)`` pair of `mesh.macroelements`.
-    Solves, for every block, the small interpolation system that matches the
-    block polynomial to ``coeffs`` at the anchor nodes.  Blocks whose centred
-    anchor offsets agree (to 1e-9 of the cell size) share one system, which
-    is solved once with all of their anchor values as right-hand sides.
+    ``blocks`` is the ``(anchors, fine, shapes)`` triple of
+    `mesh.macroelements`.  Solves, for every block, the small interpolation
+    system that matches the block polynomial to ``coeffs`` at the anchor
+    nodes.  The blocks of one shape share one system, built from its first
+    block and solved once with all of their anchor values as right-hand sides.
     """
-    anchors, fine = blocks  # (nb, na), (nb, 4)
+    anchors, fine, shapes = blocks  # (nb, na), (nb, 4), per-shape block ids
     mesh = space.mesh
     if np.bincount(fine.ravel(), minlength=mesh.n_elements).min() == 0:
         raise ValueError("macroelement blocks do not cover the mesh")
     powers = _POWERS[mesh.elem_kind]
-    pts = mesh.nodes[anchors]  # (nb, na, 2)
-    centers = pts.mean(axis=1)  # (nb, 2)
-    d = pts - centers[:, None, :]
-    # One block shape per distinct set of centred anchors, in cell units;
-    # adding 0.0 turns -0.0 into 0.0 so equal offsets compare equal.
-    key = np.round(d * mesh.M, 9) + 0.0
-    _, first, shape_of_block = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    centers = mesh.nodes[anchors].mean(axis=1)  # (nb, 2)
     # One matrix serves all blocks of a shape, so its rounding errors do not
     # average out over the blocks.  Solving for the anchor values less the
     # block's first one (the constant monomial, column 0, is exactly 1) makes
@@ -159,23 +153,13 @@ def i2h_postprocess(
     base = values[:, 0]
     rhs = values - base[:, None]
     block_coeffs = np.empty((len(anchors), len(powers)))
-    shapes = []
-    for s, b in enumerate(first):
-        ids = np.flatnonzero(shape_of_block == s)
-        # Vandermonde in centered monomials, (na, nterms); anchors of another
-        # block shape make it non-square, which solve rejects (LinAlgError).
-        V = _monomials(d[b], powers)
+    for ids in shapes:
+        # Vandermonde in centered monomials, (na, nterms); anchors of the other
+        # element kind make it non-square, which solve rejects (LinAlgError).
+        V = _monomials(mesh.nodes[anchors[ids[0]]] - centers[ids[0]], powers)
         block_coeffs[ids] = np.linalg.solve(V, rhs[ids].T).T
-        shapes.append(ids)
     block_coeffs[:, 0] += base
-
-    return PostProcessedField(
-        powers=powers,
-        coeffs=block_coeffs,
-        centers=centers,
-        fine=fine,
-        shapes=tuple(shapes),
-    )
+    return PostProcessedField(powers, block_coeffs, centers, fine, shapes)
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,8 @@ of the doubled mesh (anchored at its three vertices and three edge
 midpoints).  The macroelement grouping is what the superconvergent
 post-processing operator is built on; `macroelements` returns it as index
 arrays, the anchor nodes and the fine elements of each block, computed from
-one offset table per block shape.
+one offset table per block shape, and the blocks of each shape: blocks run
+patch by patch and, within a patch, shape by shape.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ _BLOCK_SHAPES = {
 }
 
 
-def macroelements(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+def macroelements(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Group the fine mesh into macroelements for post-processing.
 
     For quads, each block is a ``2 x 2`` patch of fine squares and the anchors
@@ -159,11 +160,13 @@ def macroelements(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     its three vertices and three edge midpoints, supporting a unique quadratic
     interpolant.
 
-    Returns ``(anchors, fine)``: int arrays of shape ``(n_blocks, 9)`` (quads)
-    or ``(n_blocks, 6)`` (triangles) holding the anchor nodes, and
-    ``(n_blocks, 4)`` holding the fine elements of each block.  There are
-    ``M^2/4`` quad blocks, row-major over the ``2 x 2`` patches, and ``M^2/2``
-    triangle blocks, the lower and then the upper triangle of each patch.
+    Returns ``(anchors, fine, shapes)``: int arrays of shape ``(n_blocks, 9)``
+    (quads) or ``(n_blocks, 6)`` (triangles) holding the anchor nodes and
+    ``(n_blocks, 4)`` holding the fine elements of each block, and one array
+    of block indices per block shape, whose blocks are translates of each
+    other.  There are ``M^2/4`` quad blocks, row-major over the ``2 x 2``
+    patches, and ``M^2/2`` triangle blocks, the lower and then the upper
+    triangle of each patch: shape ``s`` of ``n`` holds blocks ``s::n``.
 
     Raises
     ------
@@ -177,11 +180,12 @@ def macroelements(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     if mesh.n_elements != expected or mesh.n_nodes != (M + 1) ** 2:
         raise ValueError("mesh does not match the structured layout of build_mesh")
 
-    shapes = _BLOCK_SHAPES[mesh.elem_kind]
-    a = np.array([anchor for anchor, _ in shapes])  # (n_shapes, n_anchors, 2)
-    f = np.array([fine for _, fine in shapes])  # (n_shapes, 4, 3)
+    table = _BLOCK_SHAPES[mesh.elem_kind]
+    a = np.array([anchor for anchor, _ in table])  # (n_shapes, n_anchors, 2)
+    f = np.array([fine for _, fine in table])  # (n_shapes, 4, 3)
     j0, i0 = 2 * np.indices((M // 2, M // 2)).reshape(2, -1, 1, 1)
     anchors = (j0 + a[..., 1]) * (M + 1) + i0 + a[..., 0]
     per_cell = mesh.n_elements // (M * M)
     fine = ((j0 + f[..., 1]) * M + i0 + f[..., 0]) * per_cell + f[..., 2]
-    return anchors.reshape(-1, a.shape[1]), fine.reshape(-1, 4)
+    shapes = tuple(np.arange(s, len(table) * (M // 2) ** 2, len(table)) for s in range(len(table)))
+    return anchors.reshape(-1, a.shape[1]), fine.reshape(-1, 4), shapes

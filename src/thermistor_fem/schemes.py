@@ -178,7 +178,7 @@ def validate_config(config: SchemeConfig) -> None:
         raise ValueError(f"solver must be 'direct' or 'cg', got {config.solver!r}")
     quadrature_rules(config.elem_kind, config.assembly_points, config.error_points)
     _, N = resolve_tau(config, mesh_size(config.M))
-    levels = TABLES["bdf2" if config.scheme == "gao" else config.scheme].levels
+    levels = _scheme_table(config.scheme).levels
     if N < levels:
         raise ValueError(
             f"scheme {config.scheme!r} needs at least {levels} time steps; "
@@ -215,7 +215,8 @@ def resolve_tau(config: SchemeConfig, h: float) -> tuple[float, int]:
         target = math.sqrt(h)
     else:  # equal-h
         target = h
-    steps = config.T / target - 1e-12
+    # Relative round-off guard: T / (T / N) may come out a few ulps above N.
+    steps = config.T / target * (1 - 1e-12)
     if not steps <= MAX_STEPS:
         raise ValueError(
             f"T={config.T!r} with tau rule {config.tau_rule!r} needs more than "
@@ -316,7 +317,11 @@ class ImexTable:
     a: int
     history: tuple
     d: int
-    levels: int  # known temperature levels the step reads
+
+    @property
+    def levels(self) -> int:
+        """Known temperature levels the step reads."""
+        return len(self.history)
 
     def difference(self, levels, tau: float) -> tuple[float, np.ndarray]:
         """``alpha`` and ``sum_k history[k] levels[k] / (d tau)``, newest level first."""
@@ -328,11 +333,16 @@ class ImexTable:
 #: paper's scheme is ``bdf2``); BDF2 with first-order extrapolation, which
 #: spoils the convergence rate and is kept for comparison studies.
 TABLES = {
-    "euler": ImexTable(extrap=(1,), a=1, history=(1,), d=1, levels=1),
-    "bdf2": ImexTable(extrap=(2, -1), a=3, history=(4, -1), d=2, levels=2),
-    "bdf3": ImexTable(extrap=(3, -3, 1), a=11, history=(18, -9, 2), d=6, levels=3),
-    "ext1": ImexTable(extrap=(1,), a=3, history=(4, -1), d=2, levels=2),
+    "euler": ImexTable(extrap=(1,), a=1, history=(1,), d=1),
+    "bdf2": ImexTable(extrap=(2, -1), a=3, history=(4, -1), d=2),
+    "bdf3": ImexTable(extrap=(3, -3, 1), a=11, history=(18, -9, 2), d=6),
+    "ext1": ImexTable(extrap=(1,), a=3, history=(4, -1), d=2),
 }
+
+
+def _scheme_table(scheme: str) -> ImexTable:
+    """The `TABLES` row a scheme steps with: ``gao`` reads the ``bdf2`` row."""
+    return TABLES["bdf2" if scheme == "gao" else scheme]
 
 
 def imex_step(
@@ -376,7 +386,7 @@ def gao_step(
     sigma(U^{n-1}) |grad Phi^{n-1}|^2`` from past potentials, then the
     potential equation is solved with the new conductivity ``sigma(U^{n+1})``.
     """
-    table = TABLES["bdf2"]
+    table = _scheme_table("gao")
     us = state.temperatures(table.levels)
     if state.phi_nm1 is None:
         raise ValueError("gao_step needs two history levels of both fields")
@@ -414,7 +424,7 @@ def run_simulation(
     elif (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
         raise ValueError(f"the space is on an M={space.mesh.M} {space.mesh.elem_kind} mesh, not the configuration's")
     tau, N = resolve_tau(config, space.mesh.h)
-    table = TABLES["bdf2" if config.scheme == "gao" else config.scheme]
+    table = _scheme_table(config.scheme)
 
     ops = OperatorCache(space, config.solver)
     u0 = interpolate_nodal(space, problem.exact_u, 0.0)

@@ -12,14 +12,15 @@ points, block by block, as the reference for the package's table path.
 The sparse reference paths (`coo_assemble`, `add_at_scatter`,
 `fancy_reduction`, `jacobi_cg`, with `materialized_grad` for the einsums
 that feed them), the one-expression potential source
-(`source_f2_formula`) and the per-norm error report
-(`per_norm_field_errors`) are of a different kind: they are the
-straightforward formulations whose arithmetic the package's fixed-pattern
-assembly, load scatter, slot-mapped Dirichlet reduction, scipy-backed
-conjugate gradients, potential source and once-per-field error report must
-reproduce bit for bit.  The per-norm report is built from the package's
-nodal interpolant, post-processing and `quadrature_norm`, which are checked
-on their own.
+(`source_f2_formula`), the post-processing with block shapes found from the
+anchor offsets (`offset_shapes`, `offset_grouped_postprocess`) and the
+per-norm error report (`per_norm_field_errors`) are of a different kind:
+they are the straightforward formulations whose arithmetic the package's
+fixed-pattern assembly, load scatter, slot-mapped Dirichlet reduction,
+scipy-backed conjugate gradients, potential source, per-shape
+post-processing and once-per-field error report must reproduce bit for
+bit.  The per-norm report is built from the package's nodal interpolant,
+post-processing and `quadrature_norm`, which are checked on their own.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from thermistor_fem.analysis import i2h_postprocess, interpolate_nodal, quadrature_norm
+from thermistor_fem.analysis import PostProcessedField, i2h_postprocess, interpolate_nodal, quadrature_norm
 from thermistor_fem.mesh import macroelements
 
 # 3-point Gauss-Legendre rule on [-1, 1] (classical closed form).
@@ -413,6 +414,54 @@ def block_gradients(field, block_ids, points):
     gx = sum(c[..., k] * p * dx ** max(p - 1, 0) * dy**q for k, (p, q) in terms)
     gy = sum(c[..., k] * q * dx**p * dy ** max(q - 1, 0) for k, (p, q) in terms)
     return np.stack([gx, gy], axis=-1)
+
+
+# ----------------------------------------------------------------------------
+# Macroelement post-processing with the block shapes found from the geometry
+# ----------------------------------------------------------------------------
+
+# Monomial exponents of the block spaces, in the order of the package's
+# coefficients: Q2 on quad blocks, P2 on triangle blocks.
+_BLOCK_POWERS = {
+    "quad": np.array([(i, j) for j in range(3) for i in range(3)]),
+    "tri": np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+}
+
+
+def offset_shapes(mesh, anchors):
+    """Group blocks by their centred anchor offsets, in cell units rounded to
+    1e-9: the grouping `macroelements` gives by construction, found from the
+    geometry.  One array of block indices per shape, in the order of each
+    shape's first block."""
+    pts = mesh.nodes[anchors]
+    d = pts - pts.mean(axis=1)[:, None, :]
+    # Adding 0.0 turns -0.0 into 0.0 so equal offsets compare equal.
+    key = np.round(d * mesh.M, 9) + 0.0
+    _, first, shape_of_block = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return [np.flatnonzero(shape_of_block == s) for s in np.argsort(first)]
+
+
+def offset_grouped_postprocess(space, anchors, fine, coeffs):
+    """The post-processed field with the blocks grouped by `offset_shapes`:
+    every block's centred anchor offsets are formed, and each shape's
+    Vandermonde matrix is built from those of its first block.  The solve
+    is the package's: anchor values less the block's first one, all blocks
+    of a shape as right-hand sides."""
+    mesh = space.mesh
+    powers = _BLOCK_POWERS[mesh.elem_kind]
+    pts = mesh.nodes[anchors]
+    centers = pts.mean(axis=1)
+    d = pts - centers[:, None, :]
+    shapes = offset_shapes(mesh, anchors)
+    values = np.asarray(coeffs, dtype=float)[anchors]
+    base = values[:, 0]
+    rhs = values - base[:, None]
+    block_coeffs = np.empty((len(anchors), len(powers)))
+    for ids in shapes:
+        V = d[ids[0], :, None, 0] ** powers[:, 0] * d[ids[0], :, None, 1] ** powers[:, 1]
+        block_coeffs[ids] = np.linalg.solve(V, rhs[ids].T).T
+    block_coeffs[:, 0] += base
+    return PostProcessedField(powers, block_coeffs, centers, fine, tuple(shapes))
 
 
 # ----------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_build_mesh_rejects_bad_kind():
 @pytest.mark.parametrize("kind", ["quad", "tri"])
 def test_macroelements_partition_the_fine_mesh(kind):
     mesh = build_mesh(8, kind)
-    anchors, fine = macroelements(mesh)
+    anchors, fine, _ = macroelements(mesh)
     expected_blocks = (8 * 8 // 4) if kind == "quad" else (8 * 8 // 2)
     assert anchors.shape == (expected_blocks, 9 if kind == "quad" else 6)
     assert fine.shape == (expected_blocks, 4)
@@ -106,7 +106,7 @@ def test_macroelements_partition_the_fine_mesh(kind):
 
 def test_quad_block_anchors_form_the_nine_node_patch():
     mesh = build_mesh(4, "quad")
-    anchors, _ = macroelements(mesh)
+    anchors, _, _ = macroelements(mesh)
     for row in anchors:
         pts = mesh.nodes[row]
         # corners, then edge midpoints, then the center
@@ -127,7 +127,8 @@ def test_quad_block_anchors_form_the_nine_node_patch():
 def test_triangle_block_anchors_are_vertices_plus_edge_midpoints():
     mesh = build_mesh(4, "tri")
     a2 = signed_double_areas(mesh)
-    for row, fine in zip(*macroelements(mesh)):
+    anchors, fine_blocks, _ = macroelements(mesh)
+    for row, fine in zip(anchors, fine_blocks):
         pts = mesh.nodes[row]
         v = pts[:3]
         mids = np.array([(v[0] + v[1]) / 2, (v[1] + v[2]) / 2, (v[2] + v[0]) / 2])
@@ -150,7 +151,7 @@ def test_macroelement_blocks_run_row_major_over_the_patches():
     M = 6
     for kind, per_patch in (("quad", 1), ("tri", 2)):
         mesh = build_mesh(M, kind)
-        anchors, _ = macroelements(mesh)
+        anchors, _, _ = macroelements(mesh)
         lower_left = mesh.nodes[anchors].min(axis=1)
         patch = np.repeat(np.arange((M // 2) ** 2), per_patch)
         want = 2 * np.column_stack([patch % (M // 2), patch // (M // 2)]) / M
@@ -194,7 +195,7 @@ def loop_macroelements(mesh):
 @pytest.mark.parametrize("M", [2, 4, 8, 10])
 def test_macroelements_equal_the_block_by_block_loop(kind, M):
     mesh = build_mesh(M, kind)
-    anchors, fine = macroelements(mesh)
+    anchors, fine, _ = macroelements(mesh)
     want_anchors, want_fine = loop_macroelements(mesh)
     assert np.array_equal(anchors, want_anchors)
     assert np.array_equal(fine, want_fine)
@@ -208,7 +209,7 @@ kinds = st.sampled_from(["quad", "tri"])
 @given(M=even_M, kind=kinds)
 def test_fine_blocks_partition_the_elements(M, kind):
     mesh = build_mesh(M, kind)
-    _, fine = macroelements(mesh)
+    _, fine, _ = macroelements(mesh)
     assert np.array_equal(np.sort(fine.ravel()), np.arange(mesh.n_elements))
 
 
@@ -216,7 +217,7 @@ def test_fine_blocks_partition_the_elements(M, kind):
 @given(M=even_M, kind=kinds)
 def test_anchor_rows_are_the_nodes_of_their_fine_elements(M, kind):
     mesh = build_mesh(M, kind)
-    anchors, fine = macroelements(mesh)
+    anchors, fine, _ = macroelements(mesh)
     for row, elems in zip(anchors, fine):
         assert len(set(row.tolist())) == row.size
         assert set(row.tolist()) == set(mesh.elements[elems].ravel().tolist())

@@ -94,7 +94,7 @@ def test_locate_blocks_agrees_with_the_element_partition(kind):
     # The oracle's two ways of finding a block must agree: strictly interior
     # quadrature points of every element locate to the block that owns the
     # element.
-    space, (_, fine) = setup(8, kind)
+    space, (_, fine, _) = setup(8, kind)
     tb = space.tables
     ids = oracle.locate_blocks(space.mesh, tb.x.reshape(-1, 2)).reshape(tb.x.shape[:2])
     want = np.broadcast_to(oracle.block_of_element(fine, space.mesh.n_elements)[:, None], ids.shape)
@@ -137,7 +137,7 @@ def test_postprocessing_lifts_the_interpolant_gradient_order(kind):
 
 def test_postprocess_rejects_empty_block_list():
     space = FeSpace(build_mesh(4, "quad"))
-    empty = (np.empty((0, 9), dtype=int), np.empty((0, 4), dtype=int))
+    empty = (np.empty((0, 9), dtype=int), np.empty((0, 4), dtype=int), ())
     with pytest.raises(ValueError, match="do not cover the mesh"):
         i2h_postprocess(space, empty, np.zeros(space.n_dofs))
 
@@ -204,12 +204,48 @@ def test_lift_of_the_interpolant_of_a_block_polynomial_is_the_polynomial(case):
     assert np.abs(g[..., 1] - gy).max() <= 1e-11
 
 
-@pytest.mark.parametrize("kind,other", [("tri", "quad"), ("quad", "tri")])
-def test_postprocess_rejects_blocks_of_the_other_element_kind(kind, other):
-    # The anchors of the other block shape do not fit this block space.
+@pytest.mark.parametrize(
+    "kind,other,error,match",
+    [
+        ("tri", "quad", ValueError, "do not cover the mesh"),
+        ("quad", "tri", np.linalg.LinAlgError, None),
+    ],
+    ids=["tri-quad", "quad-tri"],
+)
+def test_postprocess_rejects_blocks_of_the_other_element_kind(kind, other, error, match):
+    # Quad blocks leave half the triangles uncovered; triangle blocks cover
+    # the squares, but their six anchors do not fit the nine-term block space.
     space = FeSpace(build_mesh(4, kind))
-    with pytest.raises(ValueError):
+    with pytest.raises(error, match=match):
         i2h_postprocess(space, macroelements(build_mesh(4, other)), np.zeros(space.n_dofs))
+
+
+@pytest.mark.parametrize("M", [2, 4, 6, 34, 256])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_macroelement_shapes_are_the_blocks_of_equal_anchor_offsets(kind, M):
+    # The shapes macroelements states by construction are the groups of
+    # blocks whose centred anchor offsets agree, block for block and in order.
+    mesh = build_mesh(M, kind)
+    anchors, _, shapes = macroelements(mesh)
+    want = oracle.offset_shapes(mesh, anchors)
+    assert len(shapes) == len(want)
+    for got, ids in zip(shapes, want):
+        assert np.array_equal(got, ids)
+
+
+@pytest.mark.parametrize("M", [2, 4, 6, 34, 256])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_postprocess_equals_the_offset_grouped_formulation_bit_for_bit(kind, M):
+    space = FeSpace(build_mesh(M, kind))
+    blocks = macroelements(space.mesh)
+    coeffs = np.random.default_rng(M).standard_normal(space.n_dofs)
+    got = i2h_postprocess(space, blocks, coeffs)
+    want = oracle.offset_grouped_postprocess(space, blocks[0], blocks[1], coeffs)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(got.centers, want.centers)
+    for tb in (space.tables, space.error_tables):
+        assert np.array_equal(got.values_on_tables(tb), want.values_on_tables(tb))
+        assert np.array_equal(got.gradients_on_tables(tb), want.gradients_on_tables(tb))
 
 
 @pytest.mark.parametrize("rule", ["tables", "error_tables"])

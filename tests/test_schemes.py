@@ -69,6 +69,14 @@ def test_resolve_tau_fixed_divides_t_evenly():
     assert (tau, N) == (0.1, 10)
 
 
+@pytest.mark.parametrize("T", [0.7, 1.0, 3.0, 10.0])
+def test_a_fixed_step_of_t_over_n_resolves_to_n_steps(T):
+    # T / (T / N) may land a few ulps above N; an absolute guard stops
+    # covering that once N is in the tens of thousands.
+    for N in range(1, MAX_STEPS + 1):
+        assert resolve_tau(SchemeConfig("euler", 2, T=T, tau_rule=f"fixed:{T / N!r}"), 1.0)[1] == N, N
+
+
 def test_resolve_tau_mesh_coupled_rules():
     h = 0.25
     tau, N = resolve_tau(cfg(tau_rule="sqrt-h"), h=h)
@@ -184,9 +192,10 @@ def test_tables_are_exact_on_polynomials(name):
     # t = -1, -2, ...  A k-level backward difference differentiates
     # polynomials of degree <= k exactly and an extrapolation with m weights
     # reproduces degree < m, so one mistyped coefficient fails here.  The
-    # arithmetic is in exact fractions.
+    # arithmetic is in exact fractions.  `levels` counts the difference's
+    # levels, which the start-up builds: the extrapolation reads no other.
     table = TABLES[name]
-    assert table.levels == max(len(table.extrap), len(table.history))
+    assert len(table.extrap) <= len(table.history) == table.levels
     past = [Fraction(-1 - k) for k in range(table.levels)]
     for degree in range(len(table.history) + 1):
         history = sum(c * t**degree for c, t in zip(table.history, past))
