@@ -53,11 +53,16 @@ __all__ = [
 ]
 
 
+def nodal_values(field, nodes: np.ndarray, t: float) -> np.ndarray:
+    """``field(x, y, t)`` at each row ``(x, y)`` of ``nodes``; a field that
+    returns a scalar is broadcast to the nodes."""
+    values = np.asarray(field(nodes[:, 0], nodes[:, 1], t), dtype=float)
+    return values if values.shape == nodes.shape[:1] else np.broadcast_to(values, nodes.shape[:1]).copy()
+
+
 def interpolate_nodal(space: FeSpace, field, t: float) -> np.ndarray:
     """Nodal interpolant: evaluate ``field(x, y, t)`` at every mesh node."""
-    x = space.mesh.nodes[:, 0]
-    y = space.mesh.nodes[:, 1]
-    return np.asarray(field(x, y, t), dtype=float)
+    return nodal_values(field, space.mesh.nodes, t)
 
 
 # ----------------------------------------------------------------------------

@@ -77,12 +77,7 @@ def main(argv=None) -> int:
 
     result = run_plan(plan, out_path=args.out)
     for failure in result.failures:
-        config = failure.config
-        print(
-            f"run failed (scheme={config.scheme} M={config.M} "
-            f"tau_rule={config.tau_rule}): {failure.message}",
-            file=sys.stderr,
-        )
+        print(failure, file=sys.stderr)
 
     print(f"wrote {len(result.reports)} run(s) to {args.out}")
     print()

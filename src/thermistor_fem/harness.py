@@ -14,8 +14,10 @@ consecutive pair of runs of the same scheme and element kind (scheme column
 ``eoc:<scheme>``; the error columns then hold orders).  Orders are measured
 against the mesh size whenever it changes between the two runs — also in
 sweeps that tie the time step to the mesh — and against the time step
-otherwise.  Runs that fail are reported as ``#``-prefixed comment lines at
-the end and do not abort the remaining runs.
+otherwise.  That rule lives in `_groups`, the one walk over neighbouring runs
+that both the CSV and `render_order_table` read.  Runs that fail are
+reported as ``#``-prefixed comment lines at the end, one line each, and do
+not abort the remaining runs.
 
 Floats are written in their shortest round-trip representation, so rerunning
 a plan reproduces the file byte for byte.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -48,24 +50,6 @@ __all__ = [
     "render_order_table",
     "PRESETS",
     "preset_plan",
-]
-
-CSV_COLUMNS = [
-    "scheme",
-    "elem",
-    "M",
-    "h",
-    "tau",
-    "N",
-    "err_u_l2",
-    "err_u_h1",
-    "superclose_u_h1",
-    "superconv_u_h1",
-    "err_phi_l2",
-    "err_phi_h1",
-    "superclose_phi_h1",
-    "superconv_phi_h1",
-    "combined_l2",
 ]
 
 
@@ -100,6 +84,12 @@ class ErrorReport:
     combined_l2: float
     superclose_u_l2: float
     superclose_phi_l2: float
+
+
+#: The CSV schema: the report's fields in order, less the two table-only ones.
+CSV_COLUMNS = [f.name for f in fields(ErrorReport) if f.name not in ("superclose_u_l2", "superclose_phi_l2")]
+#: The fields that hold errors, and orders in an order row: the 7th field on.
+_ERROR_FIELDS = [f.name for f in fields(ErrorReport)][6:]
 
 
 def _field_errors(space: FeSpace, blocks, coeffs, exact, grad, t: float, name: str) -> dict:
@@ -167,8 +157,15 @@ class RunFailure(NamedTuple):
 
     @property
     def message(self) -> str:
-        """``"<exception type>: <text>"``, as the CSV comment line shows it."""
+        """``"<exception type>: <text>"``."""
         return f"{type(self.error).__name__}: {self.error}"
+
+    def __str__(self) -> str:
+        """The run and its `message` on one line, as the CSV comment and the
+        CLI show it: line breaks in the message become spaces."""
+        c = self.config
+        text = " ".join(self.message.splitlines())
+        return f"run failed: scheme={c.scheme} elem={c.elem_kind} M={c.M} tau_rule={c.tau_rule}: {text}"
 
 
 @dataclass
@@ -217,54 +214,48 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-_ERROR_FIELDS = CSV_COLUMNS[6:]
-
-
-def _refinement_ratio(a, b):
-    """Refinement ratio between consecutive runs: against ``h`` whenever the
-    mesh changes (even if the time step is tied to it), else against ``tau``.
-    Returns ``None`` unless the pair refines (ratio above 1)."""
-    if a.M != b.M:
-        ratio = a.h / b.h
-    elif not np.isclose(a.tau, b.tau, rtol=1e-12, atol=0):
-        ratio = a.tau / b.tau
-    else:
-        return None
-    return ratio if ratio > 1 else None
-
-
 def _groups(reports):
-    """``((scheme, elem), runs)`` for each stretch of consecutive reports of
-    one scheme and element kind: orders are taken only within a stretch."""
-    return [(key, list(rs)) for key, rs in itertools.groupby(reports, key=lambda r: (r.scheme, r.elem))]
+    """``(runs, orders)`` for each stretch of consecutive reports of one
+    scheme and element kind: orders are taken only within a stretch.
 
-
-def _eoc_rows(reports):
-    """Order rows for consecutive runs of the same scheme and element kind."""
-    rows = []
-    for _, rs in _groups(reports):
-        for a, b in zip(rs[:-1], rs[1:]):
-            ratio = _refinement_ratio(a, b)
-            if ratio is None:
-                continue
-            row = {"scheme": f"eoc:{b.scheme}", "elem": b.elem, "M": b.M, "h": b.h, "tau": b.tau, "N": b.N}
-            for name in _ERROR_FIELDS:
-                row[name] = analysis.convergence_order(getattr(a, name), getattr(b, name), ratio)
-            rows.append(row)
-    return rows
+    ``orders[i]`` maps every error field to its experimental order between
+    ``runs[i]`` and ``runs[i + 1]``, or is None unless the pair refines.  The
+    ratio is taken against ``h`` whenever the mesh changes (even if the time
+    step is tied to it), else against ``tau``; only a ratio above 1 refines.
+    """
+    groups = []
+    for _, runs in itertools.groupby(reports, key=lambda r: (r.scheme, r.elem)):
+        runs, orders = list(runs), []
+        for a, b in zip(runs[:-1], runs[1:]):
+            if a.M != b.M:
+                ratio = a.h / b.h
+            elif not np.isclose(a.tau, b.tau, rtol=1e-12, atol=0):
+                ratio = a.tau / b.tau
+            else:
+                ratio = 1.0  # neither refines
+            orders.append(
+                {name: analysis.convergence_order(getattr(a, name), getattr(b, name), ratio) for name in _ERROR_FIELDS}
+                if ratio > 1
+                else None
+            )
+        groups.append((runs, orders))
+    return groups
 
 
 def reports_to_csv(reports, failures=()) -> str:
     """Serialize reports (plus appended order rows and a comment line per
-    `RunFailure`) to CSV text."""
+    `RunFailure`) to CSV text.  An order row is the finer run's report with
+    ``eoc:`` before its scheme and orders in place of its errors."""
+    order_rows = [
+        replace(b, scheme=f"eoc:{b.scheme}", **order)
+        for runs, orders in _groups(reports)
+        for b, order in zip(runs[1:], orders)
+        if order is not None
+    ]
     lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
+    for r in [*reports, *order_rows]:
         lines.append(",".join(_fmt(getattr(r, name)) for name in CSV_COLUMNS))
-    for row in _eoc_rows(reports):
-        lines.append(",".join(_fmt(row[name]) for name in CSV_COLUMNS))
-    for failure in failures:
-        config = failure.config
-        lines.append(f"# run failed: scheme={config.scheme} elem={config.elem_kind} M={config.M} tau_rule={config.tau_rule}: {failure.message}")
+    lines.extend(f"# {failure}" for failure in failures)
     return "\n".join(lines) + "\n"
 
 
@@ -288,29 +279,26 @@ def render_order_table(reports) -> str:
 
     Consecutive reports of one scheme and element kind form a group, as
     they do for the CSV's order rows; within a group each error quantity
-    gets a row of values and, when the group has several runs, a row of
-    experimental orders computed against whichever of ``h`` or ``tau``
-    varies between consecutive runs.
+    gets a row of values and, when the group has several runs, a row of the
+    experimental orders `_groups` takes between neighbouring runs (``--``
+    where a pair does not refine or an order is undefined).
     """
     if not reports:
         return "(no runs)\n"
     out = []
     label_w = max(len(lbl) for lbl, _ in _TABLE_ROWS) + 2
-    for (scheme, elem), rs in _groups(reports):
+    for rs, orders in _groups(reports):
         headers = [f"M={r.M},tau={r.tau:.4g}" for r in rs]
         col_w = max(11, max(len(head) for head in headers) + 2)
-        out.append(f"scheme={scheme} elem={elem}")
+        out.append(f"scheme={rs[0].scheme} elem={rs[0].elem}")
         out.append(" " * label_w + "".join(head.rjust(col_w) for head in headers))
         for label, name in _TABLE_ROWS:
-            vals = [getattr(r, name) for r in rs]
-            out.append(label.ljust(label_w) + "".join(f"{v:.3e}".rjust(col_w) for v in vals))
+            out.append(label.ljust(label_w) + "".join(f"{getattr(r, name):.3e}".rjust(col_w) for r in rs))
             if len(rs) > 1:
-                cells = ["--".rjust(col_w)]
-                for a, b, ea, eb in zip(rs[:-1], rs[1:], vals[:-1], vals[1:]):
-                    ratio = _refinement_ratio(a, b)
-                    order = float("nan") if ratio is None else analysis.convergence_order(ea, eb, ratio)
-                    cells.append(("--" if math.isnan(order) else f"{order:.2f}").rjust(col_w))
-                out.append("  order".ljust(label_w) + "".join(cells))
+                cells = ["--"] + [
+                    "--" if order is None or math.isnan(order[name]) else f"{order[name]:.2f}" for order in orders
+                ]
+                out.append("  order".ljust(label_w) + "".join(cell.rjust(col_w) for cell in cells))
         out.append("")
     return "\n".join(out)
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import interpolate_nodal
+from .analysis import interpolate_nodal, nodal_values
 from .fem import (
     DirichletSystem,
     FeSpace,
@@ -98,6 +98,7 @@ class TimeState:
     ``u_n`` is the newest temperature; ``u_nm1``/``u_nm2`` are the one- and
     two-level-old values (``None`` until the history fills up).  Of the
     potential only ``phi_n`` and ``phi_nm1`` are kept: no step reads older.
+    The exact start levels of ``bdf3`` carry no potential (``None``).
     """
 
     n: int
@@ -258,11 +259,6 @@ def _sigma_at_quad(space: FeSpace, problem: ProblemData, u_coeffs: np.ndarray) -
     return problem.sigma(space.values_at_quad(u_coeffs))
 
 
-def _boundary_values(space: FeSpace, field, t: float) -> np.ndarray:
-    xb = space.mesh.nodes[space.boundary_dofs]
-    return np.asarray(field(xb[:, 0], xb[:, 1], t), dtype=float)
-
-
 def potential_solve(space, problem, ops, sigma_star, t, record=None) -> np.ndarray:
     """Solve the discrete potential equation at time ``t``.
 
@@ -274,7 +270,7 @@ def potential_solve(space, problem, ops, sigma_star, t, record=None) -> np.ndarr
     A = assemble_weighted_stiffness(space, sigma_star)
     system = DirichletSystem(space, A, ops.solver)
     b = assemble_load(space, lambda x, y: problem.f2(x, y, t))
-    g = _boundary_values(space, problem.exact_phi, t)
+    g = nodal_values(problem.exact_phi, space.mesh.nodes[space.boundary_dofs], t)
     phi = system.solve(b, g)
     if record is not None:
         record["res_phi"] = system.residual(phi, b)
@@ -415,7 +411,8 @@ def run_simulation(
     configuration's, else ValueError), realizes the time step from the tau
     rule, performs the scheme's starting procedure, then steps to the final
     time.  Returns the final `TimeState` (whose newest levels are the fields
-    at ``T``) and the per-step diagnostics trace.
+    at ``T``) and the per-step diagnostics trace.  The ``bdf3`` start levels
+    are temperature interpolants only; no potential is solved for them.
     """
     validate_config(config)
     if space is None:
@@ -444,14 +441,12 @@ def run_simulation(
         state = replace(state, phi_n=potential_solve(space, problem, ops, sigma0, 0.0))
 
     # Start-up: build the history levels the scheme reads.  BDF3 takes its
-    # first two levels from the exact solution; a two-level row takes one
-    # implicit Euler step.
+    # first two temperature levels from the exact solution, with no potential:
+    # its steps read temperatures only.  A two-level row takes one implicit
+    # Euler step.
     while state.n < table.levels - 1:
         if config.scheme == "bdf3":
-            t = (state.n + 1) * tau
-            u = interpolate_nodal(space, problem.exact_u, t)
-            phi = potential_solve(space, problem, ops, _sigma_at_quad(space, problem, u), t)
-            state = state.advanced(u, phi, tau)
+            state = state.advanced(interpolate_nodal(space, problem.exact_u, (state.n + 1) * tau), None, tau)
         else:
             state = advance(partial(imex_step, TABLES["euler"]), state)
 

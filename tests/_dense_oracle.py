@@ -21,14 +21,28 @@ scipy-backed conjugate gradients, potential source, per-shape
 post-processing and once-per-field error report must reproduce bit for
 bit.  The per-norm report is built from the package's nodal interpolant,
 post-processing and `quadrature_norm`, which are checked on their own.
+The pairwise report writers (`pairwise_reports_to_csv`,
+`pairwise_order_table`, with `refinement_ratio` and `eoc_rows`) apply the
+order rule pair by pair, once for the CSV and once for the table: the
+package's single walk over neighbouring runs must give the same text.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
-from thermistor_fem.analysis import PostProcessedField, i2h_postprocess, interpolate_nodal, quadrature_norm
+from thermistor_fem.analysis import (
+    PostProcessedField,
+    convergence_order,
+    i2h_postprocess,
+    interpolate_nodal,
+    quadrature_norm,
+)
+from thermistor_fem.harness import _TABLE_ROWS, _fmt
 from thermistor_fem.mesh import macroelements
 
 # 3-point Gauss-Legendre rule on [-1, 1] (classical closed form).
@@ -520,3 +534,92 @@ def per_norm_field_errors(space, coeffs, exact, grad, t, name):
         f"superclose_{name}_l2": fe_l2_norm(space, coeffs - interp),
         f"superconv_{name}_h1": h1_error_postprocessed(post, space, exact, grad, t),
     }
+
+
+# ----------------------------------------------------------------------------
+# The report text, with the order rule applied pair by pair
+# ----------------------------------------------------------------------------
+#
+# The CSV writer and the order table as they were when each took its own walk
+# over neighbouring runs and its own refinement ratio: the package's one walk
+# must give the same text, character for character.
+
+_CSV_COLUMNS = [
+    "scheme", "elem", "M", "h", "tau", "N",
+    "err_u_l2", "err_u_h1", "superclose_u_h1", "superconv_u_h1",
+    "err_phi_l2", "err_phi_h1", "superclose_phi_h1", "superconv_phi_h1", "combined_l2",
+]
+
+
+def refinement_ratio(a, b):
+    """Refinement ratio between consecutive runs: against ``h`` whenever the
+    mesh changes (even if the time step is tied to it), else against ``tau``.
+    Returns ``None`` unless the pair refines (ratio above 1)."""
+    if a.M != b.M:
+        ratio = a.h / b.h
+    elif not np.isclose(a.tau, b.tau, rtol=1e-12, atol=0):
+        ratio = a.tau / b.tau
+    else:
+        return None
+    return ratio if ratio > 1 else None
+
+
+def _stretches(reports):
+    return [list(rs) for _, rs in itertools.groupby(reports, key=lambda r: (r.scheme, r.elem))]
+
+
+def eoc_rows(reports):
+    """Order rows for consecutive runs of the same scheme and element kind."""
+    rows = []
+    for rs in _stretches(reports):
+        for a, b in zip(rs[:-1], rs[1:]):
+            ratio = refinement_ratio(a, b)
+            if ratio is None:
+                continue
+            row = {"scheme": f"eoc:{b.scheme}", "elem": b.elem, "M": b.M, "h": b.h, "tau": b.tau, "N": b.N}
+            for name in _CSV_COLUMNS[6:]:
+                row[name] = convergence_order(getattr(a, name), getattr(b, name), ratio)
+            rows.append(row)
+    return rows
+
+
+def pairwise_reports_to_csv(reports, failures=()):
+    """CSV text with order rows from `eoc_rows` and the failure comment line
+    of single-line messages."""
+    lines = [",".join(_CSV_COLUMNS)]
+    for r in reports:
+        lines.append(",".join(_fmt(getattr(r, name)) for name in _CSV_COLUMNS))
+    for row in eoc_rows(reports):
+        lines.append(",".join(_fmt(row[name]) for name in _CSV_COLUMNS))
+    for failure in failures:
+        config = failure.config
+        lines.append(
+            f"# run failed: scheme={config.scheme} elem={config.elem_kind} M={config.M} "
+            f"tau_rule={config.tau_rule}: {failure.message}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def pairwise_order_table(reports):
+    """The order table with each order row's cells from `refinement_ratio`."""
+    if not reports:
+        return "(no runs)\n"
+    out = []
+    label_w = max(len(lbl) for lbl, _ in _TABLE_ROWS) + 2
+    for rs in _stretches(reports):
+        headers = [f"M={r.M},tau={r.tau:.4g}" for r in rs]
+        col_w = max(11, max(len(head) for head in headers) + 2)
+        out.append(f"scheme={rs[0].scheme} elem={rs[0].elem}")
+        out.append(" " * label_w + "".join(head.rjust(col_w) for head in headers))
+        for label, name in _TABLE_ROWS:
+            vals = [getattr(r, name) for r in rs]
+            out.append(label.ljust(label_w) + "".join(f"{v:.3e}".rjust(col_w) for v in vals))
+            if len(rs) > 1:
+                cells = ["--".rjust(col_w)]
+                for a, b, ea, eb in zip(rs[:-1], rs[1:], vals[:-1], vals[1:]):
+                    ratio = refinement_ratio(a, b)
+                    order = float("nan") if ratio is None else convergence_order(ea, eb, ratio)
+                    cells.append(("--" if math.isnan(order) else f"{order:.2f}").rjust(col_w))
+                out.append("  order".ljust(label_w) + "".join(cells))
+        out.append("")
+    return "\n".join(out)

@@ -1,12 +1,18 @@
 """Convergence-study harness: reports, CSV serialization, presets, CLI."""
 
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _dense_oracle as oracle
 
 from thermistor_fem import (
     CSV_COLUMNS,
@@ -23,6 +29,7 @@ from thermistor_fem import (
     run_one,
     run_plan,
 )
+from thermistor_fem import harness
 from thermistor_fem.cli import _build_parser, main
 from thermistor_fem.harness import PlanResult, RunFailure
 from thermistor_fem.schemes import SCHEMES
@@ -98,6 +105,18 @@ def test_csv_header_matches_the_fixed_schema():
     assert reports_to_csv([]).splitlines()[0] == SCHEMA
 
 
+def _schemas(text):
+    """Every ``scheme,elem,...`` column list written out in ``text``, with
+    whitespace and backticks dropped."""
+    return [re.sub(r"\s", "", m) for m in re.findall(r"scheme,\s*elem(?:\s*,\s*\w+)*", text.replace("`", ""))]
+
+
+def test_the_schema_in_the_docs_is_the_one_in_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for text in (readme, harness.__doc__):
+        assert _schemas(text) == [",".join(CSV_COLUMNS)]
+
+
 def test_csv_data_rows_round_trip_floats():
     r = report(err_u_l2=1.0 / 3.0)
     line = reports_to_csv([r]).splitlines()[1]
@@ -151,6 +170,78 @@ def test_csv_reports_failures_as_comment_lines():
     assert "M=6" in last and "NoConvergence: boom" in last
 
 
+_ERROR_VALUES = st.one_of(
+    st.floats(1e-9, 10.0),
+    st.sampled_from([0.0, -0.0, -1e-3, -1.0, math.nan, math.inf]),
+)
+
+
+@st.composite
+def report_sequences(draw):
+    """Short report sequences whose neighbours refine in h, in tau, not at
+    all or the wrong way, within and across scheme/element stretches."""
+    runs = []
+    for _ in range(draw(st.integers(0, 7))):
+        M = draw(st.sampled_from([4, 8, 16]))
+        tau = draw(st.sampled_from([0.25, 0.125, 0.125 * (1 + 1e-13), 0.0625]))
+        errors = {name: draw(_ERROR_VALUES) for name in list(ErrorReport.__dataclass_fields__)[6:]}
+        runs.append(
+            ErrorReport(
+                scheme=draw(st.sampled_from(["bdf2", "gao"])),
+                elem=draw(st.sampled_from(["tri", "quad"])),
+                M=M,
+                h=math.sqrt(2) / M,
+                tau=tau,
+                N=round(1 / tau),
+                **errors,
+            )
+        )
+    return runs
+
+
+_ONE_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp", "Cs")), max_size=12)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # an infinite finer error
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    reports=report_sequences(),
+    failures=st.lists(
+        st.builds(
+            RunFailure,
+            st.builds(tiny, M=st.sampled_from([4, 6]), tau_rule=st.sampled_from(["fixed:0.25", "sqrt-h"])),
+            st.one_of(st.builds(NoConvergence, _ONE_LINE_TEXT), st.builds(ValueError, _ONE_LINE_TEXT)),
+        ),
+        max_size=2,
+    ),
+)
+def test_csv_and_table_equal_the_pairwise_reference(reports, failures):
+    # One walk over neighbouring runs gives the orders the CSV and the table
+    # used to take pair by pair, byte for byte, failure lines included.
+    assert reports_to_csv(reports, failures) == oracle.pairwise_reports_to_csv(reports, failures)
+    assert render_order_table(reports) == oracle.pairwise_order_table(reports)
+
+
+def test_a_failure_is_one_line_in_the_csv_and_on_the_command_line(tmp_path, monkeypatch, capsys):
+    def sigma(s):
+        raise ValueError("sigma table\nout of range")
+
+    # A second line would read as a data row whose scheme is "out of range".
+    result = run_plan(ExperimentPlan(study="t", runs=(tiny(),)), problem=replace(make_problem(), sigma=sigma))
+    assert result.csv_text.splitlines()[1:] == [
+        "# run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: ValueError: sigma table out of range"
+    ]
+
+    def fake_run_plan(plan, out_path=None):
+        return PlanResult(reports=[], failures=[RunFailure(plan.runs[0], NoConvergence("no\r\nconvergence"))], csv_text="")
+
+    monkeypatch.setattr("thermistor_fem.cli.run_plan", fake_run_plan)
+    main(["run", "--scheme", "bdf2", "--elem", "tri", "--M", "4", "--tau-rule", "fixed:0.25", "--out", str(tmp_path / "x")])
+    assert capsys.readouterr().err == (
+        "run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: NoConvergence: no convergence\n"
+    )
+
+
 # ----------------------------------------------------------------------------
 # Plans
 # ----------------------------------------------------------------------------
@@ -196,6 +287,16 @@ def test_run_plan_records_bad_config_types_as_value_errors():
     assert len(result.reports) == 1
     assert len(result.failures) == 2
     assert all(f.message.startswith("ValueError") for f in result.failures)
+
+
+@pytest.mark.parametrize("field", ["exact_u", "exact_phi"])
+def test_run_plan_accepts_exact_fields_that_return_a_scalar(field):
+    # A constant field is broadcast to the nodes, as a constant source is to
+    # the quadrature points: every run completes.
+    plan = ExperimentPlan(study="t", runs=(tiny(), tiny(elem_kind="quad"), tiny(scheme="bdf3", T=0.75), tiny(scheme="gao")))
+    result = run_plan(plan, problem=replace(make_problem(), **{field: lambda x, y, t: 0.5}))
+    assert result.failures == []
+    assert len(result.reports) == 4
 
 
 def test_run_plan_records_coarse_quad_rules_as_value_errors():

@@ -34,6 +34,8 @@ def test_interpolate_nodal_evaluates_at_nodes(space):
     got = interpolate_nodal(space, field, 0.25)
     nodes = space.mesh.nodes
     assert np.array_equal(got, nodes[:, 0] + 10.0 * nodes[:, 1] + 0.25)
+    # A field that returns a scalar is broadcast to the nodes.
+    assert np.array_equal(interpolate_nodal(space, lambda x, y, t: 2.5, 0.0), np.full(len(nodes), 2.5))
 
 
 def test_functions_in_the_fe_space_interpolate_exactly(space):

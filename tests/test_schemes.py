@@ -442,6 +442,21 @@ def test_exact_init_seeds_interpolants():
     assert np.array_equal(state.u_nm1, interpolate_nodal(space, exact_u, 0.5))
 
 
+def test_bdf3_solves_a_potential_only_in_its_steps(monkeypatch):
+    # The exact start levels carry temperatures only: of N levels, the N - 2
+    # bdf3 steps solve for a potential and the start-up solves none.
+    calls = []
+
+    def counting_potential_solve(*args, **kw):
+        calls.append(args[4])
+        return potential_solve(*args, **kw)
+
+    monkeypatch.setattr("thermistor_fem.schemes.potential_solve", counting_potential_solve)
+    state, _ = run_simulation(cfg(scheme="bdf3", T=1.25), make_problem())
+    assert calls == pytest.approx([0.75, 1.0, 1.25])
+    assert state.n == 5 and state.phi_n is not None
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(
