@@ -8,9 +8,10 @@ The package installs a `thermistor-fem` console script with two subcommands:
 
 `run` executes one configuration; `sweep` executes a named preset study
 (fig-u, fig-phi, fig-fixed-tau, fig-temporal, fig-bdf3, table-gao,
-table-ext1).  Exit codes: 0 on success, 2 for an invalid configuration, 3
-when a solve fails (non-elliptic extrapolated conductivity or a solver that
-did not converge).
+table-ext1; fig-phi runs the same four runs as fig-u).  Exit codes: 0 on
+success, 2 for an invalid configuration, 3 when a solve fails (non-elliptic
+extrapolated conductivity, a solver that did not converge, or memory that
+ran out).
 
 Every run appends one CSV row under a fixed header; after the data rows the
 file carries experimental-order rows (scheme column `eoc:<scheme>`) for each

@@ -253,8 +253,8 @@ def h1_error_postprocessed(
 def convergence_order(e_coarse: float, e_fine: float, ratio: float) -> float:
     """Experimental order ``log(e_coarse / e_fine) / log(ratio)`` between two
     runs whose mesh size or time step differ by the factor ``ratio``; NaN
-    unless both errors are positive."""
-    if e_coarse > 0 and e_fine > 0:
+    unless both errors are positive and finite."""
+    if 0 < e_coarse < np.inf and 0 < e_fine < np.inf:
         return float(np.log(e_coarse / e_fine) / np.log(ratio))
     return float("nan")
 

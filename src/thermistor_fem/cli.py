@@ -1,9 +1,9 @@
 """Command line interface for single runs and preset convergence sweeps.
 
 Exit codes: 0 on success, 2 for invalid configuration, 3 when a solve fails
-(non-elliptic coefficient or a linear solver that does not converge).  A
-failed run is classified by the type of its exception: `ConductivityNotPositive`
-and `NoConvergence` are solver failures, any other `ValueError` is a
+(non-elliptic coefficient, a linear solver that does not converge, or memory
+that runs out).  A failed run is classified by the type of its exception: the
+ones in `harness.RUN_FAILURES` are solver failures, any other `ValueError` is a
 configuration error, as is an ``--out`` that names no file in an existing directory.
 """
 
@@ -13,10 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .fem import ConductivityNotPositive, NoConvergence
 from .harness import (
     ExperimentPlan,
     PRESETS,
+    RUN_FAILURES,
     preset_plan,
     render_order_table,
     run_plan,
@@ -83,11 +83,7 @@ def main(argv=None) -> int:
     print()
     print(render_order_table(result.reports), end="")
     if result.failures:
-        solver_failure = any(
-            isinstance(failure.error, (ConductivityNotPositive, NoConvergence))
-            for failure in result.failures
-        )
-        return 3 if solver_failure else 2
+        return 3 if any(isinstance(failure.error, RUN_FAILURES) for failure in result.failures) else 2
     return 0
 
 

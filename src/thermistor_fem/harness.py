@@ -43,6 +43,7 @@ __all__ = [
     "ExperimentPlan",
     "PlanResult",
     "RunFailure",
+    "RUN_FAILURES",
     "CSV_COLUMNS",
     "compute_error_report",
     "run_plan",
@@ -168,6 +169,11 @@ class RunFailure(NamedTuple):
         return f"run failed: scheme={c.scheme} elem={c.elem_kind} M={c.M} tau_rule={c.tau_rule}: {text}"
 
 
+#: The exceptions that fail a run as a solver failure (CLI exit 3), not as a
+#: configuration error; with `ValueError`, those `run_plan` records and passes.
+RUN_FAILURES = (ConductivityNotPositive, NoConvergence, MemoryError)
+
+
 @dataclass
 class PlanResult:
     reports: list
@@ -197,7 +203,7 @@ def run_plan(plan: ExperimentPlan, out_path=None, problem: Optional[ProblemData]
     for config in plan.runs:
         try:
             reports.append(run_one(config, problem))
-        except (ConductivityNotPositive, NoConvergence, ValueError) as exc:
+        except (*RUN_FAILURES, ValueError) as exc:
             failures.append(RunFailure(config, exc))
     csv_text = reports_to_csv(reports, failures)
     if out_path is not None:
@@ -312,59 +318,26 @@ def render_order_table(reports) -> str:
 # that the O(tau^2) part stays below the spatial terms on every sweep level;
 # the comparison-scheme tables deliberately use the much coarser tau = sqrt(h)
 # to expose how those schemes degrade.  The fixed-tau and temporal presets
-# refine one knob while the other saturates.
+# refine one knob while the other saturates.  ``fig-phi`` runs the same four
+# runs as ``fig-u`` (the CSV does not name the study, so the two files are
+# byte-identical); both names are kept.  Each row is ``(study, scheme,
+# [(M, tau_rule), ...])``; the plans are frozen, so every lookup shares one.
 
 _SPATIAL_MS = (8, 16, 32, 64)
-
-
-def _spatial(scheme: str, study: str) -> ExperimentPlan:
-    runs = tuple(
-        SchemeConfig(
-            scheme=scheme,
-            M=M,
-            elem_kind="tri",
-            tau_rule=f"fixed:{math.sqrt(2.0) / (2.0 * M)}",
-        )
-        for M in _SPATIAL_MS
-    )
-    return ExperimentPlan(study=study, runs=runs)
-
-
-def _comparison_table(scheme: str, study: str) -> ExperimentPlan:
-    runs = tuple(
-        SchemeConfig(scheme=scheme, M=M, elem_kind="tri", tau_rule="sqrt-h")
-        for M in _SPATIAL_MS
-    )
-    return ExperimentPlan(study=study, runs=runs)
-
-
-def _fixed_tau() -> ExperimentPlan:
-    runs = tuple(
-        SchemeConfig(scheme="bdf2", M=M, elem_kind="tri", tau_rule=f"fixed:{tau}")
-        for tau in (0.1, 0.05, 0.025, 0.0125)
-        for M in (8, 16, 32, 64, 128, 256)
-    )
-    return ExperimentPlan(study="fig-fixed-tau", runs=runs)
-
-
-def _temporal(scheme: str, study: str, Ms, n_taus: int) -> ExperimentPlan:
-    taus = tuple(0.1 / 2**k for k in range(n_taus))
-    runs = tuple(
-        SchemeConfig(scheme=scheme, M=M, elem_kind="tri", tau_rule=f"fixed:{tau}")
-        for M in Ms
-        for tau in taus
-    )
-    return ExperimentPlan(study=study, runs=runs)
-
+_TIED_STEP = [(M, f"fixed:{math.sqrt(2.0) / (2.0 * M)}") for M in _SPATIAL_MS]
+_SQRT_H = [(M, "sqrt-h") for M in _SPATIAL_MS]
 
 PRESETS = {
-    "fig-u": lambda: _spatial("bdf2", "fig-u"),
-    "fig-phi": lambda: _spatial("bdf2", "fig-phi"),
-    "fig-fixed-tau": _fixed_tau,
-    "fig-temporal": lambda: _temporal("bdf2", "fig-temporal", (64, 256), 4),
-    "fig-bdf3": lambda: _temporal("bdf3", "fig-bdf3", (256,), 3),
-    "table-gao": lambda: _comparison_table("gao", "table-gao"),
-    "table-ext1": lambda: _comparison_table("ext1", "table-ext1"),
+    study: ExperimentPlan(study, tuple(SchemeConfig(scheme, M, "tri", tau_rule=rule) for M, rule in runs))
+    for study, scheme, runs in [
+        ("fig-u", "bdf2", _TIED_STEP),
+        ("fig-phi", "bdf2", _TIED_STEP),
+        ("fig-fixed-tau", "bdf2", [(M, f"fixed:{0.1 / 2**k}") for k in range(4) for M in (*_SPATIAL_MS, 128, 256)]),
+        ("fig-temporal", "bdf2", [(M, f"fixed:{0.1 / 2**k}") for M in (64, 256) for k in range(4)]),
+        ("fig-bdf3", "bdf3", [(256, f"fixed:{0.1 / 2**k}") for k in range(3)]),
+        ("table-gao", "gao", _SQRT_H),
+        ("table-ext1", "ext1", _SQRT_H),
+    ]
 }
 
 
@@ -372,4 +345,4 @@ def preset_plan(name: str) -> ExperimentPlan:
     """Look up a named preset plan."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return PRESETS[name]()
+    return PRESETS[name]

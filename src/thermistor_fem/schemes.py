@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 SCHEMES = ("euler", "bdf2", "bdf3", "gao", "ext1")
-TAU_RULES = ("sqrt-h", "equal-h")  # plus "fixed:<value>"
 #: Most time steps a run may take; the largest preset takes 91.
 MAX_STEPS = 100_000
 
@@ -187,35 +186,28 @@ def validate_config(config: SchemeConfig) -> None:
         )
 
 
-def _parse_tau_rule(rule: str) -> Optional[float]:
-    """Return the fixed step if the rule is ``fixed:<v>``, else None."""
-    if not isinstance(rule, str):
-        raise ValueError(f"tau rule must be a string, got {rule!r}")
-    if rule in TAU_RULES:
-        return None
-    if rule.startswith("fixed:"):
+def _tau_target(rule, h: float) -> float:
+    """The time step a tau rule aims at on a mesh of size ``h``."""
+    if isinstance(rule, str) and rule.startswith("fixed:"):
         try:
-            v = float(rule.split(":", 1)[1])
+            target = float(rule[len("fixed:"):])
         except ValueError:
             raise ValueError(f"bad fixed step in tau rule {rule!r}") from None
-        if not (v > 0):
-            raise ValueError(f"fixed time step must be positive, got {v}")
-        return v
+        if not target > 0:
+            raise ValueError(f"fixed time step must be positive, got {target}")
+        return target
+    if isinstance(rule, str) and rule in ("sqrt-h", "equal-h"):
+        return math.sqrt(h) if rule == "sqrt-h" else h
     raise ValueError(f"unknown tau rule {rule!r}; use 'sqrt-h', 'equal-h' or 'fixed:<v>'")
 
 
 def resolve_tau(config: SchemeConfig, h: float) -> tuple[float, int]:
     """Realize the time step: ``N = ceil(T / target)``, ``tau = T / N``.
 
-    Raises ValueError if ``N`` would exceed `MAX_STEPS`.
+    Raises ValueError for an unknown tau rule, or if ``N`` would exceed
+    `MAX_STEPS`.
     """
-    fixed = _parse_tau_rule(config.tau_rule)
-    if fixed is not None:
-        target = fixed
-    elif config.tau_rule == "sqrt-h":
-        target = math.sqrt(h)
-    else:  # equal-h
-        target = h
+    target = _tau_target(config.tau_rule, h)
     # Relative round-off guard: T / (T / N) may come out a few ulps above N.
     steps = config.T / target * (1 - 1e-12)
     if not steps <= MAX_STEPS:

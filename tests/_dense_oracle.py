@@ -25,6 +25,10 @@ The pairwise report writers (`pairwise_reports_to_csv`,
 `pairwise_order_table`, with `refinement_ratio` and `eoc_rows`) apply the
 order rule pair by pair, once for the CSV and once for the table: the
 package's single walk over neighbouring runs must give the same text.
+The preset builders (`PRESET_BUILDERS`) and the tau-rule reader
+(`parse_tau_rule`, `resolve_tau`) state each configuration rule per kind of
+study and per branch: the package's preset table and its one tau-rule
+function must give equal plans, equal steps and the same refusals.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from thermistor_fem.analysis import (
     interpolate_nodal,
     quadrature_norm,
 )
-from thermistor_fem.harness import _TABLE_ROWS, _fmt
+from thermistor_fem.harness import _TABLE_ROWS, ExperimentPlan, _fmt
 from thermistor_fem.mesh import macroelements
+from thermistor_fem.schemes import MAX_STEPS, SchemeConfig
 
 # 3-point Gauss-Legendre rule on [-1, 1] (classical closed form).
 _G3_NODES = (-np.sqrt(0.6), 0.0, np.sqrt(0.6))
@@ -623,3 +628,90 @@ def pairwise_order_table(reports):
                 out.append("  order".ljust(label_w) + "".join(cells))
         out.append("")
     return "\n".join(out)
+
+
+# ----------------------------------------------------------------------------
+# The configuration rules, one builder per kind of study
+# ----------------------------------------------------------------------------
+#
+# The preset builders and the tau-rule parser as they were before the presets
+# became one table and one function read a tau rule: the package's table and
+# `resolve_tau` must give equal plans, equal steps and the same refusals.
+
+_SPATIAL_MS = (8, 16, 32, 64)
+
+
+def _spatial(scheme, study):
+    runs = tuple(
+        SchemeConfig(scheme=scheme, M=M, elem_kind="tri", tau_rule=f"fixed:{math.sqrt(2.0) / (2.0 * M)}")
+        for M in _SPATIAL_MS
+    )
+    return ExperimentPlan(study=study, runs=runs)
+
+
+def _comparison_table(scheme, study):
+    runs = tuple(SchemeConfig(scheme=scheme, M=M, elem_kind="tri", tau_rule="sqrt-h") for M in _SPATIAL_MS)
+    return ExperimentPlan(study=study, runs=runs)
+
+
+def _fixed_tau():
+    runs = tuple(
+        SchemeConfig(scheme="bdf2", M=M, elem_kind="tri", tau_rule=f"fixed:{tau}")
+        for tau in (0.1, 0.05, 0.025, 0.0125)
+        for M in (8, 16, 32, 64, 128, 256)
+    )
+    return ExperimentPlan(study="fig-fixed-tau", runs=runs)
+
+
+def _temporal(scheme, study, Ms, n_taus):
+    taus = tuple(0.1 / 2**k for k in range(n_taus))
+    runs = tuple(SchemeConfig(scheme=scheme, M=M, elem_kind="tri", tau_rule=f"fixed:{tau}") for M in Ms for tau in taus)
+    return ExperimentPlan(study=study, runs=runs)
+
+
+PRESET_BUILDERS = {
+    "fig-u": lambda: _spatial("bdf2", "fig-u"),
+    "fig-phi": lambda: _spatial("bdf2", "fig-phi"),
+    "fig-fixed-tau": _fixed_tau,
+    "fig-temporal": lambda: _temporal("bdf2", "fig-temporal", (64, 256), 4),
+    "fig-bdf3": lambda: _temporal("bdf3", "fig-bdf3", (256,), 3),
+    "table-gao": lambda: _comparison_table("gao", "table-gao"),
+    "table-ext1": lambda: _comparison_table("ext1", "table-ext1"),
+}
+
+
+def parse_tau_rule(rule):
+    """Return the fixed step if the rule is ``fixed:<v>``, else None."""
+    if not isinstance(rule, str):
+        raise ValueError(f"tau rule must be a string, got {rule!r}")
+    if rule in ("sqrt-h", "equal-h"):
+        return None
+    if rule.startswith("fixed:"):
+        try:
+            v = float(rule.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad fixed step in tau rule {rule!r}") from None
+        if not (v > 0):
+            raise ValueError(f"fixed time step must be positive, got {v}")
+        return v
+    raise ValueError(f"unknown tau rule {rule!r}; use 'sqrt-h', 'equal-h' or 'fixed:<v>'")
+
+
+def resolve_tau(config, h):
+    """``(tau, N)`` with ``N = ceil(T / target)``, the rule parsed by
+    `parse_tau_rule` and the mesh-coupled target chosen by a second branch."""
+    fixed = parse_tau_rule(config.tau_rule)
+    if fixed is not None:
+        target = fixed
+    elif config.tau_rule == "sqrt-h":
+        target = math.sqrt(h)
+    else:  # equal-h
+        target = h
+    steps = config.T / target * (1 - 1e-12)
+    if not steps <= MAX_STEPS:
+        raise ValueError(
+            f"T={config.T!r} with tau rule {config.tau_rule!r} needs more than "
+            f"MAX_STEPS={MAX_STEPS} time steps"
+        )
+    N = max(1, math.ceil(steps))
+    return config.T / N, N

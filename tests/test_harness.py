@@ -1,5 +1,6 @@
 """Convergence-study harness: reports, CSV serialization, presets, CLI."""
 
+import ast
 import math
 import re
 import subprocess
@@ -163,6 +164,16 @@ def test_orders_pair_only_neighbouring_runs_in_the_csv_and_the_table():
     assert "order" not in text
 
 
+def test_an_infinite_error_has_no_order_in_the_csv_or_the_table():
+    a = report()
+    runs = [a, scaled(a, 8, 0.25), replace(scaled(a, 16, 0.0625), err_u_l2=math.inf)]
+    rows = [line.split(",") for line in reports_to_csv(runs).splitlines() if line.startswith("eoc:")]
+    assert [row[6] for row in rows] == ["2.0", "nan"]
+    table = render_order_table(runs).splitlines()
+    i = next(i for i, line in enumerate(table) if line.startswith("u: L2 error"))
+    assert table[i + 1].split() == ["order", "--", "2.00", "--"]
+
+
 def test_csv_reports_failures_as_comment_lines():
     text = reports_to_csv([report()], failures=[RunFailure(tiny(M=6), NoConvergence("boom"))])
     last = text.splitlines()[-1]
@@ -202,7 +213,6 @@ def report_sequences(draw):
 _ONE_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp", "Cs")), max_size=12)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # an infinite finer error
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     reports=report_sequences(),
@@ -309,6 +319,29 @@ def test_run_plan_records_coarse_quad_rules_as_value_errors():
     assert result.failures[0].message.startswith("ValueError: quads need Gauss rules")
 
 
+def _memory_error_on_first_call():
+    """The manufactured problem with an ``f2`` that runs out of memory once."""
+    problem = make_problem()
+    calls = []
+
+    def f2(x, y, t):
+        calls.append(t)
+        if len(calls) == 1:
+            raise MemoryError("cannot allocate the f2 table")
+        return problem.f2(x, y, t)
+
+    return replace(problem, f2=f2)
+
+
+def test_run_plan_records_a_memory_error_and_goes_on():
+    plan = ExperimentPlan(study="t", runs=(tiny(), tiny(M=8)))
+    result = run_plan(plan, problem=_memory_error_on_first_call())
+    assert [r.M for r in result.reports] == [8]
+    lines = result.csv_text.splitlines()
+    assert len(lines) == 3 and lines[1].startswith("bdf2,tri,8,")
+    assert lines[2] == "# run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: MemoryError: cannot allocate the f2 table"
+
+
 # ----------------------------------------------------------------------------
 # Order table rendering
 # ----------------------------------------------------------------------------
@@ -373,6 +406,26 @@ def test_saturation_and_temporal_presets():
     plan = preset_plan("fig-bdf3")
     assert len(plan.runs) == 3
     assert all(c.scheme == "bdf3" and c.M == 256 for c in plan.runs)
+
+
+def test_presets_equal_the_per_study_builders():
+    assert set(PRESETS) == set(oracle.PRESET_BUILDERS)
+    for name, plan in PRESETS.items():
+        assert isinstance(plan, ExperimentPlan)
+        assert preset_plan(name) == oracle.PRESET_BUILDERS[name](), name
+
+
+def _preset_names(text):
+    return re.findall(r"\b(?:fig|table)-[a-z0-9]+(?:-[a-z0-9]+)*", text)
+
+
+def test_the_preset_lists_in_the_docs_are_the_presets():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    backticked = [name for name in re.findall(r"`([^`\s]+)`", readme) if _preset_names(name) == [name]]
+    assert set(backticked) == set(PRESETS)
+    demo = ast.get_docstring(ast.parse((root / "demos" / "cli_workflow.py").read_text()))
+    assert set(_preset_names(demo)) == set(PRESETS)
 
 
 def test_unknown_preset_raises():
@@ -483,6 +536,19 @@ def test_cli_maps_solver_failures_to_exit_3(tmp_path, monkeypatch, capsys):
 
     code = main(["sweep", "--preset", "fig-u", "--out", str(tmp_path / "y.csv")])
     assert code == 3
+
+
+def test_cli_writes_the_csv_and_exits_3_on_a_memory_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("thermistor_fem.harness.make_problem", _memory_error_on_first_call)
+    out = tmp_path / "x.csv"
+    code = main(
+        ["run", "--scheme", "bdf2", "--elem", "tri", "--M", "4",
+         "--tau-rule", "fixed:0.25", "--out", str(out)]
+    )
+    assert code == 3
+    line = "run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: MemoryError: cannot allocate the f2 table"
+    assert out.read_text() == f"{SCHEMA}\n# {line}\n"
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_cli_maps_other_value_errors_to_exit_2(tmp_path, monkeypatch, capsys):

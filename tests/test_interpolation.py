@@ -15,6 +15,7 @@ from thermistor_fem import (
     interpolate_nodal,
     l2_error,
 )
+from thermistor_fem.analysis import convergence_order
 from thermistor_fem.manufactured import exact_u, grad_u
 
 
@@ -119,3 +120,11 @@ def test_eoc_rejects_bad_input():
     ):
         with pytest.raises(ValueError):
             eoc(pairs)
+
+
+@pytest.mark.filterwarnings("error")  # no divide-by-zero warning either
+def test_convergence_order_is_nan_unless_both_errors_are_positive_and_finite():
+    assert convergence_order(1.0, 0.25, 2.0) == pytest.approx(2.0, abs=1e-14)
+    nan, inf = float("nan"), float("inf")
+    for e_coarse, e_fine in ((1.0, inf), (inf, 1.0), (inf, inf), (-inf, 1.0), (1.0, 0.0), (nan, 1.0), (1.0, -1.0)):
+        assert np.isnan(convergence_order(e_coarse, e_fine, 2.0)), (e_coarse, e_fine)

@@ -2,6 +2,7 @@
 structure (decoupling, degeneracies), and the dense reference step."""
 
 import gc
+import math
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -83,6 +84,41 @@ def test_resolve_tau_mesh_coupled_rules():
     assert (tau, N) == (0.5, 2)
     tau, N = resolve_tau(cfg(tau_rule="equal-h"), h=h)
     assert (tau, N) == (0.25, 4)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 0.0125, 1.0, 5e-324]),
+)
+_TAU_RULES = st.one_of(
+    st.sampled_from(["sqrt-h", "equal-h", "SQRT-H", "sqrt-h ", " fixed:1", "fixed", "fixed:", "fixed::1"]),
+    st.sampled_from(["fixed:1_0", "fixed:_1", "fixed:1_", "fixed: 0.5\n", "fixed:1e400", "fixed:-0", "fixed:0x1"]),
+    _FLOATS.map(lambda v: f"fixed:{v!r}"),
+    st.text(max_size=8).map(lambda junk: f"fixed:{junk}"),
+    st.text(max_size=10),
+    st.one_of(st.none(), st.integers(-3, 3), _FLOATS, st.binary(max_size=4), st.just(b"sqrt-h")),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # a huge T over a tiny step
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(rule=_TAU_RULES, M=st.integers(1, 600), T=st.one_of(st.floats(1e-3, 1e3), _FLOATS))
+def test_resolve_tau_equals_the_reference_rule_reader(rule, M, T):
+    # One function reads a rule; every rule gives the reference's steps, or
+    # both refuse it with the same error (a ValueError for every rule and
+    # horizon `validate_config` lets through), whose text differs only for a
+    # rule that is not a string.
+    config = cfg(M=M, T=T, tau_rule=rule)
+    try:
+        want = oracle.resolve_tau(config, mesh_size(M))
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            resolve_tau(config, mesh_size(M))
+        assert type(info.value) is type(exc)
+        if isinstance(rule, str):
+            assert str(info.value) == str(exc)
+    else:
+        assert resolve_tau(config, mesh_size(M)) == want
 
 
 def test_resolve_tau_step_never_exceeds_horizon():
