@@ -23,9 +23,12 @@ Every norm here is `quadrature_norm` on the space's error rule and takes
 evaluated fields, not nodal coefficients and callables: the exact values and
 partials at the rule's points, an `FeEvaluation` of an FE function, or the
 post-processed field.  The error report thus evaluates each quantity once
-per field and hands it to every norm that reads it.  The subtractions are
-those of evaluating per norm, so the numbers equal that formulation's (kept
-in the tests' dense oracle) bit for bit.
+per field (the exact ones block by block, by `RuleTables.evaluate`) and
+hands it to every norm that reads it.  The subtractions are those of
+evaluating per norm, so the numbers equal that formulation's (kept in the
+tests' dense oracle) bit for bit.  `quadrature_norm` writes its integrand
+one block of elements at a time into one array and sums that array once:
+the temporaries are a block large, and the sum is the whole-array one.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .fem import FeSpace, RuleTables
+from .fem import _CHUNK, FeSpace, RuleTables
 
 __all__ = [
     "interpolate_nodal",
@@ -176,12 +179,15 @@ def quadrature_norm(tables: RuleTables, values: np.ndarray, grads: np.ndarray | 
     """``sqrt(sum(wdet * (values**2 + |grads|**2)))`` over the points of
     ``tables``: the L2 norm of ``values`` (``(ne, nq)``), or the full H1 norm
     when the gradients (``(ne, nq, 2)``) are given."""
-    # In place, in the order written above: one array and one temporary.
-    s = values**2
-    if grads is not None:
-        s += grads[..., 0] ** 2
-        s += grads[..., 1] ** 2
-    s *= tables.wdet
+    # In place, in the order written above, block by block into one array.
+    s = np.empty(values.shape)
+    for lo in range(0, s.shape[0], _CHUNK):
+        block = s[lo : lo + _CHUNK]
+        np.square(values[lo : lo + _CHUNK], out=block)
+        if grads is not None:
+            block += grads[lo : lo + _CHUNK, :, 0] ** 2
+            block += grads[lo : lo + _CHUNK, :, 1] ** 2
+        block *= tables.wdet[lo : lo + _CHUNK]
     return float(np.sqrt(np.sum(s)))
 
 

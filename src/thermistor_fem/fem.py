@@ -16,20 +16,22 @@ in the tests.
 
 Coefficient fields (e.g. the electric conductivity evaluated from a previous
 time level) are represented as arrays of values at the quadrature points of
-the assembly rule, shape ``(n_elements, n_qpoints)``.  Source functions
-``f(x, y)`` are evaluated only by `assemble_load`, one block of `_CHUNK`
-elements at a time, like the blocked kernels: this module alone bounds the
-memory that evaluating any source takes.
+the assembly rule, shape ``(n_elements, n_qpoints)``.  Functions ``f(x, y)``
+are evaluated by `RuleTables.evaluate`, one block of `_CHUNK` elements at a
+time, like the blocked kernels: the sources of `assemble_load` and the exact
+fields of the error report, whose memory this module alone thus bounds.
 
-The quadrature tables hold the physical shape-function gradients once per
-element when the reference gradients are the same at every point of the
-rule, as they are for linear triangles: their point axis then has length
-one, and the kernels broadcast it over the points with the arithmetic of
+The quadrature tables store the physical shape-function gradients
+element-last, ``(points, 2, ndof, elements)``, so that the blocked kernels
+read contiguous runs of elements.  They hold one point when the reference
+gradients are the same at every point of the rule, as they are for linear
+triangles; the kernels broadcast it over the points with the arithmetic of
 the full table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,21 +188,9 @@ def _shape_quad(points):
 
     Returns values ``(nq, 4)`` and reference gradients ``(nq, 4, 2)``.
     """
-    xi = points[:, 0]
-    eta = points[:, 1]
-    N = 0.25 * np.column_stack(
-        [(1 - xi) * (1 - eta), (1 + xi) * (1 - eta), (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)]
-    )
-    dN = np.empty((points.shape[0], 4, 2))
-    dN[:, 0, 0] = -0.25 * (1 - eta)
-    dN[:, 0, 1] = -0.25 * (1 - xi)
-    dN[:, 1, 0] = 0.25 * (1 - eta)
-    dN[:, 1, 1] = -0.25 * (1 + xi)
-    dN[:, 2, 0] = 0.25 * (1 + eta)
-    dN[:, 2, 1] = 0.25 * (1 + xi)
-    dN[:, 3, 0] = -0.25 * (1 + eta)
-    dN[:, 3, 1] = 0.25 * (1 - xi)
-    return N, dN
+    sx, sy = np.array([-1.0, 1.0, 1.0, -1.0]), np.array([-1.0, -1.0, 1.0, 1.0])  # the nodes' corners
+    fx, fy = 1 + sx * points[:, :1], 1 + sy * points[:, 1:]  # 1 -+ xi, 1 -+ eta: (nq, 4)
+    return 0.25 * (fx * fy), 0.25 * np.stack([sx * fy, sy * fx], axis=-1)
 
 
 def _shape_tri(points):
@@ -223,11 +213,13 @@ class RuleTables:
     rule : QuadRule
     N : (nq, ndof) array
         Shape function values at the reference quadrature points.
-    grad : (ne, nq or 1, ndof, 2) array
-        Physical gradients of the shape functions.  The point axis has
-        length 1 when the reference gradients are equal at every point of
-        the rule (linear triangles): the gradients are then constant on
-        each element, and that one value stands for every point.
+    grad : (nq or 1, 2, ndof, ne) array
+        Physical gradients of the shape functions, element-last:
+        ``grad[q, a, i, e]`` is the ``a``-th partial of shape function ``i``
+        of element ``e`` at point ``q``, so the kernels read runs of
+        elements that are contiguous.  The point axis has length 1 when the
+        reference gradients are equal at every point of the rule (linear
+        triangles): that one value stands for every point.
     wdet : (ne, nq) array
         Quadrature weight times Jacobian determinant.
     x : (ne, nq, 2) array
@@ -240,6 +232,22 @@ class RuleTables:
     wdet: np.ndarray
     x: np.ndarray
 
+    def evaluate(self, f):
+        """``f(x, y)`` at the rule's points, ``(ne, nq)``, or a pair of such
+        arrays when ``f`` returns a tuple.  ``f`` is called once per block of
+        `_CHUNK` elements, in element order, on the ``(block, nq)``
+        coordinates of their points, and may return anything that broadcasts
+        to that shape: its temporaries are as large as one block."""
+        out = []
+        for lo in range(0, self.wdet.shape[0], _CHUNK):
+            x = self.x[lo : lo + _CHUNK]
+            values = f(x[..., 0], x[..., 1])
+            pair = isinstance(values, tuple)
+            out = out or [np.empty(self.wdet.shape) for _ in range(1 + pair)]
+            for o, v in zip(out, values if pair else (values,)):
+                o[lo : lo + _CHUNK] = v
+        return tuple(out) if pair else out[0]
+
 
 def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
     if not np.all(np.isfinite(mesh.nodes)):
@@ -251,7 +259,7 @@ def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
     if np.all(dN == dN[:1]):
         dN = dN[:1]
     (ne, ndof), nq, ng = mesh.elements.shape, rule.n_points, dN.shape[0]
-    grad = np.empty((ne, ng, ndof, 2))
+    grad = np.empty((ng, 2, ndof, ne))
     detJ = np.empty((ne, nq))
     x = np.empty((ne, nq, 2))
 
@@ -269,13 +277,12 @@ def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
         if not np.all(det > 0):  # NaN fails too
             raise ValueError("mesh contains degenerate or inverted elements")
         inv = [[J[1][1] / det, -J[0][1] / det], [-J[1][0] / det, J[0][0] / det]]
-        # grad_x N = J^{-T} grad_ref N: grad[e,q,i,a] = sum_b inv[e,q,b,a] * dN[q,i,b]
-        g = np.empty((ng, ndof, 2, c.shape[-1]))
+        # grad_x N = J^{-T} grad_ref N: grad[q,a,i,e] = sum_b inv[e,q,b,a] * dN[q,i,b]
         for i in range(ndof):
             for a in range(2):
-                np.multiply(inv[0][a], dN[:, i, 0, None], out=g[:, i, a])
-                g[:, i, a] += inv[1][a] * dN[:, i, 1, None]
-        grad[lo : lo + _CHUNK] = g.transpose(3, 0, 1, 2)
+                g = grad[:, a, i, lo : lo + _CHUNK]
+                np.multiply(inv[0][a], dN[:, i, 0, None], out=g)
+                g += inv[1][a] * dN[:, i, 1, None]
         detJ[lo : lo + _CHUNK] = det.T
         # x[e,q,a] = sum_i N[q,i] * coords[e,i,a]
         for a in range(2):
@@ -339,25 +346,25 @@ class FeSpace:
     def gradients_at_quad(self, coeffs: np.ndarray, tables: RuleTables | None = None) -> np.ndarray:
         """Evaluate the FE gradient at quadrature points, shape ``(ne, nq, 2)``."""
         tb = tables if tables is not None else self.tables
-        return _gradients(tb, coeffs[self.mesh.elements], np.empty(tb.wdet.shape + (2,)))
+        return _gradients(tb, coeffs[self.mesh.elements.T], np.empty(tb.wdet.shape + (2,)))
 
 
 def _gradients(tb: RuleTables, nodal: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """FE gradients from the ``(ne, ndof)`` nodal values into ``out``, of
+    """FE gradients from the ``(ndof, ne)`` nodal values into ``out``, of
     shape ``(ne, nq, 2)`` or, when ``tb.grad`` holds one point, ``(ne, 1, 2)``.
 
-    ``g[e,q,a] = sum_i grad[e,q,i,a] * nodal[e,i]``, summed from zero in node
+    ``g[e,q,a] = sum_i grad[q,a,i,e] * nodal[i,e]``, summed from zero in node
     order like the einsum ``"eqia,ei->eqa"``, bit for bit, once per point of
     ``tb.grad`` and broadcast over ``out``; in blocks of elements, so that
     the temporaries stay small.
     """
     for lo in range(0, out.shape[0], _CHUNK):
-        grad = tb.grad[lo : lo + _CHUNK]
-        acc = np.zeros(grad.shape[:2] + (2,))
+        grad = tb.grad[..., lo : lo + _CHUNK]
+        acc = np.zeros(grad.shape[:2] + grad.shape[3:])  # (nq or 1, 2, block)
         term = np.empty_like(acc)
-        for i in range(nodal.shape[1]):
-            acc += np.multiply(grad[:, :, i, :], nodal[lo : lo + _CHUNK, None, i, None], out=term)
-        out[lo : lo + _CHUNK] = acc
+        for i in range(nodal.shape[0]):
+            acc += np.multiply(grad[:, :, i], nodal[i, lo : lo + _CHUNK], out=term)
+        out[lo : lo + _CHUNK] = acc.transpose(2, 0, 1)
     return out
 
 
@@ -438,6 +445,9 @@ class SparsityPattern:
         del tags, slots
         self.interior = _Submatrix(interior_rows[:, space.interior_dofs])
         self.interior_boundary = _Submatrix(interior_rows[:, space.boundary_dofs])
+        # The interior block's column order and the map that gathers its
+        # column-permuted CSC, recorded by the first `factorize`.
+        self._columns = None
 
     def assemble(self, elem_mats: np.ndarray) -> sp.csr_matrix:
         """Sum ``(ne, ndof, ndof)`` element matrices into a CSR matrix."""
@@ -446,6 +456,30 @@ class SparsityPattern:
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The CSR matrix with values ``data`` on this pattern."""
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+
+    def factorize(self, A_red: sp.csr_matrix):
+        """Sparse LU of an interior block ``A_red``, as `interior` takes it,
+        and the column order of the factored matrix (None: the block's own).
+
+        SuperLU's fill-reducing column order (``argsort(lu.perm_c)``) depends
+        on the structure alone, which every interior block shares: the first
+        call factors ``A_red.tocsc()`` with COLAMD and records it, later ones
+        factor ``A_red[:, order]``, gathered from ``A_red.data`` through a
+        map, in natural order (SuperLU's ``SamePattern``).  Pivoting prefers
+        the diagonal only on a tie with the column maximum; away from ties,
+        as on these SPD systems, L, U and the row pivots are COLAMD's.
+        """
+        if self._columns is None:
+            lu = spla.splu(A_red.tocsc())
+            order = np.argsort(lu.perm_c)
+            tags = np.arange(1, A_red.nnz + 1, dtype=np.int32)
+            tagged = sp.csr_matrix((tags, A_red.indices, A_red.indptr), shape=A_red.shape).tocsc()[:, order]
+            self._columns = (tagged.data - 1, tagged.indices, tagged.indptr, order)
+            return lu, None
+        positions, indices, indptr, order = self._columns
+        # splu only reads the index arrays, which every call shares.
+        permuted = sp.csc_matrix((A_red.data[positions], indices, indptr), shape=A_red.shape)
+        return spla.splu(permuted, permc_spec="NATURAL"), order
 
     def holds(self, A: sp.spmatrix) -> bool:
         """Whether ``A`` is a CSR matrix on exactly this pattern."""
@@ -475,19 +509,18 @@ def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
 
 
 def _stiffness_kernel(grad: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Element matrices ``sum_q s[e,q] grad[e,q,i,:] . grad[e,q,j,:]``.
+    """Element matrices ``sum_q s[e,q] grad[q,:,i,e] . grad[q,:,j,e]``.
 
-    Bit for bit the einsum ``"eq,eqia,eqja->eij"`` of ``(s, grad, grad)``,
-    with a one-point ``grad`` standing for every point of ``s``: for each
-    quadrature point it forms ``(s g_i0) g_j0 + (s g_i1) g_j1`` and adds that
-    to a sum started at zero, one point after another.  Each block of
-    elements is laid out element-last, so every product is one long
-    contiguous loop.
+    Bit for bit the einsum ``"eq,eqia,eqja->eij"`` of ``s`` and the table in
+    element-first order, with a one-point ``grad`` standing for every point
+    of ``s``: for each quadrature point it forms ``(s g_i0) g_j0 + (s g_i1)
+    g_j1`` and adds that to a sum started at zero, one point after another.
+    The table is element-last, so every product is one long contiguous loop.
     """
     (ne, nq), ndof = s.shape, grad.shape[2]
     out = np.empty((ne, ndof, ndof))
     for lo in range(0, ne, _CHUNK):
-        g = np.ascontiguousarray(grad[lo : lo + _CHUNK].transpose(1, 3, 2, 0))  # (nq or 1, 2, ndof, ne)
+        g = grad[..., lo : lo + _CHUNK].copy()  # (nq or 1, 2, ndof, block); a copy reads faster
         sg = s[lo : lo + _CHUNK].T[:, None, None, :] * g
         g = np.broadcast_to(g, sg.shape)
         acc = np.zeros((ndof, ndof, g.shape[-1]))
@@ -546,19 +579,9 @@ def assemble_weighted_stiffness(space: FeSpace, sigma_star: np.ndarray) -> sp.cs
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:
-    """Load vector ``b_i = (f, phi_i)`` for a spatial function ``f(x, y)``.
-
-    ``f`` is called once per block of `_CHUNK` elements, in element order,
-    on the ``(block, nq)`` coordinates of their assembly points, and may
-    return anything that broadcasts to that shape.  So a source's
-    temporaries are as large as one block, whatever the mesh.
-    """
-    tb = space.tables
-    fq = np.empty(tb.wdet.shape)
-    for lo in range(0, fq.shape[0], _CHUNK):
-        x = tb.x[lo : lo + _CHUNK]
-        fq[lo : lo + _CHUNK] = f(x[..., 0], x[..., 1])
-    return _scatter(space, fq)
+    """Load vector ``b_i = (f, phi_i)`` for a spatial function ``f(x, y)``,
+    evaluated block by block at the assembly points by `RuleTables.evaluate`."""
+    return _scatter(space, space.tables.evaluate(f))
 
 
 def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.ndarray) -> np.ndarray:
@@ -569,7 +592,7 @@ def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.n
     """
     sigma_star = _check_coefficient(space, sigma_star)
     tb = space.tables
-    g = _gradients(tb, phi_coeffs[space.mesh.elements], np.empty(tb.grad.shape[:2] + (2,)))
+    g = _gradients(tb, phi_coeffs[space.mesh.elements.T], np.empty((tb.grad.shape[-1], tb.grad.shape[0], 2)))
     g2 = g[..., 0] ** 2 + g[..., 1] ** 2  # once per element where tb.grad holds one point
     return _scatter(space, sigma_star * g2)
 
@@ -583,8 +606,12 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite sparse system by preconditioned CG.
 
     ``scipy.sparse.linalg.cg`` with the Jacobi preconditioner, zero initial
-    guess, relative residual tolerance `CG_RTOL` and at most ``50 * n``
-    iterations.  A zero right-hand side returns a fresh zero vector.
+    guess, relative residual tolerance `CG_RTOL` and at most
+    ``min(50 * n, 200 * isqrt(n))`` iterations: a cap that grows like the
+    mesh parameter ``M`` on an ``M x M`` grid, 51,000 at ``M = 256`` where
+    CG converges in under 1,000, so a solve that cannot converge stops
+    after about a minute there, not an hour.  A zero right-hand side
+    returns a fresh zero vector.
 
     Raises
     ------
@@ -611,7 +638,7 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     # reference Jacobi CG, and multiplying by the reciprocal rounds differently.
     op = spla.LinearOperator(A.shape, matvec=matvec, dtype=float)
     jacobi = spla.LinearOperator(A.shape, matvec=lambda r: r / diag, dtype=float)
-    max_iter = 50 * n
+    max_iter = min(50 * n, 200 * math.isqrt(n))
     x, info = spla.cg(op, b, rtol=CG_RTOL, atol=0.0, maxiter=max_iter, M=jacobi)
     if info:
         raise NoConvergence(f"conjugate gradients did not converge in {max_iter} iterations")
@@ -626,8 +653,9 @@ class DirichletSystem:
     interior x boundary block ``A_ib`` are gathered through the pattern's
     slot maps; they equal ``A[I][:, I]`` and ``A[I][:, B]`` bit for bit.
     ``method="direct"`` factorizes the reduced matrix once (sparse LU, which
-    is deterministic); ``method="cg"`` solves each right-hand side with
-    `solve_spd`, scipy's CG with the Jacobi preconditioner.
+    is deterministic, in the column order of the space's first factorization:
+    `SparsityPattern.factorize`); ``method="cg"`` solves each right-hand side
+    with `solve_spd`, scipy's CG with the Jacobi preconditioner.
     """
 
     def __init__(self, space: FeSpace, A: sp.spmatrix, method: str = "direct"):
@@ -641,11 +669,15 @@ class DirichletSystem:
             raise ValueError("the matrix is not on the space's sparsity pattern")
         self.A_red = pattern.interior.take(A.data)
         self.A_ib = pattern.interior_boundary.take(A.data)
+        # The interior unknowns in the order of the reduced solution.
+        self._unknowns = space.interior_dofs
         if method == "direct":
             try:
-                self._lu = spla.splu(self.A_red.tocsc())
+                self._lu, order = pattern.factorize(self.A_red)
             except RuntimeError as exc:  # singular factorization
                 raise NoConvergence(f"sparse factorization failed: {exc}") from exc
+            if order is not None:
+                self._unknowns = self._unknowns[order]
 
     def solve(self, b: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:
         """Solve for the full nodal vector given a full load vector and the
@@ -665,7 +697,7 @@ class DirichletSystem:
             x_red = solve_spd(self.A_red, b_red)
         full = np.zeros(self.space.n_dofs)
         full[self.space.boundary_dofs] = g
-        full[self.space.interior_dofs] = x_red
+        full[self._unknowns] = x_red
         return full
 
     def residual(self, x_full: np.ndarray, b: np.ndarray) -> float:

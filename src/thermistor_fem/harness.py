@@ -102,8 +102,8 @@ def _field_errors(space: FeSpace, blocks, coeffs, exact, grad, t: float, name: s
     post-processed lift, each released once its norms are taken.
     """
     tb = space.error_tables
-    x, y = tb.x[..., 0], tb.x[..., 1]
-    exact_values, exact_grads = exact(x, y, t), grad(x, y, t)
+    exact_values = tb.evaluate(lambda x, y: exact(x, y, t))
+    exact_grads = tb.evaluate(lambda x, y: grad(x, y, t))
     fe = analysis.FeEvaluation(space, coeffs)
     errors = {f"err_{name}_l2": analysis.l2_error(fe, exact_values)}
     errors[f"err_{name}_h1"] = analysis.h1_error(fe, exact_values, exact_grads)

@@ -98,40 +98,19 @@ def build_mesh(M: int, elem_kind: str = "quad") -> Mesh:
     X, Y = np.meshgrid(side, side, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    # Corner node indices of cell (i, j): lower-left, lower-right,
+    # Corner node indices of each cell, row by row: lower-left, lower-right,
     # upper-right, upper-left.
-    i, j = np.meshgrid(np.arange(M), np.arange(M), indexing="xy")
-    i = i.ravel()
-    j = j.ravel()
-    bl = j * (M + 1) + i
-    br = bl + 1
-    tr = bl + (M + 1) + 1
-    tl = bl + (M + 1)
-
+    bl = (np.arange(M)[:, None] * (M + 1) + np.arange(M)).ravel()
+    br, tr, tl = bl + 1, bl + M + 2, bl + M + 1
     if elem_kind == "quad":
         elements = np.column_stack([bl, br, tr, tl])
     else:
-        # Lower triangle (below the diagonal) first, then upper triangle.
-        lower = np.column_stack([bl, br, tl])
-        upper = np.column_stack([br, tr, tl])
-        elements = np.empty((2 * M * M, 3), dtype=lower.dtype)
-        elements[0::2] = lower
-        elements[1::2] = upper
+        # Per cell, the lower triangle (below the diagonal), then the upper.
+        elements = np.column_stack([bl, br, tl, br, tr, tl]).reshape(-1, 3)
 
-    ii = np.arange((M + 1) ** 2) % (M + 1)
-    jj = np.arange((M + 1) ** 2) // (M + 1)
-    on_boundary = (ii == 0) | (ii == M) | (jj == 0) | (jj == M)
-    boundary_nodes = np.nonzero(on_boundary)[0]
-
-    return Mesh(
-        nodes=nodes,
-        elements=elements,
-        elem_kind=elem_kind,
-        M=M,
-        boundary_nodes=boundary_nodes,
-    )
-
-
+    jj, ii = np.divmod(np.arange((M + 1) ** 2), M + 1)
+    boundary_nodes = np.nonzero((ii == 0) | (ii == M) | (jj == 0) | (jj == M))[0]
+    return Mesh(nodes=nodes, elements=elements, elem_kind=elem_kind, M=M, boundary_nodes=boundary_nodes)
 
 
 # Block shapes, as offsets from the block's lower-left node (2I, 2J): anchors

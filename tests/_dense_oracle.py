@@ -313,13 +313,16 @@ def source_f2_formula(x, y, t):
 
 
 def materialized_grad(tables):
-    """``tables.grad`` with its point axis at full length, contiguous.
+    """``tables.grad`` element-first, ``(ne, nq, ndof, 2)``, with its point
+    axis at full length, contiguous.
 
     A P1 table holds one point per element; the einsum references must run
     on the full copy, because ``np.einsum`` over a broadcast (stride-0) axis
     sums in another order than over a contiguous one.
     """
-    return np.ascontiguousarray(np.broadcast_to(tables.grad, tables.wdet.shape + tables.grad.shape[2:]))
+    nq = tables.wdet.shape[1]
+    full = np.broadcast_to(tables.grad, (nq,) + tables.grad.shape[1:])  # (nq, 2, ndof, ne)
+    return np.ascontiguousarray(full.transpose(3, 0, 2, 1))
 
 
 def coo_assemble(elements, elem_mats, n):
@@ -699,7 +702,10 @@ def parse_tau_rule(rule):
 
 def resolve_tau(config, h):
     """``(tau, N)`` with ``N = ceil(T / target)``, the rule parsed by
-    `parse_tau_rule` and the mesh-coupled target chosen by a second branch."""
+    `parse_tau_rule` and the mesh-coupled target chosen by a second branch;
+    a horizon that is not positive and finite is refused first."""
+    if not 0 < config.T < math.inf:  # NaN fails too
+        raise ValueError(f"T must be a positive finite number, got {config.T!r}")
     fixed = parse_tau_rule(config.tau_rule)
     if fixed is not None:
         target = fixed

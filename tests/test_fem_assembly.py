@@ -240,7 +240,7 @@ def test_tables_equal_the_einsum_formulas_bit_for_bit(kind, M):
     for tb in (space.tables, space.error_tables):
         # P1 gradients are constant per element: the table holds one point.
         points = 1 if kind == "tri" else tb.rule.n_points
-        assert tb.grad.shape == (ne, points, ndof, 2)
+        assert tb.grad.shape == (points, 2, ndof, ne)
         grad, wdet, x = einsum_tables(space.mesh, tb.rule)
         assert np.array_equal(oracle.materialized_grad(tb), grad)
         assert np.array_equal(tb.wdet, wdet)

@@ -105,9 +105,9 @@ _TAU_RULES = st.one_of(
 @given(rule=_TAU_RULES, M=st.integers(1, 600), T=st.one_of(st.floats(1e-3, 1e3), _FLOATS))
 def test_resolve_tau_equals_the_reference_rule_reader(rule, M, T):
     # One function reads a rule; every rule gives the reference's steps, or
-    # both refuse it with the same error (a ValueError for every rule and
-    # horizon `validate_config` lets through), whose text differs only for a
-    # rule that is not a string.
+    # both refuse it with the same error, whose text differs only for a rule
+    # that is not a string.  A horizon that is not positive and finite is
+    # refused before the rule is read.
     config = cfg(M=M, T=T, tau_rule=rule)
     try:
         want = oracle.resolve_tau(config, mesh_size(M))
@@ -119,6 +119,13 @@ def test_resolve_tau_equals_the_reference_rule_reader(rule, M, T):
             assert str(info.value) == str(exc)
     else:
         assert resolve_tau(config, mesh_size(M)) == want
+
+
+@pytest.mark.parametrize("T", [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("rule", ["sqrt-h", "fixed:0.1", "weekly"])
+def test_resolve_tau_refuses_a_horizon_that_is_not_positive_and_finite(T, rule):
+    with pytest.raises(ValueError, match="T must be a positive finite number"):
+        resolve_tau(cfg(T=T, tau_rule=rule), h=0.1)
 
 
 def test_resolve_tau_step_never_exceeds_horizon():

@@ -1,5 +1,7 @@
 """Conjugate-gradient solver and prepared Dirichlet systems."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -112,6 +114,22 @@ def test_solve_spd_raises_at_the_iteration_cap():
         solve_spd(A, np.ones(12))
 
 
+def test_solve_spd_stops_at_a_cap_that_grows_like_m():
+    # A wrong kernel that keeps positive curvature: the tri M=64 potential
+    # matrix plus a skew part, so p . Ap is unchanged but CG cannot converge.
+    # It runs to its cap, 200 isqrt(n) products for 63^2 unknowns, not 50 n.
+    # (With CG_RTOL = 0 on the SPD matrix itself, the recursive residual
+    # underflows and CG breaks down after ~3,300 products instead.)
+    A, b = reduced_systems(64, "tri")["potential"]
+    cap = 200 * math.isqrt(b.size)
+    assert cap == 12_600 < 50 * b.size
+    upper = sp.triu(A, 1)
+    A = CountingMatrix(A + (upper - upper.T))
+    with pytest.raises(NoConvergence, match=f"did not converge in {cap} iterations"):
+        solve_spd(A, b)
+    assert A.products == cap
+
+
 def test_solve_spd_zero_rhs_returns_zero():
     A = random_spd(10, seed=3)
     x = solve_spd(A, np.zeros(10))
@@ -137,6 +155,36 @@ def test_solve_spd_is_deterministic():
     x1 = solve_spd(A, b)
     x2 = solve_spd(A, b)
     assert np.array_equal(x1, x2)
+
+
+def lu_arrays(lu):
+    """The row pivots and the index and value arrays of L and U."""
+    return [lu.perm_r] + [getattr(F, name) for F in (lu.L, lu.U) for name in ("indptr", "indices", "data")]
+
+
+@pytest.mark.parametrize("M", [8, 34, 64])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_factorizations_in_the_first_column_order_equal_fresh_ones(kind, M):
+    # A potential, then a heat matrix, then another potential on one space:
+    # the first factorization chooses the column order (COLAMD), the others
+    # reuse it.  Each factor and solve equals that of a fresh factorization.
+    space = FeSpace(build_mesh(M, kind))
+    problem = make_problem()
+    ops = OperatorCache(space)
+
+    def potential(t):
+        u = interpolate_nodal(space, problem.exact_u, t)
+        return assemble_weighted_stiffness(space, problem.sigma(space.values_at_quad(u)))
+
+    heat = space.pattern.matrix(15.0 * ops.mass.data + ops.stiffness.data)
+    b = assemble_load(space, lambda x, y: np.sin(x + 2 * y))
+    g = np.cos(space.mesh.nodes[space.boundary_dofs, 0])
+    for A in (potential(0.3), heat, potential(0.6)):
+        system = DirichletSystem(space, A)
+        fresh = DirichletSystem(FeSpace(build_mesh(M, kind)), A)
+        for got, want in zip(lu_arrays(system._lu), lu_arrays(fresh._lu)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(system.solve(b, g), fresh.solve(b, g))
 
 
 @pytest.fixture(params=["tri", "quad"])

@@ -18,7 +18,7 @@ from thermistor_fem import (
     build_mesh,
 )
 from thermistor_fem import fem
-from thermistor_fem.manufactured import source_f1, source_f2
+from thermistor_fem.manufactured import exact_u, grad_phi, grad_u, source_f1, source_f2
 
 @pytest.fixture(
     scope="module",
@@ -67,7 +67,7 @@ def test_stiffness_kernel_equals_the_einsum(space):
         grad = oracle.materialized_grad(tb)
         got = fem._stiffness_kernel(tb.grad, s)
         assert np.array_equal(got, np.einsum("eq,eqia,eqja->eij", s, grad, grad))
-        assert np.array_equal(got, fem._stiffness_kernel(grad, s))
+        assert np.array_equal(got, fem._stiffness_kernel(np.ascontiguousarray(grad.transpose(1, 3, 2, 0)), s))
 
 
 def test_gradients_equal_the_einsum(space):
@@ -92,6 +92,28 @@ def test_loads_equal_add_at(space):
     g2 = g[..., 0] ** 2 + g[..., 1] ** 2
     want = oracle.add_at_scatter(el, np.einsum("eq,qi->ei", sigma * g2 * tb.wdet, tb.N), n)
     assert np.array_equal(assemble_joule_load(space, sigma, phi), want)
+
+
+@pytest.mark.parametrize("M", [8, 34, 50, 256])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_block_evaluation_equals_the_full_table_evaluation(kind, M):
+    # One block at M=8; a partial last block at tri M=34 and quad M=50; at
+    # M=256 many whole blocks.  The fields are those the error report reads.
+    space = FeSpace(build_mesh(M, kind))
+    fields = {
+        "array": lambda x, y: exact_u(x, y, 0.37),
+        "pair": lambda x, y: grad_u(x, y, 0.37),
+        "pair with a copy": lambda x, y: grad_phi(x, y, 0.37),
+        "scalar": lambda x, y: 2.5,
+    }
+    for tb in (space.tables, space.error_tables):
+        for name, f in fields.items():
+            got, want = tb.evaluate(f), f(tb.x[..., 0], tb.x[..., 1])
+            if name.startswith("pair"):
+                assert type(got) is tuple and len(got) == 2, name
+                got, want = np.stack(got), np.stack(want)
+            assert got.shape[-2:] == tb.wdet.shape and got.flags.writeable, name
+            assert np.array_equal(got, np.broadcast_to(want, got.shape)), name
 
 
 # tri M=34 (2,312 elements) and quad M=50 (2,500) end in a partial block of
@@ -130,8 +152,9 @@ def test_dirichlet_reduction_equals_fancy_indexing(space, method, monkeypatch):
     factored = []
 
     def splu(A, *args, **kwargs):
-        factored.append(A)
-        return real_splu(A, *args, **kwargs)
+        lu = real_splu(A, *args, **kwargs)
+        factored.append((A, lu, kwargs.get("permc_spec", "COLAMD")))
+        return lu
 
     real_splu = fem.spla.splu
     monkeypatch.setattr(fem.spla, "splu", splu)
@@ -148,7 +171,12 @@ def test_dirichlet_reduction_equals_fancy_indexing(space, method, monkeypatch):
         assert_identical(system.A_red, A_red)
         assert_identical(system.A_ib, A_ib)
         if factored:
-            assert_identical(factored[k], csc)
+            # The space's first factorization chooses the column order; the
+            # next one factors the block with its columns in that order.
+            matrix, _, permc_spec = factored[k]
+            order = np.argsort(factored[0][1].perm_c)
+            assert_identical(matrix, csc if k == 0 else csc[:, order])
+            assert permc_spec == ("COLAMD" if k == 0 else "NATURAL")
 
 
 @pytest.mark.parametrize("kind", ["tri", "quad"])
