@@ -237,12 +237,15 @@ class RuleTables:
         arrays when ``f`` returns a tuple.  ``f`` is called once per block of
         `_CHUNK` elements, in element order, on the ``(block, nq)``
         coordinates of their points, and may return anything that broadcasts
-        to that shape: its temporaries are as large as one block."""
+        to that shape: its temporaries are as large as one block.  A tuple
+        that is not a pair, or a change of kind between blocks, is refused."""
         out = []
         for lo in range(0, self.wdet.shape[0], _CHUNK):
             x = self.x[lo : lo + _CHUNK]
             values = f(x[..., 0], x[..., 1])
             pair = isinstance(values, tuple)
+            if pair and len(values) != 2 or out and len(out) != 1 + pair:
+                raise ValueError("a field must return one array or a pair of arrays, the same on every block")
             out = out or [np.empty(self.wdet.shape) for _ in range(1 + pair)]
             for o, v in zip(out, values if pair else (values,)):
                 o[lo : lo + _CHUNK] = v
@@ -393,7 +396,7 @@ class SparsityPattern:
     from scipy's own kernel, by sorting a matrix whose values are the entry
     indices.  The two Dirichlet submatrices are read the same way: the fancy
     indexing ``A[I][:, I]`` and ``A[I][:, B]`` is applied once to a matrix
-    whose values tag its slots.  `DirichletSystem` factors ``A_red.tocsc()``.
+    whose values tag its slots.  `factorize` turns an interior block into its LU solve.
 
     Attributes
     ----------
@@ -445,8 +448,8 @@ class SparsityPattern:
         del tags, slots
         self.interior = _Submatrix(interior_rows[:, space.interior_dofs])
         self.interior_boundary = _Submatrix(interior_rows[:, space.boundary_dofs])
-        # The interior block's column order and the map that gathers its
-        # column-permuted CSC, recorded by the first `factorize`.
+        # The map that gathers the interior block's column-permuted CSC, and
+        # the inverse of its column order, recorded by the first `factorize`.
         self._columns = None
 
     def assemble(self, elem_mats: np.ndarray) -> sp.csr_matrix:
@@ -458,28 +461,43 @@ class SparsityPattern:
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
 
     def factorize(self, A_red: sp.csr_matrix):
-        """Sparse LU of an interior block ``A_red``, as `interior` takes it,
-        and the column order of the factored matrix (None: the block's own).
+        """Sparse LU of an interior block ``A_red``, as `interior` takes it:
+        the function ``b_red -> x_red`` that solves with it, ``x_red`` in
+        interior-dof order.  NoConvergence is raised for a singular factor,
+        and by the function for a solution that is not finite.
 
         SuperLU's fill-reducing column order (``argsort(lu.perm_c)``) depends
         on the structure alone, which every interior block shares: the first
         call factors ``A_red.tocsc()`` with COLAMD and records it, later ones
         factor ``A_red[:, order]``, gathered from ``A_red.data`` through a
-        map, in natural order (SuperLU's ``SamePattern``).  Pivoting prefers
-        the diagonal only on a tie with the column maximum; away from ties,
-        as on these SPD systems, L, U and the row pivots are COLAMD's.
+        map, in natural order (SuperLU's ``SamePattern``); their solutions
+        are read back through a copy of the first ``perm_c`` (``perm_c``
+        itself keeps its factor alive).  Pivoting prefers the diagonal only
+        on a tie with the column maximum; away from ties, as on these SPD
+        systems, L, U and the row pivots are COLAMD's.
         """
-        if self._columns is None:
-            lu = spla.splu(A_red.tocsc())
-            order = np.argsort(lu.perm_c)
-            tags = np.arange(1, A_red.nnz + 1, dtype=np.int32)
-            tagged = sp.csr_matrix((tags, A_red.indices, A_red.indptr), shape=A_red.shape).tocsc()[:, order]
-            self._columns = (tagged.data - 1, tagged.indices, tagged.indptr, order)
-            return lu, None
-        positions, indices, indptr, order = self._columns
-        # splu only reads the index arrays, which every call shares.
-        permuted = sp.csc_matrix((A_red.data[positions], indices, indptr), shape=A_red.shape)
-        return spla.splu(permuted, permc_spec="NATURAL"), order
+        try:
+            if self._columns is None:
+                lu, unknowns = spla.splu(A_red.tocsc()), slice(None)
+                order = np.argsort(lu.perm_c)
+                tags = np.arange(1, A_red.nnz + 1, dtype=np.int32)
+                tagged = sp.csr_matrix((tags, A_red.indices, A_red.indptr), shape=A_red.shape).tocsc()[:, order]
+                self._columns = (tagged.data - 1, tagged.indices, tagged.indptr, lu.perm_c.copy())
+            else:
+                positions, indices, indptr, unknowns = self._columns
+                # splu only reads the index arrays, which every call shares.
+                permuted = sp.csc_matrix((A_red.data[positions], indices, indptr), shape=A_red.shape)
+                lu = spla.splu(permuted, permc_spec="NATURAL")
+        except RuntimeError as exc:  # a singular factor
+            raise NoConvergence(f"sparse factorization failed: {exc}") from exc
+
+        def solve(b_red):
+            x_red = lu.solve(b_red)[unknowns]
+            if not np.all(np.isfinite(x_red)):
+                raise NoConvergence("sparse factorization produced non-finite values")
+            return x_red
+
+        return solve
 
     def holds(self, A: sp.spmatrix) -> bool:
         """Whether ``A`` is a CSR matrix on exactly this pattern."""
@@ -610,8 +628,7 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     ``min(50 * n, 200 * isqrt(n))`` iterations: a cap that grows like the
     mesh parameter ``M`` on an ``M x M`` grid, 51,000 at ``M = 256`` where
     CG converges in under 1,000, so a solve that cannot converge stops
-    after about a minute there, not an hour.  A zero right-hand side
-    returns a fresh zero vector.
+    after about a minute there, not an hour.
 
     Raises
     ------
@@ -621,9 +638,6 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
         matrix, or NaN), or if the iteration cap is reached.
     """
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if np.linalg.norm(b) == 0.0:
-        return np.zeros(n)
     diag = A.diagonal()
     if not np.all(diag > 0):
         raise NoConvergence("matrix has a non-positive diagonal entry; not SPD")
@@ -638,7 +652,7 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     # reference Jacobi CG, and multiplying by the reciprocal rounds differently.
     op = spla.LinearOperator(A.shape, matvec=matvec, dtype=float)
     jacobi = spla.LinearOperator(A.shape, matvec=lambda r: r / diag, dtype=float)
-    max_iter = min(50 * n, 200 * math.isqrt(n))
+    max_iter = min(50 * b.size, 200 * math.isqrt(b.size))
     x, info = spla.cg(op, b, rtol=CG_RTOL, atol=0.0, maxiter=max_iter, M=jacobi)
     if info:
         raise NoConvergence(f"conjugate gradients did not converge in {max_iter} iterations")
@@ -652,52 +666,35 @@ class DirichletSystem:
     matrix does (else ValueError).  The interior block ``A_red`` and the
     interior x boundary block ``A_ib`` are gathered through the pattern's
     slot maps; they equal ``A[I][:, I]`` and ``A[I][:, B]`` bit for bit.
-    ``method="direct"`` factorizes the reduced matrix once (sparse LU, which
-    is deterministic, in the column order of the space's first factorization:
-    `SparsityPattern.factorize`); ``method="cg"`` solves each right-hand side
-    with `solve_spd`, scipy's CG with the Jacobi preconditioner.
+    One function, chosen here, solves with ``A_red``: ``method="direct"``
+    factorizes it once (sparse LU, deterministic, in the column order of the
+    space's first factorization: `SparsityPattern.factorize`), and
+    ``method="cg"`` calls `solve_spd`, scipy's Jacobi CG, per right-hand side.
     """
 
     def __init__(self, space: FeSpace, A: sp.spmatrix, method: str = "direct"):
         if method not in ("direct", "cg"):
             raise ValueError(f"method must be 'direct' or 'cg', got {method!r}")
         self.space = space
-        self.method = method
         pattern = space.pattern
         A = A.tocsr()
         if not pattern.holds(A):
             raise ValueError("the matrix is not on the space's sparsity pattern")
-        self.A_red = pattern.interior.take(A.data)
+        self.A_red = A_red = pattern.interior.take(A.data)
         self.A_ib = pattern.interior_boundary.take(A.data)
-        # The interior unknowns in the order of the reduced solution.
-        self._unknowns = space.interior_dofs
-        if method == "direct":
-            try:
-                self._lu, order = pattern.factorize(self.A_red)
-            except RuntimeError as exc:  # singular factorization
-                raise NoConvergence(f"sparse factorization failed: {exc}") from exc
-            if order is not None:
-                self._unknowns = self._unknowns[order]
+        # `solve_spd` is looked up at each call: a wrapper installed later sees it.
+        self._solve = pattern.factorize(A_red) if method == "direct" else lambda b_red: solve_spd(A_red, b_red)
 
     def solve(self, b: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:
         """Solve for the full nodal vector given a full load vector and the
         values on ``space.boundary_dofs``, in that order."""
         g = np.asarray(boundary_values, dtype=float)
         if g.shape != (self.space.boundary_dofs.size,):
-            raise ValueError(
-                f"boundary_values must have shape ({self.space.boundary_dofs.size},), "
-                f"got {g.shape}"
-            )
+            raise ValueError(f"boundary_values must have shape ({self.space.boundary_dofs.size},), got {g.shape}")
         b_red = b[self.space.interior_dofs] - self.A_ib @ g
-        if self.method == "direct":
-            x_red = self._lu.solve(b_red)
-            if not np.all(np.isfinite(x_red)):
-                raise NoConvergence("sparse factorization produced non-finite values")
-        else:
-            x_red = solve_spd(self.A_red, b_red)
         full = np.zeros(self.space.n_dofs)
         full[self.space.boundary_dofs] = g
-        full[self._unknowns] = x_red
+        full[self.space.interior_dofs] = self._solve(b_red)
         return full
 
     def residual(self, x_full: np.ndarray, b: np.ndarray) -> float:

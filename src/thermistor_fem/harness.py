@@ -36,7 +36,7 @@ from . import analysis
 from .fem import ConductivityNotPositive, FeSpace, NoConvergence
 from .manufactured import make_problem
 from .mesh import build_mesh, macroelements
-from .schemes import ProblemData, SchemeConfig, TimeState, resolve_tau, run_simulation, validate_config
+from .schemes import ProblemData, SchemeConfig, TimeState, run_simulation, validate_config
 
 __all__ = [
     "ErrorReport",
@@ -183,11 +183,9 @@ class PlanResult:
 
 def run_one(config: SchemeConfig, problem: Optional[ProblemData] = None) -> ErrorReport:
     """Run a single configuration and measure its errors."""
-    validate_config(config)
+    tau, N = validate_config(config)
     problem = problem or make_problem()
-    mesh = build_mesh(config.M, config.elem_kind)
-    space = FeSpace(mesh, config.assembly_points, config.error_points)
-    tau, N = resolve_tau(config, mesh.h)
+    space = FeSpace(build_mesh(config.M, config.elem_kind), config.assembly_points, config.error_points)
     state, _ = run_simulation(config, problem, space)
     return compute_error_report(space, state, problem, config, tau, N)
 

@@ -38,8 +38,10 @@ import numpy as np
 
 from .analysis import interpolate_nodal, nodal_values
 from .fem import (
+    ConductivityNotPositive,
     DirichletSystem,
     FeSpace,
+    NoConvergence,
     assemble_joule_load,
     assemble_load,
     assemble_mass,
@@ -157,8 +159,8 @@ class SchemeConfig:
     error_points: Optional[int] = None
 
 
-def validate_config(config: SchemeConfig) -> None:
-    """Raise ValueError for configurations that cannot be run."""
+def validate_config(config: SchemeConfig) -> tuple[float, int]:
+    """Raise ValueError for a configuration that cannot be run; else return its `resolve_tau` ``(tau, N)``."""
     if config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}; choose from {SCHEMES}")
     if config.elem_kind not in ("quad", "tri"):
@@ -168,13 +170,14 @@ def validate_config(config: SchemeConfig) -> None:
     if config.solver not in ("direct", "cg"):
         raise ValueError(f"solver must be 'direct' or 'cg', got {config.solver!r}")
     quadrature_rules(config.elem_kind, config.assembly_points, config.error_points)
-    _, N = resolve_tau(config, mesh_size(config.M))
+    tau, N = resolve_tau(config, mesh_size(config.M))
     levels = _scheme_table(config.scheme).levels
     if N < levels:
         raise ValueError(
             f"scheme {config.scheme!r} needs at least {levels} time steps; "
             f"tau rule {config.tau_rule!r} gives N={N}"
         )
+    return tau, N
 
 
 def _tau_target(rule, h: float) -> float:
@@ -398,14 +401,14 @@ def run_simulation(
     time.  Returns the final `TimeState` (whose newest levels are the fields
     at ``T``) and the per-step diagnostics trace.  The ``bdf3`` start levels
     are temperature interpolants only; no potential is solved for them.
+    A solver failure of step ``n`` (0: the initial potential of ``gao``) is
+    re-raised as its own type, its text prefixed with ``step n at t=...:``.
     """
-    validate_config(config)
+    tau, N = validate_config(config)
     if space is None:
-        mesh = build_mesh(config.M, config.elem_kind)
-        space = FeSpace(mesh, config.assembly_points, config.error_points)
+        space = FeSpace(build_mesh(config.M, config.elem_kind), config.assembly_points, config.error_points)
     elif (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
         raise ValueError(f"the space is on an M={space.mesh.M} {space.mesh.elem_kind} mesh, not the configuration's")
-    tau, N = resolve_tau(config, space.mesh.h)
     table = _scheme_table(config.scheme)
 
     ops = OperatorCache(space, config.solver)
@@ -413,9 +416,15 @@ def run_simulation(
     state = TimeState(n=0, t=0.0, u_n=u0)
     trace: list[StepRecord] = []
 
+    def located(n, solve):
+        try:
+            return solve()
+        except (ConductivityNotPositive, NoConvergence) as exc:
+            raise type(exc)(f"step {n} at t={n * tau:g}: {exc}") from exc
+
     def advance(step, state):
         record = dict.fromkeys(("sigma_star_min", "res_phi", "res_u"), np.nan)
-        state = step(state, space, problem, tau, ops, record)
+        state = located(state.n + 1, lambda: step(state, space, problem, tau, ops, record))
         trace.append(StepRecord(n=state.n, t=state.t, **record))
         return state
 
@@ -423,7 +432,7 @@ def run_simulation(
         # The first temperature-first step consumes two potential levels, so
         # the start-up also solves for the initial potential.
         sigma0 = _sigma_at_quad(space, problem, u0)
-        state = replace(state, phi_n=potential_solve(space, problem, ops, sigma0, 0.0))
+        state = replace(state, phi_n=located(0, lambda: potential_solve(space, problem, ops, sigma0, 0.0)))
 
     # Start-up: build the history levels the scheme reads.  BDF3 takes its
     # first two temperature levels from the exact solution, with no potential:

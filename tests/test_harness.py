@@ -33,7 +33,7 @@ from thermistor_fem import (
 from thermistor_fem import harness
 from thermistor_fem.cli import _build_parser, main
 from thermistor_fem.harness import PlanResult, RunFailure
-from thermistor_fem.schemes import SCHEMES
+from thermistor_fem.schemes import SCHEMES, ProblemData
 
 SCHEMA = (
     "scheme,elem,M,h,tau,N,err_u_l2,err_u_h1,superclose_u_h1,superconv_u_h1,"
@@ -340,6 +340,31 @@ def test_run_plan_records_a_memory_error_and_goes_on():
     lines = result.csv_text.splitlines()
     assert len(lines) == 3 and lines[1].startswith("bdf2,tri,8,")
     assert lines[2] == "# run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: MemoryError: cannot allocate the f2 table"
+
+
+def test_a_solver_failure_names_its_step_and_time():
+    # A conductivity that decreases with the temperature, heated by a
+    # constant source: sigma* turns negative inside step 2.
+    heated = ProblemData(
+        sigma=lambda s: 1.0 - np.asarray(s) / 2.0,
+        exact_u=lambda x, y, t: 0.0 * x,
+        exact_phi=lambda x, y, t: 1.0 + x,
+        f1=lambda x, y, t: 60.0,
+        f2=lambda x, y, t: 0.0,
+        grad_u=lambda x, y, t: (0.0 * x, 0.0 * x),
+        grad_phi=lambda x, y, t: (1.0 + 0.0 * x, 0.0 * x),
+    )
+    result = run_plan(ExperimentPlan(study="t", runs=(tiny(M=8, T=1.0, tau_rule="fixed:0.1"),)), problem=heated)
+    assert result.csv_text.splitlines()[1:] == [
+        "# run failed: scheme=bdf2 elem=tri M=8 tau_rule=fixed:0.1: ConductivityNotPositive: step 2 at t=0.2: "
+        "coefficient field min -1.840e+00 is not above 1e-10; the weighted form is not uniformly elliptic"
+    ]
+    error = result.failures[0].error
+    assert type(error) is ConductivityNotPositive and type(error.__cause__) is ConductivityNotPositive
+    # gao solves for the initial potential before its first step: step 0.
+    negative = replace(make_problem(), sigma=lambda s: np.full_like(np.asarray(s, float), -1.0))
+    with pytest.raises(ConductivityNotPositive, match=r"^step 0 at t=0: coefficient field min -1\.000e\+00"):
+        run_one(tiny(scheme="gao"), negative)
 
 
 # ----------------------------------------------------------------------------

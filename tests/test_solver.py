@@ -1,6 +1,7 @@
 """Conjugate-gradient solver and prepared Dirichlet systems."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from thermistor_fem import (
     make_problem,
     solve_spd,
 )
+from thermistor_fem import fem
 from thermistor_fem.schemes import OperatorCache
 
 
@@ -143,6 +145,12 @@ def test_solve_spd_rejects_nonpositive_diagonal():
         solve_spd(A, np.ones(2))
 
 
+def test_solve_spd_rejects_nonpositive_diagonal_under_a_zero_load():
+    A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    with pytest.raises(NoConvergence, match="non-positive diagonal"):
+        solve_spd(A, np.zeros(2))
+
+
 def test_solve_spd_rejects_indefinite_matrix():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
     with pytest.raises(NoConvergence):
@@ -157,6 +165,20 @@ def test_solve_spd_is_deterministic():
     assert np.array_equal(x1, x2)
 
 
+@pytest.fixture
+def factors(monkeypatch):
+    """Every factor made through ``fem.spla.splu``, in order."""
+    made = []
+    real_splu = fem.spla.splu
+
+    def splu(*args, **kwargs):
+        made.append(real_splu(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(fem.spla, "splu", splu)
+    return made
+
+
 def lu_arrays(lu):
     """The row pivots and the index and value arrays of L and U."""
     return [lu.perm_r] + [getattr(F, name) for F in (lu.L, lu.U) for name in ("indptr", "indices", "data")]
@@ -164,7 +186,7 @@ def lu_arrays(lu):
 
 @pytest.mark.parametrize("M", [8, 34, 64])
 @pytest.mark.parametrize("kind", ["tri", "quad"])
-def test_factorizations_in_the_first_column_order_equal_fresh_ones(kind, M):
+def test_factorizations_in_the_first_column_order_equal_fresh_ones(kind, M, factors):
     # A potential, then a heat matrix, then another potential on one space:
     # the first factorization chooses the column order (COLAMD), the others
     # reuse it.  Each factor and solve equals that of a fresh factorization.
@@ -182,9 +204,19 @@ def test_factorizations_in_the_first_column_order_equal_fresh_ones(kind, M):
     for A in (potential(0.3), heat, potential(0.6)):
         system = DirichletSystem(space, A)
         fresh = DirichletSystem(FeSpace(build_mesh(M, kind)), A)
-        for got, want in zip(lu_arrays(system._lu), lu_arrays(fresh._lu)):
+        for got, want in zip(lu_arrays(factors[-2]), lu_arrays(factors[-1])):
             assert np.array_equal(got, want)
         assert np.array_equal(system.solve(b, g), fresh.solve(b, g))
+
+
+def test_a_factor_is_freed_with_its_system(factors):
+    # The space keeps the first factor's column order for later ones; what it
+    # keeps must not hold that factor (``perm_c``'s base is the factor).
+    space = FeSpace(build_mesh(8, "tri"))
+    for A in (assemble_stiffness(space), assemble_mass(space) + assemble_stiffness(space)):
+        DirichletSystem(space, A).solve(assemble_load(space, lambda x, y: 1.0), np.zeros(space.boundary_dofs.size))
+    held_by_a_list_alone = [object()]
+    assert [sys.getrefcount(lu) for lu in factors] == [sys.getrefcount(o) for o in held_by_a_list_alone] * 2
 
 
 @pytest.fixture(params=["tri", "quad"])
@@ -211,6 +243,23 @@ def test_dirichlet_system_residual_is_small_at_solution(space):
     x_bad = x + 1e-3
     x_bad[space.boundary_dofs] = 0.0
     assert system.residual(x_bad, b) > 1e-6
+
+
+def test_a_singular_block_fails_to_factorize(space):
+    # Before the space's first factorization (COLAMD), then in its column order.
+    zero = space.pattern.matrix(np.zeros(space.pattern.nnz))
+    for _ in range(2):
+        with pytest.raises(NoConvergence, match="^sparse factorization failed"):
+            DirichletSystem(space, zero)
+        DirichletSystem(space, assemble_stiffness(space))
+
+
+def test_a_non_finite_load_fails_the_direct_solve(space):
+    system = DirichletSystem(space, assemble_mass(space) + assemble_stiffness(space))
+    b = assemble_load(space, lambda x, y: 1.0)
+    b[space.interior_dofs[0]] = np.nan
+    with pytest.raises(NoConvergence, match="non-finite"):
+        system.solve(b, np.zeros(space.boundary_dofs.size))
 
 
 def test_dirichlet_system_rejects_unknown_method(space):

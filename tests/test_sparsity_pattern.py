@@ -116,6 +116,33 @@ def test_block_evaluation_equals_the_full_table_evaluation(kind, M):
             assert np.array_equal(got, np.broadcast_to(want, got.shape)), name
 
 
+def test_block_evaluation_refuses_a_tuple_that_is_not_a_pair_or_a_change_of_kind():
+    # A field reaches the report through `ProblemData.grad_u`/`grad_phi`: a
+    # wrong one must fail, not leave error values unwritten.
+    tb = FeSpace(build_mesh(64, "tri")).tables
+    assert tb.wdet.shape[0] == 4 * fem._CHUNK
+
+    def switching(first, later):
+        """A field that returns ``first`` on the first block, ``later`` after."""
+        calls = []
+
+        def f(x, y):
+            calls.append(None)
+            return first(x, y) if len(calls) == 1 else later(x, y)
+
+        return f
+
+    array, pair = (lambda x, y: x), (lambda x, y: (x, y))
+    for f in (
+        lambda x, y: (x,),
+        lambda x, y: (x, y, x),
+        switching(pair, array),
+        switching(array, pair),
+    ):
+        with pytest.raises(ValueError, match="one array or a pair of arrays"):
+            tb.evaluate(f)
+
+
 # tri M=34 (2,312 elements) and quad M=50 (2,500) end in a partial block of
 # `fem._CHUNK` (2,048) elements; the M=64 meshes are whole blocks.
 BLOCKED_MESHES = [("tri", 34), ("quad", 50), ("tri", 64), ("quad", 64)]
