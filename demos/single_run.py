@@ -52,9 +52,10 @@ print(f"mesh: {mesh.n_elements} {config.elem_kind} elements, "
 print(f"time: {N} steps of tau = {tau}")
 
 # ----------------------------------------------------------------------------
-# Run it.  The trace records one entry per time step: the minimum of the
-# extrapolated conductivity (it must stay positive for the potential solve to
-# be elliptic) and the relative residuals of the two linear solves.
+# Run it.  The trace holds the `StepRecord` of each time step, the `record`
+# that each new level carries: the minimum of the extrapolated conductivity
+# (it must stay positive for the potential solve to be elliptic) and the
+# relative residuals of the two linear solves.
 # ----------------------------------------------------------------------------
 
 state, trace = run_simulation(config, problem, space)

@@ -4,14 +4,15 @@ Exit codes: 0 on success, 2 for invalid configuration, 3 when a solve fails
 (non-elliptic coefficient, a linear solver that does not converge, or memory
 that runs out).  A failed run is classified by the type of its exception: the
 ones in `harness.RUN_FAILURES` are solver failures, any other `ValueError` is a
-configuration error, as is an ``--out`` that names no file in an existing directory.
+configuration error.  ``--out`` is opened before any run: a path that cannot be
+opened for writing is a configuration error, and a CSV that cannot be written
+after the runs is one line on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .harness import (
     ExperimentPlan,
@@ -68,16 +69,23 @@ def main(argv=None) -> int:
             plan = ExperimentPlan(study="cli-run", runs=(config,))
         else:
             plan = preset_plan(args.preset)
-        out = Path(args.out)
-        if out.is_dir() or not out.parent.is_dir():
-            raise ValueError(f"cannot write the CSV to {args.out!r}: not a file in an existing directory")
+        try:
+            out = open(args.out, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write the CSV to {args.out!r}: {exc.strerror or exc}") from None
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 
-    result = run_plan(plan, out_path=args.out)
+    result = run_plan(plan)
     for failure in result.failures:
         print(failure, file=sys.stderr)
+    try:
+        with out:
+            out.write(result.csv_text)
+    except OSError as exc:
+        print(f"cannot write the CSV to {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     print(f"wrote {len(result.reports)} run(s) to {args.out}")
     print()

@@ -100,6 +100,8 @@ class TimeState:
     two-level-old values (``None`` until the history fills up).  Of the
     potential only ``phi_n`` and ``phi_nm1`` are kept: no step reads older.
     The exact start levels of ``bdf3`` carry no potential (``None``).
+    ``record`` is the `StepRecord` of the step that made the level (``None``
+    for the initial datum and for ``bdf3``'s exact start levels).
     """
 
     n: int
@@ -109,10 +111,14 @@ class TimeState:
     u_nm2: Optional[np.ndarray] = None
     phi_n: Optional[np.ndarray] = None
     phi_nm1: Optional[np.ndarray] = None
+    record: Optional[StepRecord] = None
 
-    def advanced(self, u_new: np.ndarray, phi_new: np.ndarray, tau: float) -> "TimeState":
-        """Shift the history by one level."""
-        return TimeState(self.n + 1, (self.n + 1) * tau, u_new, self.u_n, self.u_nm1, phi_new, self.phi_n)
+    def advanced(self, u_new: np.ndarray, phi_new: np.ndarray, tau: float, *diagnostics: float) -> "TimeState":
+        """Shift the history by one level.  ``diagnostics`` are the step's
+        ``sigma_star_min``, ``res_phi`` and ``res_u``; an exact level has none."""
+        n, t = self.n + 1, (self.n + 1) * tau
+        record = StepRecord(n, t, *diagnostics) if diagnostics else None
+        return TimeState(n, t, u_new, self.u_n, self.u_nm1, phi_new, self.phi_n, record)
 
     def temperatures(self, k: int) -> tuple:
         """The ``k`` newest temperature levels, newest first."""
@@ -124,7 +130,8 @@ class TimeState:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Per-step diagnostics collected by `run_simulation`."""
+    """Diagnostics of the step that made level ``n`` (time ``t``): the minimum
+    of the conductivity its potential solve used, and its solves' residuals."""
 
     n: int
     t: float
@@ -247,38 +254,36 @@ def _sigma_at_quad(space: FeSpace, problem: ProblemData, u_coeffs: np.ndarray) -
     return problem.sigma(space.values_at_quad(u_coeffs))
 
 
-def potential_solve(space, problem, ops, sigma_star, t, record=None) -> np.ndarray:
+def potential_solve(space, problem, ops, sigma_star, t) -> tuple[np.ndarray, float]:
     """Solve the discrete potential equation at time ``t``.
 
     ``(sigma* grad Phi_h, grad xi) = (f2(t), xi)`` for all interior test
     functions, with ``Phi_h`` equal to the nodal interpolant of the exact
     potential on the boundary; ``sigma_star`` holds conductivity values at
-    the assembly quadrature points.
+    the assembly quadrature points.  Returns ``Phi_h`` and the relative
+    residual of its reduced system.
     """
     A = assemble_weighted_stiffness(space, sigma_star)
     system = DirichletSystem(space, A, ops.solver)
     b = assemble_load(space, lambda x, y: problem.f2(x, y, t))
     g = nodal_values(problem.exact_phi, space.mesh.nodes[space.boundary_dofs], t)
     phi = system.solve(b, g)
-    if record is not None:
-        record["res_phi"] = system.residual(phi, b)
-    return phi
+    return phi, system.residual(phi, b)
 
 
-def temperature_solve(space, problem, ops, alpha, mass_history, joule, t, record=None) -> np.ndarray:
+def temperature_solve(space, problem, ops, alpha, mass_history, joule, t) -> tuple[np.ndarray, float]:
     """Solve ``(alpha Mass + Stiffness) U = Mass history + joule + (f1(t), xi)``.
 
     This is the temperature update of every scheme here: ``alpha`` and
     ``mass_history`` come from the backward difference, ``joule`` is the
     assembled Joule load.  The temperature vanishes on the boundary.
+    Returns ``U`` and the relative residual of its reduced system.
     """
     b1 = assemble_load(space, lambda x, y: problem.f1(x, y, t))
     rhs = ops.mass @ mass_history + joule + b1
     system = ops.heat_system(alpha)
     u = system.solve(rhs, np.zeros(space.boundary_dofs.size))
-    if record is not None:
-        record["res_u"] = system.residual(u, rhs)
-    return u
+    return u, system.residual(u, rhs)
 
 
 # ----------------------------------------------------------------------------
@@ -336,7 +341,6 @@ def imex_step(
     problem: ProblemData,
     tau: float,
     ops: OperatorCache,
-    record: Optional[dict] = None,
 ) -> TimeState:
     """One potential-first step with the coefficients of ``table``.
 
@@ -347,13 +351,11 @@ def imex_step(
     us = state.temperatures(table.levels)
     t_new = (state.n + 1) * tau
     sigma_star = sum(w * _sigma_at_quad(space, problem, u) for w, u in zip(table.extrap, us))
-    if record is not None:
-        record["sigma_star_min"] = float(sigma_star.min())
-    phi_new = potential_solve(space, problem, ops, sigma_star, t_new, record)
+    phi_new, res_phi = potential_solve(space, problem, ops, sigma_star, t_new)
     joule = assemble_joule_load(space, sigma_star, phi_new)
     alpha, history = table.difference(us, tau)
-    u_new = temperature_solve(space, problem, ops, alpha, history, joule, t_new, record)
-    return state.advanced(u_new, phi_new, tau)
+    u_new, res_u = temperature_solve(space, problem, ops, alpha, history, joule, t_new)
+    return state.advanced(u_new, phi_new, tau, float(sigma_star.min()), res_phi, res_u)
 
 
 def gao_step(
@@ -362,7 +364,6 @@ def gao_step(
     problem: ProblemData,
     tau: float,
     ops: OperatorCache,
-    record: Optional[dict] = None,
 ) -> TimeState:
     """Temperature-first BDF2 step with extrapolated Joule data.
 
@@ -380,12 +381,10 @@ def gao_step(
         for w, u, phi in zip(table.extrap, us, (state.phi_n, state.phi_nm1))
     )
     alpha, history = table.difference(us, tau)
-    u_new = temperature_solve(space, problem, ops, alpha, history, joule, t_new, record)
+    u_new, res_u = temperature_solve(space, problem, ops, alpha, history, joule, t_new)
     sigma_new = _sigma_at_quad(space, problem, u_new)
-    if record is not None:
-        record["sigma_star_min"] = float(sigma_new.min())
-    phi_new = potential_solve(space, problem, ops, sigma_new, t_new, record)
-    return state.advanced(u_new, phi_new, tau)
+    phi_new, res_phi = potential_solve(space, problem, ops, sigma_new, t_new)
+    return state.advanced(u_new, phi_new, tau, float(sigma_new.min()), res_phi, res_u)
 
 
 def run_simulation(
@@ -399,8 +398,9 @@ def run_simulation(
     configuration's, else ValueError), realizes the time step from the tau
     rule, performs the scheme's starting procedure, then steps to the final
     time.  Returns the final `TimeState` (whose newest levels are the fields
-    at ``T``) and the per-step diagnostics trace.  The ``bdf3`` start levels
-    are temperature interpolants only; no potential is solved for them.
+    at ``T``) and the trace, the `record` of every level a step made.  The
+    ``bdf3`` start levels are temperature interpolants only; no potential is
+    solved for them.
     A solver failure of step ``n`` (0: the initial potential of ``gao``) is
     re-raised as its own type, its text prefixed with ``step n at t=...:``.
     """
@@ -423,16 +423,15 @@ def run_simulation(
             raise type(exc)(f"step {n} at t={n * tau:g}: {exc}") from exc
 
     def advance(step, state):
-        record = dict.fromkeys(("sigma_star_min", "res_phi", "res_u"), np.nan)
-        state = located(state.n + 1, lambda: step(state, space, problem, tau, ops, record))
-        trace.append(StepRecord(n=state.n, t=state.t, **record))
+        state = located(state.n + 1, lambda: step(state, space, problem, tau, ops))
+        trace.append(state.record)
         return state
 
     if config.scheme == "gao":
         # The first temperature-first step consumes two potential levels, so
         # the start-up also solves for the initial potential.
         sigma0 = _sigma_at_quad(space, problem, u0)
-        state = replace(state, phi_n=located(0, lambda: potential_solve(space, problem, ops, sigma0, 0.0)))
+        state = replace(state, phi_n=located(0, lambda: potential_solve(space, problem, ops, sigma0, 0.0))[0])
 
     # Start-up: build the history levels the scheme reads.  BDF3 takes its
     # first two temperature levels from the exact solution, with no potential:

@@ -342,10 +342,11 @@ def test_run_plan_records_a_memory_error_and_goes_on():
     assert lines[2] == "# run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: MemoryError: cannot allocate the f2 table"
 
 
-def test_a_solver_failure_names_its_step_and_time():
-    # A conductivity that decreases with the temperature, heated by a
-    # constant source: sigma* turns negative inside step 2.
-    heated = ProblemData(
+def _heated_problem():
+    """A conductivity that decreases with the temperature, heated by a
+    constant source: with bdf2 on tri M=8 and tau=0.1, sigma* turns negative
+    inside step 2 (`HEATED_FAILURE`)."""
+    return ProblemData(
         sigma=lambda s: 1.0 - np.asarray(s) / 2.0,
         exact_u=lambda x, y, t: 0.0 * x,
         exact_phi=lambda x, y, t: 1.0 + x,
@@ -354,11 +355,18 @@ def test_a_solver_failure_names_its_step_and_time():
         grad_u=lambda x, y, t: (0.0 * x, 0.0 * x),
         grad_phi=lambda x, y, t: (1.0 + 0.0 * x, 0.0 * x),
     )
-    result = run_plan(ExperimentPlan(study="t", runs=(tiny(M=8, T=1.0, tau_rule="fixed:0.1"),)), problem=heated)
-    assert result.csv_text.splitlines()[1:] == [
-        "# run failed: scheme=bdf2 elem=tri M=8 tau_rule=fixed:0.1: ConductivityNotPositive: step 2 at t=0.2: "
-        "coefficient field min -1.840e+00 is not above 1e-10; the weighted form is not uniformly elliptic"
-    ]
+
+
+HEATED_FAILURE = (
+    "run failed: scheme=bdf2 elem=tri M=8 tau_rule=fixed:0.1: ConductivityNotPositive: step 2 at t=0.2: "
+    "coefficient field min -1.840e+00 is not above 1e-10; the weighted form is not uniformly elliptic"
+)
+
+
+def test_a_solver_failure_names_its_step_and_time():
+    plan = ExperimentPlan(study="t", runs=(tiny(M=8, T=1.0, tau_rule="fixed:0.1"),))
+    result = run_plan(plan, problem=_heated_problem())
+    assert result.csv_text.splitlines()[1:] == [f"# {HEATED_FAILURE}"]
     error = result.failures[0].error
     assert type(error) is ConductivityNotPositive and type(error.__cause__) is ConductivityNotPositive
     # gao solves for the initial potential before its first step: step 0.
@@ -504,19 +512,31 @@ def test_cli_rejects_a_non_finite_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+@pytest.mark.parametrize("out", ["missing/x.csv", ".", "dangling.csv"])
 def test_cli_refuses_an_unwritable_out_before_any_run(tmp_path, monkeypatch, capsys, out):
     def no_run_plan(plan, out_path=None):
         raise AssertionError("run_plan called")
 
     monkeypatch.setattr("thermistor_fem.cli.run_plan", no_run_plan)
+    # A symlink into a missing directory: the path's parent exists, its target's does not.
+    (tmp_path / "dangling.csv").symlink_to(tmp_path / "missing" / "x.csv")
     code = main(
         ["run", "--scheme", "bdf2", "--elem", "tri", "--M", "4",
          "--tau-rule", "fixed:0.25", "--out", str(tmp_path / out)]
     )
     assert code == 2
-    assert "invalid configuration" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith(f"invalid configuration: cannot write the CSV to {str(tmp_path / out)!r}: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "dangling.csv"]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_cli_reports_a_csv_that_cannot_be_written_after_the_runs(capsys):
+    # /dev/full opens for writing, then refuses every write.
+    code = main(["run", "--scheme", "bdf2", "--elem", "tri", "--M", "4", "--tau-rule", "fixed:0.25", "--out", "/dev/full"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "cannot write the CSV to '/dev/full': No space left on device\n"
+    assert "wrote" not in captured.out
 
 
 def test_cli_offers_every_scheme():
@@ -561,6 +581,15 @@ def test_cli_maps_solver_failures_to_exit_3(tmp_path, monkeypatch, capsys):
 
     code = main(["sweep", "--preset", "fig-u", "--out", str(tmp_path / "y.csv")])
     assert code == 3
+
+
+def test_cli_writes_the_csv_and_exits_3_when_a_run_fails_mid_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("thermistor_fem.harness.make_problem", _heated_problem)
+    out = tmp_path / "x.csv"
+    code = main(["run", "--scheme", "bdf2", "--elem", "tri", "--M", "8", "--tau-rule", "fixed:0.1", "--out", str(out)])
+    assert code == 3
+    assert out.read_text() == f"{SCHEMA}\n# {HEATED_FAILURE}\n"
+    assert capsys.readouterr().err == HEATED_FAILURE + "\n"
 
 
 def test_cli_writes_the_csv_and_exits_3_on_a_memory_error(tmp_path, monkeypatch, capsys):

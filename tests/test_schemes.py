@@ -312,7 +312,7 @@ def history_state(space, tau, n=2):
     problem, ops = make_problem(), OperatorCache(space)
     levels = [interpolate_nodal(space, exact_u, k * tau) for k in range(n + 1)]
     phi = [
-        potential_solve(space, problem, ops, sigma(space.values_at_quad(levels[k])), k * tau)
+        potential_solve(space, problem, ops, sigma(space.values_at_quad(levels[k])), k * tau)[0]
         for k in range(n + 1)
     ]
     return TimeState(
@@ -431,7 +431,7 @@ def test_euler_init_returns_first_level():
     assert np.all(u1[space.boundary_dofs] == 0.0)
 
 
-def test_run_simulation_reaches_final_time_and_traces_every_step():
+def test_run_simulation_reaches_final_time_and_traces_every_step(monkeypatch):
     problem = make_problem()
     state, trace = run_simulation(cfg(scheme="euler"), problem)
     assert state.n == 4
@@ -448,13 +448,38 @@ def test_run_simulation_reaches_final_time_and_traces_every_step():
     assert state.n == 4
     assert [r.n for r in trace] == [3, 4]  # exact start levels are not steps
 
+    # The trace is the `record` of each level a step made; the levels no step
+    # made carry None: bdf3's exact start levels, and gao's level 0, which
+    # holds the initial potential.
+    seen = []
+
+    def spy(table, state, *args):
+        seen.append(state)
+        return imex_step(table, state, *args)
+
+    monkeypatch.setattr("thermistor_fem.schemes.imex_step", spy)
+    state, trace = run_simulation(cfg(scheme="bdf3"), problem)
+    assert [s.n for s in seen] == [2, 3]
+    assert [s.record for s in seen] + [state.record] == [None, *trace]
+    seen.clear()
+    run_simulation(cfg(scheme="gao"), problem)
+    assert [s.n for s in seen] == [0]  # the Euler start-up step
+    assert seen[0].phi_n is not None and seen[0].record is None
+
 
 def test_run_simulation_records_solver_and_coefficient_diagnostics():
-    _, trace = run_simulation(cfg(scheme="bdf2"), make_problem())
-    for record in trace:
-        assert 0.9 < record.sigma_star_min <= 2.0
-        assert record.res_phi < 1e-10
-        assert record.res_u < 1e-10
+    problem = make_problem()
+    for scheme, step in (("bdf2", partial(imex_step, TABLES["bdf2"])), ("gao", gao_step)):
+        state, trace = run_simulation(cfg(scheme=scheme), problem)
+        assert state.record is trace[-1]
+        for record in trace:
+            assert 0.9 < record.sigma_star_min <= 2.0
+            assert record.res_phi < 1e-10
+            assert record.res_u < 1e-10
+        # The step called on the level before the last makes the trace's last entry.
+        space = FeSpace(build_mesh(4, "tri"))
+        before, _ = run_simulation(cfg(scheme=scheme, T=0.75), problem, space)
+        assert step(before, space, problem, 0.25, OperatorCache(space)).record == trace[-1]
 
 
 def test_run_simulation_rejects_horizons_shorter_than_the_startup():
@@ -549,6 +574,7 @@ def test_potential_solve_is_second_order_accurate():
         space = FeSpace(build_mesh(M, "tri"))
         u = interpolate_nodal(space, exact_u, t)
         sigma_star = sigma(space.values_at_quad(u))
-        phi = potential_solve(space, make_problem(), OperatorCache(space), sigma_star, t)
+        phi, res = potential_solve(space, make_problem(), OperatorCache(space), sigma_star, t)
+        assert res < 1e-10
         errs.append(l2_distance(space, phi, exact_phi, t))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)

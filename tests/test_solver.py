@@ -139,6 +139,18 @@ def test_solve_spd_zero_rhs_returns_zero():
     assert np.all(x == 0.0)
 
 
+def test_solve_spd_answers_a_zero_load_with_a_zero_of_its_own():
+    # scipy's cg hands a zero load back as the solution; the caller's array
+    # must not come back, nor its signed zeros.
+    A = random_spd(3, seed=3)
+    b = np.array([0.0, -0.0, 0.0])
+    x = solve_spd(A, b)
+    assert not np.shares_memory(x, b)
+    assert not np.any(np.signbit(x))
+    x[:] = 1.0
+    assert np.all(b == 0.0) and np.signbit(b[1])
+
+
 def test_solve_spd_rejects_nonpositive_diagonal():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(NoConvergence):
