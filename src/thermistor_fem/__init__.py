@@ -22,28 +22,12 @@ from .analysis import (
     l2_error,
     quadrature_norm,
 )
-from .fem import (
-    ConductivityNotPositive,
-    DirichletSystem,
-    FeSpace,
-    NoConvergence,
-    assemble_joule_load,
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-    assemble_weighted_stiffness,
-    gauss_rule_square,
-    gauss_rule_triangle,
-    solve_spd,
-)
+from .fem import ConductivityNotPositive, FeSpace, NoConvergence
 from .harness import (
-    CSV_COLUMNS,
     ErrorReport,
     ExperimentPlan,
-    PRESETS,
     preset_plan,
     render_order_table,
-    reports_to_csv,
     run_one,
     run_plan,
 )
@@ -51,7 +35,6 @@ from .manufactured import make_problem
 from .mesh import build_mesh, macroelements
 from .schemes import (
     TABLES,
-    OperatorCache,
     SchemeConfig,
     TimeState,
     gao_step,
@@ -59,7 +42,6 @@ from .schemes import (
     potential_solve,
     resolve_tau,
     run_simulation,
-    validate_config,
 )
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 A *plan* is a named list of scheme configurations.  Running a plan runs every
 configuration against the manufactured problem, measures the final-time
 errors of both fields (including supercloseness to the nodal interpolant and
-the post-processed superconvergent error), and writes one CSV row per run
-with a fixed column schema:
+the post-processed superconvergent error), and renders CSV text with one row
+per run in a fixed column schema:
 
     scheme,elem,M,h,tau,N,err_u_l2,err_u_h1,superclose_u_h1,superconv_u_h1,
     err_phi_l2,err_phi_h1,superclose_phi_h1,superconv_phi_h1,combined_l2
@@ -20,7 +20,8 @@ reported as ``#``-prefixed comment lines at the end, one line each, and do
 not abort the remaining runs.
 
 Floats are written in their shortest round-trip representation, so rerunning
-a plan reproduces the file byte for byte.
+a plan reproduces the text byte for byte.  Nothing here writes a file: the
+command line (`thermistor_fem.cli`) writes the text where ``--out`` says.
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ def run_one(config: SchemeConfig, problem: Optional[ProblemData] = None) -> Erro
     return compute_error_report(space, state, problem, config, tau, N)
 
 
-def run_plan(plan: ExperimentPlan, out_path=None, problem: Optional[ProblemData] = None) -> PlanResult:
-    """Run every configuration of the plan; write the CSV if a path is given.
+def run_plan(plan: ExperimentPlan, problem: Optional[ProblemData] = None) -> PlanResult:
+    """Run every configuration of the plan and render the CSV text; no file
+    is written.
 
     Failed runs are recorded with their diagnostic and do not stop the plan.
     """
@@ -203,11 +205,7 @@ def run_plan(plan: ExperimentPlan, out_path=None, problem: Optional[ProblemData]
             reports.append(run_one(config, problem))
         except (*RUN_FAILURES, ValueError) as exc:
             failures.append(RunFailure(config, exc))
-    csv_text = reports_to_csv(reports, failures)
-    if out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.write(csv_text)
-    return PlanResult(reports=reports, failures=failures, csv_text=csv_text)
+    return PlanResult(reports=reports, failures=failures, csv_text=reports_to_csv(reports, failures))
 
 
 def _fmt(value) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "build_mesh", "mesh_size", "macroelements"]
+__all__ = ["Mesh", "build_mesh", "check_mesh_args", "mesh_size", "macroelements"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,15 @@ def mesh_size(M: int) -> float:
     return np.sqrt(2.0) / M
 
 
+def check_mesh_args(M, elem_kind) -> None:
+    """Raise ValueError unless ``M`` is an even integer >= 2 and ``elem_kind``
+    is ``"quad"`` or ``"tri"``."""
+    if not isinstance(M, (int, np.integer)) or M < 2 or M % 2:
+        raise ValueError(f"M must be an even integer >= 2, got {M!r}")
+    if elem_kind not in ("quad", "tri"):
+        raise ValueError(f"elem_kind must be 'quad' or 'tri', got {elem_kind!r}")
+
+
 def build_mesh(M: int, elem_kind: str = "quad") -> Mesh:
     """Build a uniform mesh of the unit square with ``M`` cells per side.
 
@@ -87,13 +96,7 @@ def build_mesh(M: int, elem_kind: str = "quad") -> Mesh:
     -------
     Mesh
     """
-    if not isinstance(M, (int, np.integer)):
-        raise ValueError(f"M must be an integer, got {M!r}")
-    if M < 2 or M % 2 != 0:
-        raise ValueError(f"M must be an even integer >= 2, got {M}")
-    if elem_kind not in ("quad", "tri"):
-        raise ValueError(f"elem_kind must be 'quad' or 'tri', got {elem_kind!r}")
-
+    check_mesh_args(M, elem_kind)
     side = np.linspace(0.0, 1.0, M + 1)
     X, Y = np.meshgrid(side, side, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])

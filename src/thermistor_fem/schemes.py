@@ -49,7 +49,7 @@ from .fem import (
     assemble_weighted_stiffness,
     quadrature_rules,
 )
-from .mesh import build_mesh, mesh_size
+from .mesh import build_mesh, check_mesh_args, mesh_size
 
 __all__ = [
     "ProblemData",
@@ -170,10 +170,7 @@ def validate_config(config: SchemeConfig) -> tuple[float, int]:
     """Raise ValueError for a configuration that cannot be run; else return its `resolve_tau` ``(tau, N)``."""
     if config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}; choose from {SCHEMES}")
-    if config.elem_kind not in ("quad", "tri"):
-        raise ValueError(f"elem_kind must be 'quad' or 'tri', got {config.elem_kind!r}")
-    if not isinstance(config.M, (int, np.integer)) or config.M < 2 or config.M % 2:
-        raise ValueError(f"M must be an even integer >= 2, got {config.M!r}")
+    check_mesh_args(config.M, config.elem_kind)
     if config.solver not in ("direct", "cg"):
         raise ValueError(f"solver must be 'direct' or 'cg', got {config.solver!r}")
     quadrature_rules(config.elem_kind, config.assembly_points, config.error_points)
@@ -267,8 +264,7 @@ def potential_solve(space, problem, ops, sigma_star, t) -> tuple[np.ndarray, flo
     system = DirichletSystem(space, A, ops.solver)
     b = assemble_load(space, lambda x, y: problem.f2(x, y, t))
     g = nodal_values(problem.exact_phi, space.mesh.nodes[space.boundary_dofs], t)
-    phi = system.solve(b, g)
-    return phi, system.residual(phi, b)
+    return system.solve(b, g)
 
 
 def temperature_solve(space, problem, ops, alpha, mass_history, joule, t) -> tuple[np.ndarray, float]:
@@ -281,9 +277,7 @@ def temperature_solve(space, problem, ops, alpha, mass_history, joule, t) -> tup
     """
     b1 = assemble_load(space, lambda x, y: problem.f1(x, y, t))
     rhs = ops.mass @ mass_history + joule + b1
-    system = ops.heat_system(alpha)
-    u = system.solve(rhs, np.zeros(space.boundary_dofs.size))
-    return u, system.residual(u, rhs)
+    return ops.heat_system(alpha).solve(rhs, np.zeros(space.boundary_dofs.size))
 
 
 # ----------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from thermistor_fem import (
     TABLES,
     ExperimentPlan,
     FeSpace,
-    OperatorCache,
     SchemeConfig,
     TimeState,
     build_mesh,
@@ -44,7 +43,9 @@ from thermistor_fem import (
     run_one,
     run_plan,
 )
+from thermistor_fem.cli import main
 from thermistor_fem.manufactured import source_f1, source_f2
+from thermistor_fem.schemes import OperatorCache
 
 mp.mp.dps = 50
 
@@ -424,7 +425,11 @@ def test_criterion_11_csv_determinism(tmp_path):
             SchemeConfig(scheme="bdf2", M=8, elem_kind="tri", T=0.5, tau_rule="fixed:0.25"),
         ),
     )
-    a = run_plan(plan, out_path=tmp_path / "a.csv")
-    b = run_plan(plan, out_path=tmp_path / "b.csv")
+    a = run_plan(plan)
+    b = run_plan(plan)
+    assert a.csv_text.encode() == b.csv_text.encode()
+    # The file the command line writes, twice.
+    args = ["run", "--scheme", "bdf2", "--elem", "tri", "--M", "8", "--T", "0.5", "--tau-rule", "fixed:0.25"]
+    for name in ("a.csv", "b.csv"):
+        assert main([*args, "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert a.csv_text == b.csv_text

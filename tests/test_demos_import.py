@@ -1,4 +1,5 @@
-"""Every name a demo imports from the package exists.
+"""Every name a demo imports from the package exists, and the package root
+exports exactly the names the demos and README's library section name.
 
 The demos take over a minute to run in total, so they are not run here; this
 parses them instead, so that trimming an export cannot silently break one.
@@ -7,11 +8,17 @@ parses them instead, so that trimming an export cannot silently break one.
 import ast
 import importlib
 import importlib.util
+import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+import thermistor_fem
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def package_imports(path):
@@ -40,3 +47,17 @@ def test_demo_imports_exist(path):
             assert importlib.util.find_spec(f"{module}.{name}"), (
                 f"{path.name} imports {name!r} from {module}, which does not exist"
             )
+
+
+def test_the_root_exports_exactly_what_the_docs_and_demos_name():
+    # Bare backticked names of the section count if some module exports them;
+    # a qualified one such as `fem.DirichletSystem` names a module's export.
+    section = (ROOT / "README.md").read_text().split("## Using the library", 1)[1].split("\n## ", 1)[0]
+    modules = [importlib.import_module(f"thermistor_fem.{m.name}") for m in pkgutil.iter_modules(thermistor_fem.__path__)]
+    public = {name for module in modules for name in module.__all__}
+    named = {name for name in re.findall(r"`(\w+)`", section) if name in public}
+    named |= {name for path in DEMOS for module, name in package_imports(path) if module == "thermistor_fem"}
+    exported = {
+        name for name, value in vars(thermistor_fem).items() if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported == named

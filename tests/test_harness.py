@@ -16,23 +16,20 @@ from hypothesis import strategies as st
 import _dense_oracle as oracle
 
 from thermistor_fem import (
-    CSV_COLUMNS,
     ConductivityNotPositive,
     ErrorReport,
     ExperimentPlan,
     NoConvergence,
-    PRESETS,
     SchemeConfig,
     make_problem,
     preset_plan,
     render_order_table,
-    reports_to_csv,
     run_one,
     run_plan,
 )
 from thermistor_fem import harness
 from thermistor_fem.cli import _build_parser, main
-from thermistor_fem.harness import PlanResult, RunFailure
+from thermistor_fem.harness import CSV_COLUMNS, PRESETS, PlanResult, RunFailure, reports_to_csv
 from thermistor_fem.schemes import SCHEMES, ProblemData
 
 SCHEMA = (
@@ -242,7 +239,7 @@ def test_a_failure_is_one_line_in_the_csv_and_on_the_command_line(tmp_path, monk
         "# run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: ValueError: sigma table out of range"
     ]
 
-    def fake_run_plan(plan, out_path=None):
+    def fake_run_plan(plan):
         return PlanResult(reports=[], failures=[RunFailure(plan.runs[0], NoConvergence("no\r\nconvergence"))], csv_text="")
 
     monkeypatch.setattr("thermistor_fem.cli.run_plan", fake_run_plan)
@@ -257,13 +254,11 @@ def test_a_failure_is_one_line_in_the_csv_and_on_the_command_line(tmp_path, monk
 # ----------------------------------------------------------------------------
 
 
-def test_run_plan_is_deterministic_and_writes_the_file(tmp_path):
+def test_run_plan_is_deterministic():
     plan = ExperimentPlan(study="t", runs=(tiny(), tiny(M=8)))
-    out = tmp_path / "a.csv"
-    first = run_plan(plan, out_path=out)
+    first = run_plan(plan)
     second = run_plan(plan)
     assert first.csv_text == second.csv_text
-    assert out.read_text() == first.csv_text
     lines = first.csv_text.splitlines()
     assert len(lines) == 4  # header, two runs, one order row
     assert lines[3].startswith("eoc:bdf2")
@@ -514,7 +509,7 @@ def test_cli_rejects_a_non_finite_horizon(tmp_path, capsys):
 
 @pytest.mark.parametrize("out", ["missing/x.csv", ".", "dangling.csv"])
 def test_cli_refuses_an_unwritable_out_before_any_run(tmp_path, monkeypatch, capsys, out):
-    def no_run_plan(plan, out_path=None):
+    def no_run_plan(plan):
         raise AssertionError("run_plan called")
 
     monkeypatch.setattr("thermistor_fem.cli.run_plan", no_run_plan)
@@ -566,7 +561,7 @@ def test_cli_unknown_preset_is_an_argparse_error(tmp_path):
 
 
 def test_cli_maps_solver_failures_to_exit_3(tmp_path, monkeypatch, capsys):
-    def fake_run_plan(plan, out_path=None):
+    def fake_run_plan(plan):
         return PlanResult(
             reports=[], failures=[RunFailure(plan.runs[0], NoConvergence("fake"))], csv_text=""
         )
@@ -608,7 +603,7 @@ def test_cli_writes_the_csv_and_exits_3_on_a_memory_error(tmp_path, monkeypatch,
 def test_cli_maps_other_value_errors_to_exit_2(tmp_path, monkeypatch, capsys):
     # A ValueError subclass that is not a solver failure (numpy's LinAlgError
     # here) is a configuration error, whatever its name.
-    def fake_run_plan(plan, out_path=None):
+    def fake_run_plan(plan):
         error = np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
         return PlanResult(reports=[], failures=[RunFailure(plan.runs[0], error)], csv_text="")
 

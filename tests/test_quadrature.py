@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thermistor_fem import gauss_rule_square, gauss_rule_triangle
-from thermistor_fem.fem import _TRI_RULES
+from thermistor_fem.fem import _TRI_RULES, gauss_rule_square, gauss_rule_triangle
 
 
 def square_monomial_integral(p, q):

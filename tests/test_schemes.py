@@ -18,7 +18,6 @@ from thermistor_fem import (
     TABLES,
     FeEvaluation,
     FeSpace,
-    OperatorCache,
     SchemeConfig,
     TimeState,
     build_mesh,
@@ -30,11 +29,10 @@ from thermistor_fem import (
     potential_solve,
     resolve_tau,
     run_simulation,
-    validate_config,
 )
 from thermistor_fem.manufactured import exact_phi, exact_u, sigma
 from thermistor_fem.mesh import mesh_size
-from thermistor_fem.schemes import MAX_STEPS, SCHEMES, ProblemData
+from thermistor_fem.schemes import MAX_STEPS, SCHEMES, OperatorCache, ProblemData, validate_config
 
 
 STEPS = {

@@ -6,19 +6,19 @@ import pytest
 import scipy.sparse as sp
 
 import _dense_oracle as oracle
-from thermistor_fem import (
+from thermistor_fem import FeSpace, build_mesh
+from thermistor_fem import fem
+from thermistor_fem.fem import (
     DirichletSystem,
-    FeSpace,
-    OperatorCache,
     assemble_joule_load,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_stiffness,
-    build_mesh,
 )
-from thermistor_fem import fem
 from thermistor_fem.manufactured import exact_u, grad_phi, grad_u, source_f1, source_f2
+from thermistor_fem.schemes import OperatorCache
+
 
 @pytest.fixture(
     scope="module",
