@@ -38,7 +38,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .fem import _CHUNK, FeSpace, RuleTables
+from .fem import _CHUNK, FeSpace, RuleTables, _check_vector
 
 __all__ = [
     "interpolate_nodal",
@@ -148,6 +148,7 @@ def i2h_postprocess(
     """
     anchors, fine, shapes = blocks  # (nb, na), (nb, 4), per-shape block ids
     mesh = space.mesh
+    _check_vector("coeffs", coeffs, space.n_dofs)
     if np.bincount(fine.ravel(), minlength=mesh.n_elements).min() == 0:
         raise ValueError("macroelement blocks do not cover the mesh")
     powers = _POWERS[mesh.elem_kind]

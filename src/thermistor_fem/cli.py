@@ -3,10 +3,11 @@
 Exit codes: 0 on success, 2 for invalid configuration, 3 when a solve fails
 (non-elliptic coefficient, a linear solver that does not converge, or memory
 that runs out).  A failed run is classified by the type of its exception: the
-ones in `harness.RUN_FAILURES` are solver failures, any other `ValueError` is a
-configuration error.  ``--out`` is opened before any run: a path that cannot be
-opened for writing is a configuration error, and a CSV that cannot be written
-after the runs is one line on stderr and exit 2.
+ones in `schemes.RUN_FAILURES` are solver failures (raised in a step, their
+text names it), any other `ValueError` is a configuration error.  ``--out`` is
+opened before any run: a path that cannot be opened for writing is a
+configuration error, and a CSV that cannot be written after the runs is one
+line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import sys
 from .harness import (
     ExperimentPlan,
     PRESETS,
-    RUN_FAILURES,
     preset_plan,
     render_order_table,
     run_plan,
 )
-from .schemes import SCHEMES, SchemeConfig, validate_config
+from .schemes import RUN_FAILURES, SCHEMES, SchemeConfig, validate_config
 
 __all__ = ["main"]
 

@@ -302,6 +302,12 @@ def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
 # ----------------------------------------------------------------------------
 
 
+def _check_vector(name: str, v, n: int) -> None:
+    """Raise ValueError unless ``v`` is a vector of ``n`` entries."""
+    if np.shape(v) != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {np.shape(v)}")
+
+
 class FeSpace:
     """Nodal finite element space on a structured mesh.
 
@@ -340,12 +346,14 @@ class FeSpace:
     def values_at_quad(self, coeffs: np.ndarray, tables: RuleTables | None = None) -> np.ndarray:
         """Evaluate the FE function at quadrature points, shape ``(ne, nq)``."""
         tb = tables if tables is not None else self.tables
+        _check_vector("coeffs", coeffs, self.n_dofs)
         nodal = coeffs[self.mesh.elements]  # (ne, ndof)
         return np.einsum("qi,ei->eq", tb.N, nodal)
 
     def gradients_at_quad(self, coeffs: np.ndarray, tables: RuleTables | None = None) -> np.ndarray:
         """Evaluate the FE gradient at quadrature points, shape ``(ne, nq, 2)``."""
         tb = tables if tables is not None else self.tables
+        _check_vector("coeffs", coeffs, self.n_dofs)
         return _gradients(tb, coeffs[self.mesh.elements.T], np.empty(tb.wdet.shape + (2,)))
 
 
@@ -688,8 +696,8 @@ class DirichletSystem:
         values on ``space.boundary_dofs``, in that order.  Returns it with the
         `residual` of the reduced system at its interior values."""
         g = np.asarray(boundary_values, dtype=float)
-        if g.shape != (self.space.boundary_dofs.size,):
-            raise ValueError(f"boundary_values must have shape ({self.space.boundary_dofs.size},), got {g.shape}")
+        _check_vector("boundary_values", g, self.space.boundary_dofs.size)
+        _check_vector("b", b, self.space.n_dofs)
         b_red = b[self.space.interior_dofs] - self.A_ib @ g
         # The result outlives the solve's temporaries: allocated after them,
         # it would sit above their freed space in the heap, which raised the

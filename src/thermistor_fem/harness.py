@@ -34,17 +34,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import analysis
-from .fem import ConductivityNotPositive, FeSpace, NoConvergence
+from .fem import FeSpace
 from .manufactured import make_problem
 from .mesh import build_mesh, macroelements
-from .schemes import ProblemData, SchemeConfig, TimeState, run_simulation, validate_config
+from .schemes import RUN_FAILURES, ProblemData, SchemeConfig, TimeState, run_simulation, validate_config
 
 __all__ = [
     "ErrorReport",
     "ExperimentPlan",
     "PlanResult",
     "RunFailure",
-    "RUN_FAILURES",
     "CSV_COLUMNS",
     "compute_error_report",
     "run_plan",
@@ -168,11 +167,6 @@ class RunFailure(NamedTuple):
         c = self.config
         text = " ".join(self.message.splitlines())
         return f"run failed: scheme={c.scheme} elem={c.elem_kind} M={c.M} tau_rule={c.tau_rule}: {text}"
-
-
-#: The exceptions that fail a run as a solver failure (CLI exit 3), not as a
-#: configuration error; with `ValueError`, those `run_plan` records and passes.
-RUN_FAILURES = (ConductivityNotPositive, NoConvergence, MemoryError)
 
 
 @dataclass

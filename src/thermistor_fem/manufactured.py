@@ -69,7 +69,7 @@ def exact_phi(x, y, t):
 
 def grad_phi(x, y, t):
     c = np.cos(x + y + t)
-    return (c, np.copy(np.broadcast_to(c, np.shape(c))))
+    return (c, np.copy(c))
 
 
 def source_f1(x, y, t):

@@ -49,7 +49,7 @@ from .fem import (
     assemble_weighted_stiffness,
     quadrature_rules,
 )
-from .mesh import build_mesh, check_mesh_args, mesh_size
+from .mesh import check_mesh_args, mesh_size
 
 __all__ = [
     "ProblemData",
@@ -66,11 +66,15 @@ __all__ = [
     "imex_step",
     "gao_step",
     "run_simulation",
+    "RUN_FAILURES",
 ]
 
 SCHEMES = ("euler", "bdf2", "bdf3", "gao", "ext1")
 #: Most time steps a run may take; the largest preset takes 91.
 MAX_STEPS = 100_000
+#: The exceptions that fail a run as a solver failure (CLI exit 3), not as a
+#: configuration error; with `ValueError`, those `run_plan` records and passes.
+RUN_FAILURES = (ConductivityNotPositive, NoConvergence, MemoryError)
 
 
 @dataclass(frozen=True)
@@ -384,61 +388,48 @@ def gao_step(
 def run_simulation(
     config: SchemeConfig,
     problem: ProblemData,
-    space: Optional[FeSpace] = None,
+    space: FeSpace,
 ) -> tuple[TimeState, list[StepRecord]]:
-    """Run one scheme from ``t = 0`` to ``t = T``.
+    """Run one scheme on ``space`` from ``t = 0`` to ``t = T``.
 
-    Builds the mesh and space (unless one is passed in: its mesh must be the
-    configuration's, else ValueError), realizes the time step from the tau
-    rule, performs the scheme's starting procedure, then steps to the final
-    time.  Returns the final `TimeState` (whose newest levels are the fields
-    at ``T``) and the trace, the `record` of every level a step made.  The
-    ``bdf3`` start levels are temperature interpolants only; no potential is
-    solved for them.
-    A solver failure of step ``n`` (0: the initial potential of ``gao``) is
-    re-raised as its own type, its text prefixed with ``step n at t=...:``.
+    The space's mesh must be the configuration's, else ValueError.  Realizes
+    the time step from the tau rule, then takes the steps ``1 ... N``; the
+    first ones are the scheme's start-up.  Returns the final `TimeState`
+    (whose newest levels are the fields at ``T``) and the trace, the
+    `record` of every level a step solved for.  The ``bdf3`` start levels are
+    temperature interpolants only; no potential is solved for them.
+    A `RUN_FAILURES` exception of step ``n`` (0: the initial potential of
+    ``gao``) is re-raised as the first `RUN_FAILURES` type it is an instance
+    of, its text prefixed with ``step n at t=...:``.
     """
     tau, N = validate_config(config)
-    if space is None:
-        space = FeSpace(build_mesh(config.M, config.elem_kind), config.assembly_points, config.error_points)
-    elif (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
+    if (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
         raise ValueError(f"the space is on an M={space.mesh.M} {space.mesh.elem_kind} mesh, not the configuration's")
     table = _scheme_table(config.scheme)
-
     ops = OperatorCache(space, config.solver)
-    u0 = interpolate_nodal(space, problem.exact_u, 0.0)
-    state = TimeState(n=0, t=0.0, u_n=u0)
-    trace: list[StepRecord] = []
-
-    def located(n, solve):
-        try:
-            return solve()
-        except (ConductivityNotPositive, NoConvergence) as exc:
-            raise type(exc)(f"step {n} at t={n * tau:g}: {exc}") from exc
-
-    def advance(step, state):
-        state = located(state.n + 1, lambda: step(state, space, problem, tau, ops))
-        trace.append(state.record)
-        return state
-
-    if config.scheme == "gao":
-        # The first temperature-first step consumes two potential levels, so
-        # the start-up also solves for the initial potential.
-        sigma0 = _sigma_at_quad(space, problem, u0)
-        state = replace(state, phi_n=located(0, lambda: potential_solve(space, problem, ops, sigma0, 0.0))[0])
-
-    # Start-up: build the history levels the scheme reads.  BDF3 takes its
-    # first two temperature levels from the exact solution, with no potential:
-    # its steps read temperatures only.  A two-level row takes one implicit
-    # Euler step.
-    while state.n < table.levels - 1:
-        if config.scheme == "bdf3":
-            state = state.advanced(interpolate_nodal(space, problem.exact_u, (state.n + 1) * tau), None, tau)
-        else:
-            state = advance(partial(imex_step, TABLES["euler"]), state)
-
+    state = TimeState(n=0, t=0.0, u_n=interpolate_nodal(space, problem.exact_u, 0.0))
+    euler = partial(imex_step, TABLES["euler"])
     step = gao_step if config.scheme == "gao" else partial(imex_step, table)
-    while state.n < N:
-        state = advance(step, state)
-
+    trace: list[StepRecord] = []
+    n = 0
+    try:
+        if config.scheme == "gao":
+            # The first temperature-first step consumes two potential levels, so
+            # the start-up also solves for the initial potential.
+            sigma0 = _sigma_at_quad(space, problem, state.u_n)
+            state = replace(state, phi_n=potential_solve(space, problem, ops, sigma0, 0.0)[0])
+        for n in range(1, N + 1):
+            # Start-up: BDF3 takes its first two temperature levels from the
+            # exact solution, with no potential: its steps read temperatures
+            # only.  A two-level row takes one implicit Euler step.
+            if n < table.levels and config.scheme == "bdf3":
+                state = state.advanced(interpolate_nodal(space, problem.exact_u, n * tau), None, tau)
+            else:
+                state = (euler if n < table.levels else step)(state, space, problem, tau, ops)
+                trace.append(state.record)
+    except RUN_FAILURES as exc:
+        # numpy's allocation error takes no message argument: re-raise as the
+        # tuple's own type.
+        kind = next(kind for kind in RUN_FAILURES if isinstance(exc, kind))
+        raise kind(f"step {n} at t={n * tau:g}: {exc}") from exc
     return state, trace

@@ -1,16 +1,22 @@
 """Every name a demo imports from the package exists, and the package root
 exports exactly the names the demos and README's library section name.
 
-The demos take over a minute to run in total, so they are not run here; this
-parses them instead, so that trimming an export cannot silently break one.
+Two demos run here, each in its own interpreter, and must exit 0:
+``single_run.py`` (a run through `run_simulation`, the potential solve and
+the step trace) and ``cli_workflow.py`` (the command line and its CSV); they
+take about a second each.  The other four take over half a minute together,
+so they are only parsed, so that trimming an export cannot silently break one.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +67,13 @@ def test_the_root_exports_exactly_what_the_docs_and_demos_name():
         name for name, value in vars(thermistor_fem).items() if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == named
+
+
+@pytest.mark.parametrize("name", ["single_run.py", "cli_workflow.py"])
+def test_demo_runs(name, tmp_path):
+    # Run outside the repository, with the demo's temporary files under tmp_path.
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _dense_oracle as oracle
-from thermistor_fem import ConductivityNotPositive, FeSpace, SchemeConfig, build_mesh
+from thermistor_fem import (
+    ConductivityNotPositive,
+    FeEvaluation,
+    FeSpace,
+    SchemeConfig,
+    build_mesh,
+    fe_l2_norm,
+    i2h_postprocess,
+    macroelements,
+)
 from thermistor_fem.fem import (
     DirichletSystem,
     _shape_quad,
@@ -156,6 +165,28 @@ def test_dirichlet_system_rejects_wrong_boundary_length(space):
     system = DirichletSystem(space, assemble_stiffness(space), "cg")
     with pytest.raises(ValueError):
         system.solve(np.zeros(space.n_dofs), np.zeros(3))
+
+
+NODAL_ENTRY_POINTS = {
+    "solve": lambda space, v: DirichletSystem(space, assemble_stiffness(space)).solve(
+        v, np.zeros(space.boundary_dofs.size)
+    ),
+    "values_at_quad": lambda space, v: space.values_at_quad(v),
+    "gradients_at_quad": lambda space, v: space.gradients_at_quad(v, space.error_tables),
+    "fe_l2_norm": lambda space, v: fe_l2_norm(FeEvaluation(space, v)),
+    "i2h_postprocess": lambda space, v: i2h_postprocess(space, macroelements(space.mesh), v),
+}
+
+
+@pytest.mark.parametrize("extra", [3, -3], ids=["too long", "too short"])
+@pytest.mark.parametrize("entry", sorted(NODAL_ENTRY_POINTS))
+def test_nodal_vectors_of_the_wrong_length_are_refused(space, entry, extra):
+    # A longer vector used to pass unnoticed (its tail ignored), a shorter
+    # one to end in an IndexError.
+    n = space.n_dofs
+    with pytest.raises(ValueError, match=rf"must have shape \({n},\), got \({n + extra},\)"):
+        NODAL_ENTRY_POINTS[entry](space, np.ones(n + extra))
+    NODAL_ENTRY_POINTS[entry](space, np.ones(n))
 
 
 @pytest.mark.parametrize("kind", ["tri", "quad"])

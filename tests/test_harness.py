@@ -334,7 +334,34 @@ def test_run_plan_records_a_memory_error_and_goes_on():
     assert [r.M for r in result.reports] == [8]
     lines = result.csv_text.splitlines()
     assert len(lines) == 3 and lines[1].startswith("bdf2,tri,8,")
-    assert lines[2] == "# run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: MemoryError: cannot allocate the f2 table"
+    assert lines[2] == (
+        "# run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: "
+        "MemoryError: step 1 at t=0.25: cannot allocate the f2 table"
+    )
+
+
+def test_run_plan_names_the_step_of_numpys_allocation_error():
+    # numpy raises its own MemoryError subclass, which takes a shape and a
+    # dtype rather than a message: the step prefix must not turn it into a
+    # TypeError that aborts the plan.  The array asked for is never allocated.
+    problem = make_problem()
+    calls = []
+
+    def f1(x, y, t):
+        calls.append(t)
+        if len(calls) > 1:
+            np.empty((10**8, 10**8))
+        return problem.f1(x, y, t)
+
+    plan = ExperimentPlan(study="t", runs=(tiny(), tiny(M=8)))
+    result = run_plan(plan, problem=replace(problem, f1=f1))
+    assert result.reports == []
+    assert [f.message.split(": Unable to allocate ")[0] for f in result.failures] == [
+        "MemoryError: step 2 at t=0.5",
+        "MemoryError: step 1 at t=0.25",
+    ]
+    assert all(type(f.error) is MemoryError and isinstance(f.error.__cause__, MemoryError) for f in result.failures)
+    assert result.csv_text.count("# run failed:") == 2
 
 
 def _heated_problem():
@@ -595,7 +622,10 @@ def test_cli_writes_the_csv_and_exits_3_on_a_memory_error(tmp_path, monkeypatch,
          "--tau-rule", "fixed:0.25", "--out", str(out)]
     )
     assert code == 3
-    line = "run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: MemoryError: cannot allocate the f2 table"
+    line = (
+        "run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: "
+        "MemoryError: step 1 at t=0.25: cannot allocate the f2 table"
+    )
     assert out.read_text() == f"{SCHEMA}\n# {line}\n"
     assert capsys.readouterr().err == line + "\n"
 

@@ -49,6 +49,11 @@ def cfg(**kw):
     return SchemeConfig(**base)
 
 
+def run(config, problem):
+    """`run_simulation` on a fresh space on the configuration's mesh."""
+    return run_simulation(config, problem, FeSpace(build_mesh(config.M, config.elem_kind)))
+
+
 def l2_distance(space, coeffs, f, t):
     """``||u_h - f(t)||_0`` on the space's error rule."""
     tb = space.error_tables
@@ -202,7 +207,7 @@ def test_problem_data_requires_the_exact_gradients():
 
 def test_run_simulation_validates_first():
     with pytest.raises(ValueError):
-        run_simulation(cfg(M=3), make_problem())
+        run_simulation(cfg(M=3), make_problem(), FeSpace(build_mesh(4, "tri")))
 
 
 # ----------------------------------------------------------------------------
@@ -383,8 +388,8 @@ def test_stationary_potential_and_constant_sigma_collapse_the_orderings():
         f2=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
         grad_phi=lambda x, y, t: (y, x),
     )
-    a, _ = run_simulation(cfg(scheme="bdf2"), problem)
-    b, _ = run_simulation(cfg(scheme="gao"), problem)
+    a, _ = run(cfg(scheme="bdf2"), problem)
+    b, _ = run(cfg(scheme="gao"), problem)
     assert np.array_equal(a.u_n, b.u_n)
     assert np.array_equal(a.phi_n, b.phi_n)
 
@@ -431,18 +436,18 @@ def test_euler_init_returns_first_level():
 
 def test_run_simulation_reaches_final_time_and_traces_every_step(monkeypatch):
     problem = make_problem()
-    state, trace = run_simulation(cfg(scheme="euler"), problem)
+    state, trace = run(cfg(scheme="euler"), problem)
     assert state.n == 4
     assert state.t == pytest.approx(1.0)
     assert [r.n for r in trace] == [1, 2, 3, 4]
     assert [r.t for r in trace] == pytest.approx([0.25, 0.5, 0.75, 1.0])
 
     for scheme in ("bdf2", "ext1", "gao"):
-        state, trace = run_simulation(cfg(scheme=scheme), problem)
+        state, trace = run(cfg(scheme=scheme), problem)
         assert state.n == 4
         assert [r.n for r in trace] == [1, 2, 3, 4]  # Euler start is recorded too
 
-    state, trace = run_simulation(cfg(scheme="bdf3"), problem)
+    state, trace = run(cfg(scheme="bdf3"), problem)
     assert state.n == 4
     assert [r.n for r in trace] == [3, 4]  # exact start levels are not steps
 
@@ -456,11 +461,11 @@ def test_run_simulation_reaches_final_time_and_traces_every_step(monkeypatch):
         return imex_step(table, state, *args)
 
     monkeypatch.setattr("thermistor_fem.schemes.imex_step", spy)
-    state, trace = run_simulation(cfg(scheme="bdf3"), problem)
+    state, trace = run(cfg(scheme="bdf3"), problem)
     assert [s.n for s in seen] == [2, 3]
     assert [s.record for s in seen] + [state.record] == [None, *trace]
     seen.clear()
-    run_simulation(cfg(scheme="gao"), problem)
+    run(cfg(scheme="gao"), problem)
     assert [s.n for s in seen] == [0]  # the Euler start-up step
     assert seen[0].phi_n is not None and seen[0].record is None
 
@@ -468,7 +473,7 @@ def test_run_simulation_reaches_final_time_and_traces_every_step(monkeypatch):
 def test_run_simulation_records_solver_and_coefficient_diagnostics():
     problem = make_problem()
     for scheme, step in (("bdf2", partial(imex_step, TABLES["bdf2"])), ("gao", gao_step)):
-        state, trace = run_simulation(cfg(scheme=scheme), problem)
+        state, trace = run(cfg(scheme=scheme), problem)
         assert state.record is trace[-1]
         for record in trace:
             assert 0.9 < record.sigma_star_min <= 2.0
@@ -482,9 +487,9 @@ def test_run_simulation_records_solver_and_coefficient_diagnostics():
 
 def test_run_simulation_rejects_horizons_shorter_than_the_startup():
     with pytest.raises(ValueError):
-        run_simulation(cfg(scheme="bdf2", tau_rule="fixed:1.0"), make_problem())
+        run(cfg(scheme="bdf2", tau_rule="fixed:1.0"), make_problem())
     with pytest.raises(ValueError):
-        run_simulation(cfg(scheme="bdf3", tau_rule="fixed:0.5"), make_problem())
+        run(cfg(scheme="bdf3", tau_rule="fixed:0.5"), make_problem())
 
 
 def test_run_simulation_refuses_a_space_on_another_mesh():
@@ -494,6 +499,17 @@ def test_run_simulation_refuses_a_space_on_another_mesh():
         run_simulation(cfg(scheme="bdf3", M=64, tau_rule="sqrt-h"), make_problem(), space)
     with pytest.raises(ValueError, match="not the configuration's"):
         run_simulation(cfg(M=2, elem_kind="quad"), make_problem(), space)
+
+
+def test_a_set_up_failure_keeps_its_text(monkeypatch):
+    # Only a failure inside the steps names a step: the operator assembly
+    # before them raises as it is.
+    def no_memory(space):
+        raise MemoryError("cannot assemble the mass matrix")
+
+    monkeypatch.setattr("thermistor_fem.schemes.assemble_mass", no_memory)
+    with pytest.raises(MemoryError, match="^cannot assemble the mass matrix$"):
+        run(cfg(), make_problem())
 
 
 def test_exact_init_seeds_interpolants():
@@ -518,7 +534,7 @@ def test_bdf3_solves_a_potential_only_in_its_steps(monkeypatch):
         return potential_solve(*args, **kw)
 
     monkeypatch.setattr("thermistor_fem.schemes.potential_solve", counting_potential_solve)
-    state, _ = run_simulation(cfg(scheme="bdf3", T=1.25), make_problem())
+    state, _ = run(cfg(scheme="bdf3", T=1.25), make_problem())
     assert calls == pytest.approx([0.75, 1.0, 1.25])
     assert state.n == 5 and state.phi_n is not None
 
@@ -546,8 +562,8 @@ def test_runs_hold_the_boundary_values_exactly(scheme, half_M, kind, solver, N):
 
 def test_cg_and_direct_solvers_agree_on_a_full_run():
     problem = make_problem()
-    a, _ = run_simulation(cfg(solver="direct"), problem)
-    b, _ = run_simulation(cfg(solver="cg"), problem)
+    a, _ = run(cfg(solver="direct"), problem)
+    b, _ = run(cfg(solver="cg"), problem)
     assert np.abs(a.u_n - b.u_n).max() < 1e-9
     assert np.abs(a.phi_n - b.phi_n).max() < 1e-9
 
