@@ -28,38 +28,39 @@ from pathlib import Path
 
 from thermistor_fem.cli import main
 
-out = Path(tempfile.mkdtemp()) / "demo.csv"
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "demo.csv"
 
-code = main([
-    "run",
-    "--scheme", "bdf2",
-    "--elem", "tri",
-    "--M", "16",
-    "--tau-rule", "equal-h",
-    "--T", "1.0",
-    "--out", str(out),
-])
-assert code == 0
+    code = main([
+        "run",
+        "--scheme", "bdf2",
+        "--elem", "tri",
+        "--M", "16",
+        "--tau-rule", "equal-h",
+        "--T", "1.0",
+        "--out", str(out),
+    ])
+    assert code == 0
 
-text = out.read_text()
-print("raw CSV:")
-print(text)
+    text = out.read_text()
+    print("raw CSV:")
+    print(text)
 
-rows = list(csv.DictReader(io.StringIO(text)))
-row = rows[0]
-print("parsed fields of the single run:")
-print(f"  mesh           M = {row['M']},  h = {float(row['h']):.4e}")
-print(f"  stepping       N = {row['N']} steps of tau = {float(row['tau']):.4e}")
-print(f"  temperature    L2 {float(row['err_u_l2']):.3e},  "
-      f"H1 {float(row['err_u_h1']):.3e}")
-print(f"  potential      L2 {float(row['err_phi_l2']):.3e},  "
-      f"H1 {float(row['err_phi_h1']):.3e}")
-print(f"  postprocessed  u {float(row['superconv_u_h1']):.3e},  "
-      f"phi {float(row['superconv_phi_h1']):.3e}")
+    rows = list(csv.DictReader(io.StringIO(text)))
+    row = rows[0]
+    print("parsed fields of the single run:")
+    print(f"  mesh           M = {row['M']},  h = {float(row['h']):.4e}")
+    print(f"  stepping       N = {row['N']} steps of tau = {float(row['tau']):.4e}")
+    print(f"  temperature    L2 {float(row['err_u_l2']):.3e},  "
+          f"H1 {float(row['err_u_h1']):.3e}")
+    print(f"  potential      L2 {float(row['err_phi_l2']):.3e},  "
+          f"H1 {float(row['err_phi_h1']):.3e}")
+    print(f"  postprocessed  u {float(row['superconv_u_h1']):.3e},  "
+          f"phi {float(row['superconv_phi_h1']):.3e}")
 
-# An invalid configuration is rejected with exit code 2 before any solve.
-code = main([
-    "run", "--scheme", "bdf2", "--M", "15",
-    "--tau-rule", "fixed:0.05", "--out", str(out),
-])
-print(f"\nodd M is rejected up front: exit code {code}")
+    # An invalid configuration is rejected with exit code 2 before any solve.
+    code = main([
+        "run", "--scheme", "bdf2", "--M", "15",
+        "--tau-rule", "fixed:0.05", "--out", str(out),
+    ])
+    print(f"\nodd M is rejected up front: exit code {code}")

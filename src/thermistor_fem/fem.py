@@ -23,10 +23,10 @@ fields of the error report, whose memory this module alone thus bounds.
 
 The quadrature tables store the physical shape-function gradients
 element-last, ``(points, 2, ndof, elements)``, so that the blocked kernels
-read contiguous runs of elements.  They hold one point when the reference
-gradients are the same at every point of the rule, as they are for linear
-triangles; the kernels broadcast it over the points with the arithmetic of
-the full table.
+read contiguous runs of elements.  They hold one point when the shape
+functions give their reference gradients at one point, as the linear ones
+on triangles do; the kernels broadcast it over the points with the
+arithmetic of the full table.
 """
 
 from __future__ import annotations
@@ -172,7 +172,9 @@ def quadrature_rules(elem_kind: str, assembly_points: int | None = None, error_p
     for name, value in sizes.items():
         if value is not None and not (isinstance(value, (int, np.integer)) and value > 0):
             raise ValueError(f"{name} must be None or a positive integer, got {value!r}")
-    defaults = {"quad": (3, 4), "tri": (5, 6)}[elem_kind]
+    defaults = {"quad": (3, 4), "tri": (5, 6)}.get(elem_kind)
+    if defaults is None:
+        raise ValueError(f"elem_kind must be 'quad' or 'tri', got {elem_kind!r}")
     a, e = (d if v is None else v for v, d in zip(sizes.values(), defaults))
     if elem_kind == "tri":
         return gauss_rule_triangle(a), gauss_rule_triangle(e)
@@ -197,14 +199,13 @@ def _shape_quad(points):
 
 
 def _shape_tri(points):
-    """Linear shape functions on the reference triangle."""
-    xi = points[:, 0]
-    eta = points[:, 1]
-    N = np.column_stack([1 - xi - eta, xi, eta])
-    dN = np.broadcast_to(
-        np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), (points.shape[0], 3, 2)
-    ).copy()
-    return N, dN
+    """Linear shape functions on the reference triangle.
+
+    Returns values ``(nq, 3)`` and reference gradients at one point,
+    ``(1, 3, 2)``: the gradients are constant, so that point stands for all.
+    """
+    xi, eta = points[:, 0], points[:, 1]
+    return np.column_stack([1 - xi - eta, xi, eta]), np.array([[[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]])
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,6 @@ class RuleTables:
 
     Attributes
     ----------
-    rule : QuadRule
     N : (nq, ndof) array
         Shape function values at the reference quadrature points.
     grad : (nq or 1, 2, ndof, ne) array
@@ -221,15 +221,14 @@ class RuleTables:
         ``grad[q, a, i, e]`` is the ``a``-th partial of shape function ``i``
         of element ``e`` at point ``q``, so the kernels read runs of
         elements that are contiguous.  The point axis has length 1 when the
-        reference gradients are equal at every point of the rule (linear
-        triangles): that one value stands for every point.
+        shape functions give one gradient point (linear triangles): that one
+        value stands for every point.
     wdet : (ne, nq) array
         Quadrature weight times Jacobian determinant.
     x : (ne, nq, 2) array
         Physical coordinates of the quadrature points.
     """
 
-    rule: QuadRule
     N: np.ndarray
     grad: np.ndarray
     wdet: np.ndarray
@@ -259,11 +258,7 @@ def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
     if not np.all(np.isfinite(mesh.nodes)):
         raise ValueError("mesh has non-finite node coordinates")
     shape = _shape_quad if mesh.elem_kind == "quad" else _shape_tri
-    N, dN = shape(rule.points)
-    # Reference gradients equal at every point give the same J, det J and
-    # physical gradients at every point, bit for bit: compute them once.
-    if np.all(dN == dN[:1]):
-        dN = dN[:1]
+    N, dN = shape(rule.points)  # dN holds one point or one per rule point
     (ne, ndof), nq, ng = mesh.elements.shape, rule.n_points, dN.shape[0]
     grad = np.empty((ng, 2, ndof, ne))
     detJ = np.empty((ne, nq))
@@ -294,7 +289,7 @@ def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
         for a in range(2):
             x[lo : lo + _CHUNK, :, a] = sum(N[:, i, None] * c[i, a] for i in range(ndof)).T
     wdet = rule.weights[None, :] * detJ
-    return RuleTables(rule=rule, N=N, grad=grad, wdet=wdet, x=x)
+    return RuleTables(N=N, grad=grad, wdet=wdet, x=x)
 
 
 # ----------------------------------------------------------------------------
@@ -453,8 +448,8 @@ class SparsityPattern:
         del tags, slots
         self.interior = _Submatrix(interior_rows[:, space.interior_dofs])
         self.interior_boundary = _Submatrix(interior_rows[:, space.boundary_dofs])
-        # The map that gathers the interior block's column-permuted CSC, and
-        # the inverse of its column order, recorded by the first `factorize`.
+        # The interior block's column order and a copy of its inverse
+        # (``perm_c``), recorded by the first `factorize`.
         self._columns = None
 
     def assemble(self, elem_mats: np.ndarray) -> sp.csr_matrix:
@@ -473,26 +468,21 @@ class SparsityPattern:
 
         SuperLU's fill-reducing column order (``argsort(lu.perm_c)``) depends
         on the structure alone, which every interior block shares: the first
-        call factors ``A_red.tocsc()`` with COLAMD and records it, later ones
-        factor ``A_red[:, order]``, gathered from ``A_red.data`` through a
-        map, in natural order (SuperLU's ``SamePattern``); their solutions
-        are read back through a copy of the first ``perm_c`` (``perm_c``
-        itself keeps its factor alive).  Pivoting prefers the diagonal only
-        on a tie with the column maximum; away from ties, as on these SPD
-        systems, L, U and the row pivots are COLAMD's.
+        call factors ``A_red.tocsc()`` with COLAMD and records that order,
+        later ones factor ``A_red.tocsc()[:, order]`` in natural order
+        (SuperLU's ``SamePattern``); their solutions are read back through a
+        copy of the first ``perm_c`` (``perm_c`` itself keeps its factor
+        alive).  Pivoting prefers the diagonal only on a tie with the column
+        maximum; away from ties, as on these SPD systems, L, U and the row
+        pivots are COLAMD's.
         """
         try:
             if self._columns is None:
                 lu, unknowns = spla.splu(A_red.tocsc()), slice(None)
-                order = np.argsort(lu.perm_c)
-                tags = np.arange(1, A_red.nnz + 1, dtype=np.int32)
-                tagged = sp.csr_matrix((tags, A_red.indices, A_red.indptr), shape=A_red.shape).tocsc()[:, order]
-                self._columns = (tagged.data - 1, tagged.indices, tagged.indptr, lu.perm_c.copy())
+                self._columns = (np.argsort(lu.perm_c), lu.perm_c.copy())
             else:
-                positions, indices, indptr, unknowns = self._columns
-                # splu only reads the index arrays, which every call shares.
-                permuted = sp.csc_matrix((A_red.data[positions], indices, indptr), shape=A_red.shape)
-                lu = spla.splu(permuted, permc_spec="NATURAL")
+                order, unknowns = self._columns
+                lu = spla.splu(A_red.tocsc()[:, order], permc_spec="NATURAL")
         except RuntimeError as exc:  # a singular factor
             raise NoConvergence(f"sparse factorization failed: {exc}") from exc
 
@@ -614,6 +604,7 @@ def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.n
     assembly quadrature points; ``sigma_star`` is a coefficient field there.
     """
     sigma_star = _check_coefficient(space, sigma_star)
+    _check_vector("phi_coeffs", phi_coeffs, space.n_dofs)
     tb = space.tables
     g = _gradients(tb, phi_coeffs[space.mesh.elements.T], np.empty((tb.grad.shape[-1], tb.grad.shape[0], 2)))
     g2 = g[..., 0] ** 2 + g[..., 1] ** 2  # once per element where tb.grad holds one point
@@ -694,11 +685,14 @@ class DirichletSystem:
     def solve(self, b: np.ndarray, boundary_values: np.ndarray) -> tuple[np.ndarray, float]:
         """Solve for the full nodal vector given a full load vector and the
         values on ``space.boundary_dofs``, in that order.  Returns it with the
-        `residual` of the reduced system at its interior values."""
+        `residual` of the reduced system at its interior values.  A reduced
+        load that is not finite raises NoConvergence before either solver."""
         g = np.asarray(boundary_values, dtype=float)
         _check_vector("boundary_values", g, self.space.boundary_dofs.size)
         _check_vector("b", b, self.space.n_dofs)
         b_red = b[self.space.interior_dofs] - self.A_ib @ g
+        if not np.all(np.isfinite(b_red)):
+            raise NoConvergence("the reduced load has non-finite values")
         # The result outlives the solve's temporaries: allocated after them,
         # it would sit above their freed space in the heap, which raised the
         # peak RSS of a quad M=256 CG run by 8 MB, one error-rule array.

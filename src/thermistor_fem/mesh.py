@@ -153,11 +153,10 @@ def macroelements(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, tuple]:
     Raises
     ------
     ValueError
-        If the mesh does not have the structured layout of `build_mesh`.
+        If the mesh is not one `build_mesh` makes: its M, kind or layout.
     """
     M = mesh.M
-    if M < 2 or M % 2 != 0:
-        raise ValueError(f"macroelements need an even M >= 2, got M={M}")
+    check_mesh_args(M, mesh.elem_kind)
     expected = M * M if mesh.elem_kind == "quad" else 2 * M * M
     if mesh.n_elements != expected or mesh.n_nodes != (M + 1) ** 2:
         raise ValueError("mesh does not match the structured layout of build_mesh")

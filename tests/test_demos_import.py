@@ -77,3 +77,4 @@ def test_demo_runs(name, tmp_path):
         [sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("tmp*")), "the demo left temporary files behind"

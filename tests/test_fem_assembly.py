@@ -28,6 +28,7 @@ from thermistor_fem.fem import (
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_stiffness,
+    quadrature_rules,
 )
 from thermistor_fem.schemes import validate_config
 
@@ -175,6 +176,7 @@ NODAL_ENTRY_POINTS = {
     "gradients_at_quad": lambda space, v: space.gradients_at_quad(v, space.error_tables),
     "fe_l2_norm": lambda space, v: fe_l2_norm(FeEvaluation(space, v)),
     "i2h_postprocess": lambda space, v: i2h_postprocess(space, macroelements(space.mesh), v),
+    "assemble_joule_load": lambda space, v: assemble_joule_load(space, np.ones(space.tables.wdet.shape), v),
 }
 
 
@@ -205,6 +207,15 @@ def test_space_rejects_non_finite_node_coordinates(kind, value):
         nodes[7, axis] = value
         with pytest.raises(ValueError, match="non-finite"):
             FeSpace(replace(mesh, nodes=nodes))
+
+
+@pytest.mark.parametrize("kind", ["hex", "Tri"])
+def test_space_and_quadrature_rules_reject_an_unknown_element_kind(kind):
+    # Both used to raise KeyError.
+    with pytest.raises(ValueError, match="elem_kind must be"):
+        FeSpace(replace(build_mesh(4, "tri"), elem_kind=kind))
+    with pytest.raises(ValueError, match="elem_kind must be"):
+        quadrature_rules(kind)
 
 
 @pytest.mark.parametrize("points", [dict(assembly_points=2), dict(error_points=2), dict(error_points=1)])
@@ -248,6 +259,8 @@ def einsum_tables(mesh, rule):
     that the node-by-node sums of the table build must reproduce."""
     shape = _shape_quad if mesh.elem_kind == "quad" else _shape_tri
     N, dN = shape(rule.points)
+    # P1 gives its constant gradients at one point; J is formed per rule point.
+    dN = np.ascontiguousarray(np.broadcast_to(dN, (rule.n_points,) + dN.shape[1:]))
     coords = mesh.nodes[mesh.elements]
     J = np.einsum("qib,eia->eqab", dN, coords)
     detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
@@ -266,11 +279,11 @@ def einsum_tables(mesh, rule):
 def test_tables_equal_the_einsum_formulas_bit_for_bit(kind, M):
     space = FeSpace(build_mesh(M, kind))
     ne, ndof = space.mesh.elements.shape
-    for tb in (space.tables, space.error_tables):
+    for tb, rule in zip((space.tables, space.error_tables), quadrature_rules(kind)):
         # P1 gradients are constant per element: the table holds one point.
-        points = 1 if kind == "tri" else tb.rule.n_points
+        points = 1 if kind == "tri" else rule.n_points
         assert tb.grad.shape == (points, 2, ndof, ne)
-        grad, wdet, x = einsum_tables(space.mesh, tb.rule)
+        grad, wdet, x = einsum_tables(space.mesh, rule)
         assert np.array_equal(oracle.materialized_grad(tb), grad)
         assert np.array_equal(tb.wdet, wdet)
         assert np.array_equal(tb.x, x)

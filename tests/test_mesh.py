@@ -1,5 +1,7 @@
 """Structured mesh construction and macroelement grouping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,15 +226,14 @@ def test_anchor_rows_are_the_nodes_of_their_fine_elements(M, kind):
 
 
 def test_macroelements_rejects_foreign_mesh():
+    # An unknown kind used to escape as KeyError, a float M as TypeError.
     mesh = build_mesh(4, "tri")
-    smaller = build_mesh(2, "tri")
-    tampered = type(mesh)(
-        nodes=mesh.nodes,
-        elements=smaller.elements,
-        elem_kind="tri",
-        M=4,
-        boundary_nodes=mesh.boundary_nodes,
-    )
-    with pytest.raises(ValueError):
-        macroelements(tampered)
+    for foreign in (
+        replace(mesh, elements=build_mesh(2, "tri").elements),
+        replace(mesh, elem_kind="hex"),
+        replace(mesh, elem_kind="Tri"),
+        replace(mesh, M=4.0),
+    ):
+        with pytest.raises(ValueError):
+            macroelements(foreign)
 

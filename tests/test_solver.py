@@ -217,6 +217,18 @@ def test_factorizations_in_the_first_column_order_equal_fresh_ones(kind, M, fact
         assert np.array_equal(system.solve(b, g)[0], fresh.solve(b, g)[0])
 
 
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_a_space_keeps_the_column_order_alone(kind):
+    # What the first factorization leaves on the pattern is its column order
+    # and the inverse: no per-nonzero map that outlives the factor.
+    space = FeSpace(build_mesh(8, kind))
+    DirichletSystem(space, assemble_stiffness(space))
+    n = space.interior_dofs.size
+    kept = space.pattern._columns
+    assert all(isinstance(a, np.ndarray) and a.size <= n for a in kept)
+    assert np.array_equal(np.sort(kept[0]), np.arange(n)) and np.array_equal(kept[1][kept[0]], np.arange(n))
+
+
 def test_a_factor_is_freed_with_its_system(factors):
     # The space keeps the first factor's column order for later ones; what it
     # keeps must not hold that factor (``perm_c``'s base is the factor).
@@ -263,12 +275,16 @@ def test_a_singular_block_fails_to_factorize(space):
         DirichletSystem(space, assemble_stiffness(space))
 
 
-def test_a_non_finite_load_fails_the_direct_solve(space):
-    system = DirichletSystem(space, assemble_mass(space) + assemble_stiffness(space))
-    b = assemble_load(space, lambda x, y: 1.0)
-    b[space.interior_dofs[0]] = np.nan
-    with pytest.raises(NoConvergence, match="non-finite"):
-        system.solve(b, np.zeros(space.boundary_dofs.size))
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_a_non_finite_load_fails_either_solve(space, method):
+    # Both solvers used to blame themselves: CG the matrix ("not SPD"), LU
+    # its factorization.  The load is checked before either.
+    system = DirichletSystem(space, assemble_mass(space) + assemble_stiffness(space), method)
+    for value in (np.nan, np.inf):
+        b = assemble_load(space, lambda x, y: 1.0)
+        b[space.interior_dofs[0]] = value
+        with pytest.raises(NoConvergence, match="load has non-finite"):
+            system.solve(b, np.zeros(space.boundary_dofs.size))
 
 
 def test_dirichlet_system_rejects_unknown_method(space):
