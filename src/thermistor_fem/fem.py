@@ -616,15 +616,23 @@ def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.n
 # ----------------------------------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` summed by numpy's own loop, not by BLAS: BLAS splits a long
+    sum across its threads, so its bits would depend on the thread count.
+    Every inner product and norm of the solves goes through here."""
+    return np.einsum("i,i->", a, b)
+
+
 def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite sparse system by preconditioned CG.
 
-    ``scipy.sparse.linalg.cg`` with the Jacobi preconditioner, zero initial
-    guess, relative residual tolerance `CG_RTOL` and at most
-    ``min(50 * n, 200 * isqrt(n))`` iterations: a cap that grows like the
-    mesh parameter ``M`` on an ``M x M`` grid, 51,000 at ``M = 256`` where
-    CG converges in under 1,000, so a solve that cannot converge stops
-    after about a minute there, not an hour.
+    Jacobi-preconditioned conjugate gradients from a zero initial guess, to
+    relative residual `CG_RTOL` in at most ``min(50 * n, 200 * isqrt(n))``
+    iterations: a cap that grows like the mesh parameter ``M`` on an
+    ``M x M`` grid, 51,000 at ``M = 256`` where CG converges in under 1,000,
+    so a solve that cannot converge stops after about a minute there, not
+    an hour.  The sums go through `_dot`: the same bits at any BLAS thread
+    count.
 
     Raises
     ------
@@ -637,23 +645,28 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     diag = A.diagonal()
     if not np.all(diag > 0):
         raise NoConvergence("matrix has a non-positive diagonal entry; not SPD")
-
-    def matvec(p):
-        q = A @ p
-        if not p @ q > 0.0:
-            raise NoConvergence("conjugate gradients broke down; matrix not SPD")
-        return q
-
     # Divide by the diagonal: the solutions are pinned bit for bit to the
     # reference Jacobi CG, and multiplying by the reciprocal rounds differently.
-    op = spla.LinearOperator(A.shape, matvec=matvec, dtype=float)
-    jacobi = spla.LinearOperator(A.shape, matvec=lambda r: r / diag, dtype=float)
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = z = r / diag
+    rz = _dot(r, z)
+    stop = CG_RTOL * math.sqrt(_dot(b, b))
     max_iter = min(50 * b.size, 200 * math.isqrt(b.size))
-    x, info = spla.cg(op, b, rtol=CG_RTOL, atol=0.0, maxiter=max_iter, M=jacobi)
-    if info:
-        raise NoConvergence(f"conjugate gradients did not converge in {max_iter} iterations")
-    # scipy answers a zero load with a view of the load itself.
-    return np.zeros_like(b) if np.may_share_memory(x, b) else x
+    for _ in range(max_iter):
+        if math.sqrt(_dot(r, r)) <= stop:
+            return x
+        q = A @ p
+        pq = _dot(p, q)
+        if not pq > 0.0:
+            raise NoConvergence("conjugate gradients broke down; matrix not SPD")
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        z = r / diag
+        rz, rz_old = _dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    raise NoConvergence(f"conjugate gradients did not converge in {max_iter} iterations")
 
 
 class DirichletSystem:
@@ -666,7 +679,7 @@ class DirichletSystem:
     One function, chosen here, solves with ``A_red``: ``method="direct"``
     factorizes it once (sparse LU, deterministic, in the column order of the
     space's first factorization: `SparsityPattern.factorize`), and
-    ``method="cg"`` calls `solve_spd`, scipy's Jacobi CG, per right-hand side.
+    ``method="cg"`` calls `solve_spd` (Jacobi CG) per right-hand side.
     """
 
     def __init__(self, space: FeSpace, A: sp.spmatrix, method: str = "direct"):
@@ -705,5 +718,5 @@ class DirichletSystem:
         """Relative residual ``|b_red - A_red x_red| / |b_red|`` of the reduced
         system (absolute for a zero load)."""
         r = b_red - self.A_red @ x_red
-        denom = np.linalg.norm(b_red)
-        return float(np.linalg.norm(r) / denom) if denom > 0 else float(np.linalg.norm(r))
+        norm_r, norm_b = math.sqrt(_dot(r, r)), math.sqrt(_dot(b_red, b_red))
+        return norm_r / norm_b if norm_b > 0 else norm_r

@@ -153,8 +153,8 @@ class SchemeConfig:
     ``"fixed:<value>"``.  The realized step divides ``T`` evenly:
     ``N = ceil(T / target)``, ``tau = T / N``.
 
-    ``solver`` is ``"direct"`` (sparse LU) or ``"cg"`` (scipy's conjugate
-    gradients with the Jacobi preconditioner, to a relative residual of 1e-12
+    ``solver`` is ``"direct"`` (sparse LU) or ``"cg"`` (`fem.solve_spd`'s
+    Jacobi-preconditioned conjugate gradients, to a relative residual of 1e-12
     in at most ``min(50 n, 200 isqrt(n))`` iterations for ``n`` unknowns).
     ``assembly_points`` and ``error_points`` choose the quadrature rules of
     `FeSpace`, as `quadrature_rules` reads them (None picks the defaults).

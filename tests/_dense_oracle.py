@@ -17,7 +17,7 @@ anchor offsets (`offset_shapes`, `offset_grouped_postprocess`) and the
 per-norm error report (`per_norm_field_errors`) are of a different kind:
 they are the straightforward formulations whose arithmetic the package's
 fixed-pattern assembly, load scatter, slot-mapped Dirichlet reduction,
-scipy-backed conjugate gradients, potential source, per-shape
+einsum-reduced conjugate gradients, potential source, per-shape
 post-processing and once-per-field error report must reproduce bit for
 bit.  The per-norm report is built from the package's nodal interpolant,
 post-processing and `quadrature_norm`, which are checked on their own.
@@ -354,7 +354,7 @@ def jacobi_cg(A, b, tol=1e-12):
     (then RuntimeError, as for a curvature ``p . Ap <= 0``)."""
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    norm_b = np.linalg.norm(b)
+    norm_b = np.sqrt(np.einsum("i,i->", b, b))
     if norm_b == 0.0:
         return np.zeros(n)
     diag = A.diagonal()
@@ -365,24 +365,24 @@ def jacobi_cg(A, b, tol=1e-12):
     r = b.copy()
     z = r / diag
     p = z.copy()
-    rz = r @ z
+    rz = np.einsum("i,i->", r, z)
     max_iter = 50 * n
     for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * norm_b:
+        if np.sqrt(np.einsum("i,i->", r, r)) <= tol * norm_b:
             return x
         Ap = A @ p
-        pAp = p @ Ap
+        pAp = np.einsum("i,i->", p, Ap)
         if pAp <= 0.0:
             raise RuntimeError("conjugate gradients broke down; matrix not SPD")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         z = r / diag
-        rz_next = r @ z
+        rz_next = np.einsum("i,i->", r, z)
         beta = rz_next / rz
         rz = rz_next
         p = z + beta * p
-    if np.linalg.norm(r) <= tol * norm_b:
+    if np.sqrt(np.einsum("i,i->", r, r)) <= tol * norm_b:
         return x
     raise RuntimeError(f"conjugate gradients did not converge in {max_iter} iterations")
 

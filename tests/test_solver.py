@@ -1,7 +1,10 @@
 """Conjugate-gradient solver and prepared Dirichlet systems."""
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,8 +119,8 @@ def test_solve_spd_stops_at_a_cap_that_grows_like_m():
     # A wrong kernel that keeps positive curvature: the tri M=64 potential
     # matrix plus a skew part, so p . Ap is unchanged but CG cannot converge.
     # It runs to its cap, 200 isqrt(n) products for 63^2 unknowns, not 50 n.
-    # (With CG_RTOL = 0 on the SPD matrix itself, the recursive residual
-    # underflows and CG breaks down after ~3,300 products instead.)
+    # (With CG_RTOL = 0 the SPD matrix itself runs to the same cap, but its
+    # residual sinks into subnormal numbers, which makes each product slow.)
     A, b = reduced_systems(64, "tri")["potential"]
     cap = 200 * math.isqrt(b.size)
     assert cap == 12_600 < 50 * b.size
@@ -128,6 +131,16 @@ def test_solve_spd_stops_at_a_cap_that_grows_like_m():
     assert A.products == cap
 
 
+def test_solve_spd_returns_once_the_residual_is_exactly_zero(monkeypatch):
+    # Jacobi CG solves a diagonal system of powers of two in one step, to an
+    # exactly zero residual.  With no tolerance left, that is still the
+    # answer, not a breakdown that calls the SPD matrix "not SPD".
+    monkeypatch.setattr(fem, "CG_RTOL", 0.0)
+    A = CountingMatrix(sp.diags([2.0, 4.0, 8.0]))
+    assert np.array_equal(solve_spd(A, np.array([1.0, 3.0, 5.0])), [0.5, 0.75, 0.625])
+    assert A.products == 1
+
+
 def test_solve_spd_zero_rhs_returns_zero():
     A = random_spd(10, seed=3)
     x = solve_spd(A, np.zeros(10))
@@ -136,8 +149,8 @@ def test_solve_spd_zero_rhs_returns_zero():
 
 
 def test_solve_spd_answers_a_zero_load_with_a_zero_of_its_own():
-    # scipy's cg hands a zero load back as the solution; the caller's array
-    # must not come back, nor its signed zeros.
+    # The answer is a new array: the caller's load must not come back (a
+    # write to the answer would change it), nor its signed zeros.
     A = random_spd(3, seed=3)
     b = np.array([0.0, -0.0, 0.0])
     x = solve_spd(A, b)
@@ -171,6 +184,39 @@ def test_solve_spd_is_deterministic():
     x1 = solve_spd(A, b)
     x2 = solve_spd(A, b)
     assert np.array_equal(x1, x2)
+
+
+THREAD_COUNT_SCRIPT = """
+import hashlib
+from test_solver import reduced_systems
+from thermistor_fem import ExperimentPlan, SchemeConfig, run_plan
+from thermistor_fem.fem import solve_spd
+
+A, b = reduced_systems(160, "quad")["potential"]
+print(hashlib.sha256(solve_spd(A, b).tobytes()).hexdigest())
+config = SchemeConfig("bdf2", 128, "quad", T=0.5, tau_rule="fixed:0.25", solver="cg")
+print(hashlib.sha256(run_plan(ExperimentPlan("threads", (config,))).csv_text.encode()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs at most one thread per CPU")
+def test_cg_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot product across its threads, and the order of
+    # the partial sums follows their number.  The quad M=160 system has
+    # 25,281 unknowns and the M=128 run 16,129: both long enough to split.
+    lines = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_COUNT_SCRIPT],
+            cwd=Path(__file__).parent,
+            env=os.environ | {"OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines.append(proc.stdout.split())
+    assert len(lines[0]) == 2
+    assert lines[0] == lines[1]
 
 
 @pytest.fixture
