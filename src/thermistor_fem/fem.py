@@ -551,9 +551,10 @@ def _scatter(space: FeSpace, values: np.ndarray) -> np.ndarray:
     """Load vector ``b_i = sum_e sum_q values[e,q] wdet[e,q] N[q,i]`` of
     ``(ne, nq)`` values at the assembly points: the element contributions
     are summed into the nodes in element order from zero (as ``np.add.at``
-    does)."""
+    does).  ``values`` is a temporary of the caller's: it is weighted in
+    place, which saves one array of its size at the peak of a load."""
     tb = space.tables
-    contrib = np.einsum("eq,qi->ei", values * tb.wdet, tb.N)
+    contrib = np.einsum("eq,qi->ei", np.multiply(values, tb.wdet, out=values), tb.N)
     return np.bincount(space.mesh.elements.ravel(), contrib.ravel(), minlength=space.n_dofs)
 
 
@@ -632,7 +633,11 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     ``M x M`` grid, 51,000 at ``M = 256`` where CG converges in under 1,000,
     so a solve that cannot converge stops after about a minute there, not
     an hour.  The sums go through `_dot`: the same bits at any BLAS thread
-    count.
+    count.  The loop runs on the load scaled by the power of two that puts
+    its largest entry in ``[1/2, 1)``, and the answer is scaled back: every
+    quantity of the loop scales exactly with it, so the bits are those of
+    the unscaled loop wherever that stays clear of underflow, and the inner
+    products of a tiny load do not underflow to zero.
 
     Raises
     ------
@@ -645,6 +650,8 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     diag = A.diagonal()
     if not np.all(diag > 0):
         raise NoConvergence("matrix has a non-positive diagonal entry; not SPD")
+    e = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+    b = np.ldexp(b, -e)
     # Divide by the diagonal: the solutions are pinned bit for bit to the
     # reference Jacobi CG, and multiplying by the reciprocal rounds differently.
     x = np.zeros_like(b)
@@ -655,7 +662,7 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     max_iter = min(50 * b.size, 200 * math.isqrt(b.size))
     for _ in range(max_iter):
         if math.sqrt(_dot(r, r)) <= stop:
-            return x
+            return np.ldexp(x, e)
         q = A @ p
         pq = _dot(p, q)
         if not pq > 0.0:

@@ -30,6 +30,7 @@ interpolants of the exact solution.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
@@ -57,6 +58,7 @@ __all__ = [
     "TimeState",
     "StepRecord",
     "OperatorCache",
+    "StepLoads",
     "ImexTable",
     "TABLES",
     "resolve_tau",
@@ -85,6 +87,11 @@ class ProblemData:
     for the initial condition, the start levels of ``bdf3``, the potential's
     Dirichlet data, and error norms.  ``grad_u``/``grad_phi`` return pairs
     of partials for the H1 errors that every run reports.
+
+    A run calls ``f1``, ``f2`` and ``exact_phi`` (for the potential's
+    boundary values) on its worker thread, while the calling thread goes on
+    with the step (`OperatorCache.loads`); the other fields are called on
+    the calling thread.
     """
 
     sigma: Callable
@@ -231,6 +238,13 @@ class OperatorCache:
     direct solver, its factorization) is built once per ``alpha``.  Only the
     newest is kept: ``alpha`` only moves forward (Euler, BDF2, BDF3).  The
     potential matrix changes every step; `potential_solve` assembles it.
+
+    The cache also owns the run's one worker thread, which computes a step's
+    `StepLoads` (`loads`) while the calling thread assembles and factorizes.
+    The thread starts on the first `loads`; `close` (or leaving a ``with``
+    block) joins it.  Every factorization is made and freed on the calling
+    thread: a SuperLU factor freed on another thread than its own is never
+    released.
     """
 
     def __init__(self, space: FeSpace, solver: str = "direct"):
@@ -239,6 +253,22 @@ class OperatorCache:
         self.mass = assemble_mass(space)
         self.stiffness = assemble_stiffness(space)
         self._heat: tuple[float, DirichletSystem] | None = None
+        self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="step-loads")
+
+    def __enter__(self) -> "OperatorCache":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Wait for the worker's job, if one runs, and end its thread."""
+        self._worker.shutdown()
+
+    def loads(self, problem: ProblemData, t: float, history: Optional[np.ndarray] = None) -> Future:
+        """Start computing the `StepLoads` at time ``t`` on the worker thread;
+        without ``history``, only the potential's.  Returns the future."""
+        return self._worker.submit(_step_loads, self, problem, t, history)
 
     def heat_system(self, alpha: float) -> DirichletSystem:
         """The reduced ``alpha * Mass + Stiffness``, summed entry by entry on
@@ -255,33 +285,59 @@ def _sigma_at_quad(space: FeSpace, problem: ProblemData, u_coeffs: np.ndarray) -
     return problem.sigma(space.values_at_quad(u_coeffs))
 
 
-def potential_solve(space, problem, ops, sigma_star, t) -> tuple[np.ndarray, float]:
-    """Solve the discrete potential equation at time ``t``.
+@dataclass(frozen=True)
+class StepLoads:
+    """What a step at time ``t`` needs besides its matrices: the potential's
+    load ``(f2(t), xi)`` and boundary values (the nodal interpolant of the
+    exact potential), and the temperature's load ``(f1(t), xi)`` and ``Mass
+    history`` (``None`` for a potential solve alone)."""
+
+    t: float
+    f2: np.ndarray
+    phi_boundary: np.ndarray
+    f1: Optional[np.ndarray] = None
+    mass_history: Optional[np.ndarray] = None
+
+
+def _step_loads(ops: OperatorCache, problem: ProblemData, t: float, history) -> StepLoads:
+    space = ops.space
+    b2 = assemble_load(space, lambda x, y: problem.f2(x, y, t))
+    g = nodal_values(problem.exact_phi, space.mesh.nodes[space.boundary_dofs], t)
+    if history is None:
+        return StepLoads(t, b2, g)
+    b1 = assemble_load(space, lambda x, y: problem.f1(x, y, t))
+    return StepLoads(t, b2, g, b1, ops.mass @ history)
+
+
+def potential_solve(space, ops, sigma_star, loads: Future) -> tuple[np.ndarray, float]:
+    """Solve the discrete potential equation at the time of ``loads``.
 
     ``(sigma* grad Phi_h, grad xi) = (f2(t), xi)`` for all interior test
     functions, with ``Phi_h`` equal to the nodal interpolant of the exact
     potential on the boundary; ``sigma_star`` holds conductivity values at
-    the assembly quadrature points.  Returns ``Phi_h`` and the relative
-    residual of its reduced system.
+    the assembly quadrature points.  The system is assembled and factorized
+    before the `StepLoads` future of `OperatorCache.loads` is waited for.
+    Returns ``Phi_h`` and the relative residual of its reduced system.
     """
     A = assemble_weighted_stiffness(space, sigma_star)
     system = DirichletSystem(space, A, ops.solver)
-    b = assemble_load(space, lambda x, y: problem.f2(x, y, t))
-    g = nodal_values(problem.exact_phi, space.mesh.nodes[space.boundary_dofs], t)
-    return system.solve(b, g)
+    step = loads.result()
+    return system.solve(step.f2, step.phi_boundary)
 
 
-def temperature_solve(space, problem, ops, alpha, mass_history, joule, t) -> tuple[np.ndarray, float]:
+def temperature_solve(space, ops, alpha, joule, loads: Future) -> tuple[np.ndarray, float]:
     """Solve ``(alpha Mass + Stiffness) U = Mass history + joule + (f1(t), xi)``.
 
-    This is the temperature update of every scheme here: ``alpha`` and
-    ``mass_history`` come from the backward difference, ``joule`` is the
-    assembled Joule load.  The temperature vanishes on the boundary.
+    This is the temperature update of every scheme here: ``alpha`` and the
+    ``Mass history`` of ``loads`` (a `StepLoads` future of
+    `OperatorCache.loads`) come from the backward difference, ``joule`` is
+    the assembled Joule load.  The temperature vanishes on the boundary.
     Returns ``U`` and the relative residual of its reduced system.
     """
-    b1 = assemble_load(space, lambda x, y: problem.f1(x, y, t))
-    rhs = ops.mass @ mass_history + joule + b1
-    return ops.heat_system(alpha).solve(rhs, np.zeros(space.boundary_dofs.size))
+    system = ops.heat_system(alpha)
+    step = loads.result()
+    rhs = step.mass_history + joule + step.f1
+    return system.solve(rhs, np.zeros(space.boundary_dofs.size))
 
 
 # ----------------------------------------------------------------------------
@@ -347,12 +403,12 @@ def imex_step(
     fresh potential in the Joule term.
     """
     us = state.temperatures(table.levels)
-    t_new = (state.n + 1) * tau
-    sigma_star = sum(w * _sigma_at_quad(space, problem, u) for w, u in zip(table.extrap, us))
-    phi_new, res_phi = potential_solve(space, problem, ops, sigma_star, t_new)
-    joule = assemble_joule_load(space, sigma_star, phi_new)
     alpha, history = table.difference(us, tau)
-    u_new, res_u = temperature_solve(space, problem, ops, alpha, history, joule, t_new)
+    loads = ops.loads(problem, (state.n + 1) * tau, history)
+    sigma_star = sum(w * _sigma_at_quad(space, problem, u) for w, u in zip(table.extrap, us))
+    phi_new, res_phi = potential_solve(space, ops, sigma_star, loads)
+    joule = assemble_joule_load(space, sigma_star, phi_new)
+    u_new, res_u = temperature_solve(space, ops, alpha, joule, loads)
     return state.advanced(u_new, phi_new, tau, float(sigma_star.min()), res_phi, res_u)
 
 
@@ -373,15 +429,15 @@ def gao_step(
     us = state.temperatures(table.levels)
     if state.phi_nm1 is None:
         raise ValueError("gao_step needs two history levels of both fields")
-    t_new = (state.n + 1) * tau
+    alpha, history = table.difference(us, tau)
+    loads = ops.loads(problem, (state.n + 1) * tau, history)
     joule = sum(
         w * assemble_joule_load(space, _sigma_at_quad(space, problem, u), phi)
         for w, u, phi in zip(table.extrap, us, (state.phi_n, state.phi_nm1))
     )
-    alpha, history = table.difference(us, tau)
-    u_new, res_u = temperature_solve(space, problem, ops, alpha, history, joule, t_new)
+    u_new, res_u = temperature_solve(space, ops, alpha, joule, loads)
     sigma_new = _sigma_at_quad(space, problem, u_new)
-    phi_new, res_phi = potential_solve(space, problem, ops, sigma_new, t_new)
+    phi_new, res_phi = potential_solve(space, ops, sigma_new, loads)
     return state.advanced(u_new, phi_new, tau, float(sigma_new.min()), res_phi, res_u)
 
 
@@ -400,7 +456,8 @@ def run_simulation(
     temperature interpolants only; no potential is solved for them.
     A `RUN_FAILURES` exception of step ``n`` (0: the initial potential of
     ``gao``) is re-raised as the first `RUN_FAILURES` type it is an instance
-    of, its text prefixed with ``step n at t=...:``.
+    of, its text prefixed with ``step n at t=...:``.  The run's worker
+    thread (`OperatorCache`) ends before it returns or raises.
     """
     tau, N = validate_config(config)
     if (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
@@ -416,8 +473,9 @@ def run_simulation(
         if config.scheme == "gao":
             # The first temperature-first step consumes two potential levels, so
             # the start-up also solves for the initial potential.
+            loads = ops.loads(problem, 0.0)
             sigma0 = _sigma_at_quad(space, problem, state.u_n)
-            state = replace(state, phi_n=potential_solve(space, problem, ops, sigma0, 0.0)[0])
+            state = replace(state, phi_n=potential_solve(space, ops, sigma0, loads)[0])
         for n in range(1, N + 1):
             # Start-up: BDF3 takes its first two temperature levels from the
             # exact solution, with no potential: its steps read temperatures
@@ -432,4 +490,6 @@ def run_simulation(
         # tuple's own type.
         kind = next(kind for kind in RUN_FAILURES if isinstance(exc, kind))
         raise kind(f"step {n} at t={n * tau:g}: {exc}") from exc
+    finally:
+        ops.close()
     return state, trace

@@ -20,6 +20,7 @@ from thermistor_fem import (
     macroelements,
 )
 from thermistor_fem.fem import (
+    POSITIVITY_FLOOR,
     DirichletSystem,
     _shape_quad,
     _shape_tri,
@@ -116,6 +117,16 @@ def test_weighted_stiffness_rejects_nonpositive_coefficient(space):
     sigma[0, 0] = np.nan  # NaN fails the floor comparison too
     with pytest.raises(ConductivityNotPositive):
         assemble_weighted_stiffness(space, sigma)
+
+
+def test_weighted_stiffness_needs_a_coefficient_above_the_floor(space):
+    # The floor itself is refused; the next double above it is accepted.
+    sigma = np.ones_like(space.tables.wdet)
+    sigma[0, 0] = POSITIVITY_FLOOR
+    with pytest.raises(ConductivityNotPositive):
+        assemble_weighted_stiffness(space, sigma)
+    sigma[0, 0] = np.nextafter(POSITIVITY_FLOOR, 1.0)
+    assert assemble_weighted_stiffness(space, sigma).nnz > 0
 
 
 def test_weighted_stiffness_rejects_wrong_shape(space):

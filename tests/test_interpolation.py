@@ -122,6 +122,11 @@ def test_eoc_rejects_bad_input():
             eoc(pairs)
 
 
+def test_convergence_order_divides_by_the_log_of_the_ratio():
+    # log(9) / log(3) by hand: at a ratio of 3 the order of 1 -> 1/9 is 2.
+    assert convergence_order(1.0, 1 / 9, 3.0) == 2.0
+
+
 @pytest.mark.filterwarnings("error")  # no divide-by-zero warning either
 def test_convergence_order_is_nan_unless_both_errors_are_positive_and_finite():
     assert convergence_order(1.0, 0.25, 2.0) == pytest.approx(2.0, abs=1e-14)

@@ -3,6 +3,8 @@ structure (decoupling, degeneracies), and the dense reference step."""
 
 import gc
 import math
+import threading
+import time
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import _dense_oracle as oracle
 from thermistor_fem import (
     TABLES,
+    ConductivityNotPositive,
     FeEvaluation,
     FeSpace,
     SchemeConfig,
@@ -30,6 +33,7 @@ from thermistor_fem import (
     resolve_tau,
     run_simulation,
 )
+from thermistor_fem import fem
 from thermistor_fem.manufactured import exact_phi, exact_u, sigma
 from thermistor_fem.mesh import mesh_size
 from thermistor_fem.schemes import MAX_STEPS, SCHEMES, OperatorCache, ProblemData, validate_config
@@ -41,6 +45,12 @@ STEPS = {
     "ext1_step": partial(imex_step, TABLES["ext1"]),
     "gao_step": gao_step,
 }
+
+
+def one_step(step, state, space, problem, tau):
+    """``step`` on a fresh operator cache, whose worker ends with the step."""
+    with OperatorCache(space) as ops:
+        return step(state, space, problem, tau, ops)
 
 
 def cfg(**kw):
@@ -299,7 +309,7 @@ def test_bdf2_step_matches_dense_reference(kind):
     u_nm1 = interpolate_nodal(space, exact_u, 0.1)
     u_n = interpolate_nodal(space, exact_u, 0.2)
     state = TimeState(n=2, t=0.2, u_n=u_n, u_nm1=u_nm1)
-    new = imex_step(TABLES["bdf2"], state, space, problem, tau, OperatorCache(space))
+    new = one_step(STEPS["bdf2_step"], state, space, problem, tau)
     u_ref, phi_ref = oracle.oracle_bdf2_step(space.mesh, problem, u_n, u_nm1, tau, 0.3)
     assert np.abs(new.u_n - u_ref).max() < 1e-9
     assert np.abs(new.phi_n - phi_ref).max() < 1e-9
@@ -312,12 +322,13 @@ def test_bdf2_step_matches_dense_reference(kind):
 
 def history_state(space, tau, n=2):
     """Exact-interpolant history up to level n (newest last)."""
-    problem, ops = make_problem(), OperatorCache(space)
+    problem = make_problem()
     levels = [interpolate_nodal(space, exact_u, k * tau) for k in range(n + 1)]
-    phi = [
-        potential_solve(space, problem, ops, sigma(space.values_at_quad(levels[k])), k * tau)[0]
-        for k in range(n + 1)
-    ]
+    with OperatorCache(space) as ops:
+        phi = [
+            potential_solve(space, ops, sigma(space.values_at_quad(levels[k])), ops.loads(problem, k * tau))[0]
+            for k in range(n + 1)
+        ]
     return TimeState(
         n=n,
         t=n * tau,
@@ -339,8 +350,8 @@ def test_potential_update_is_decoupled_from_the_heat_source(name):
     state = history_state(space, tau)
     problem = make_problem()
     shifted = replace(problem, f1=lambda x, y, t: problem.f1(x, y, t) + 50.0)
-    a = STEPS[name](state, space, problem, tau, OperatorCache(space))
-    b = STEPS[name](state, space, shifted, tau, OperatorCache(space))
+    a = one_step(STEPS[name], state, space, problem, tau)
+    b = one_step(STEPS[name], state, space, shifted, tau)
     assert np.array_equal(a.phi_n, b.phi_n)
     assert np.abs(a.u_n - b.u_n).max() > 1e-3
 
@@ -354,8 +365,8 @@ def test_gao_temperature_is_decoupled_from_the_new_potential():
     state = history_state(space, tau)
     problem = make_problem()
     shifted = replace(problem, f2=lambda x, y, t: problem.f2(x, y, t) + 50.0)
-    a = gao_step(state, space, problem, tau, OperatorCache(space))
-    b = gao_step(state, space, shifted, tau, OperatorCache(space))
+    a = one_step(gao_step, state, space, problem, tau)
+    b = one_step(gao_step, state, space, shifted, tau)
     assert np.array_equal(a.u_n, b.u_n)
     assert np.abs(a.phi_n - b.phi_n).max() > 1e-3
 
@@ -372,8 +383,8 @@ def test_constant_conductivity_collapses_extrapolation_orders():
     tau = 0.2
     state = history_state(space, tau)
     problem = constant_sigma_problem()
-    a = imex_step(TABLES["bdf2"], state, space, problem, tau, OperatorCache(space))
-    b = imex_step(TABLES["ext1"], state, space, problem, tau, OperatorCache(space))
+    a = one_step(STEPS["bdf2_step"], state, space, problem, tau)
+    b = one_step(STEPS["ext1_step"], state, space, problem, tau)
     assert np.array_equal(a.u_n, b.u_n)
     assert np.array_equal(a.phi_n, b.phi_n)
 
@@ -412,7 +423,7 @@ def test_steps_refuse_to_run_without_history(name, needs):
     elif needs == "u_nm2":
         state = replace(state, u_nm1=u0)
     with pytest.raises(ValueError):
-        STEPS[name](state, space, make_problem(), 0.1, OperatorCache(space))
+        one_step(STEPS[name], state, space, make_problem(), 0.1)
 
 
 # ----------------------------------------------------------------------------
@@ -425,7 +436,7 @@ def test_euler_init_returns_first_level():
     tau = 0.05
     # the Euler start-up step: implicit Euler from the interpolated datum
     state = TimeState(n=0, t=0.0, u_n=interpolate_nodal(space, exact_u, 0.0))
-    state = imex_step(TABLES["euler"], state, space, make_problem(), tau, OperatorCache(space))
+    state = one_step(partial(imex_step, TABLES["euler"]), state, space, make_problem(), tau)
     assert state.n == 1 and state.u_nm1 is not None
     u1, phi1 = state.u_n, state.phi_n
     # first-order accurate but consistent: both fields near the exact ones
@@ -482,7 +493,7 @@ def test_run_simulation_records_solver_and_coefficient_diagnostics():
         # The step called on the level before the last makes the trace's last entry.
         space = FeSpace(build_mesh(4, "tri"))
         before, _ = run_simulation(cfg(scheme=scheme, T=0.75), problem, space)
-        assert step(before, space, problem, 0.25, OperatorCache(space)).record == trace[-1]
+        assert one_step(step, before, space, problem, 0.25).record == trace[-1]
 
 
 def test_run_simulation_rejects_horizons_shorter_than_the_startup():
@@ -529,9 +540,9 @@ def test_bdf3_solves_a_potential_only_in_its_steps(monkeypatch):
     # bdf3 steps solve for a potential and the start-up solves none.
     calls = []
 
-    def counting_potential_solve(*args, **kw):
-        calls.append(args[4])
-        return potential_solve(*args, **kw)
+    def counting_potential_solve(space, ops, sigma_star, loads):
+        calls.append(loads.result().t)
+        return potential_solve(space, ops, sigma_star, loads)
 
     monkeypatch.setattr("thermistor_fem.schemes.potential_solve", counting_potential_solve)
     state, _ = run(cfg(scheme="bdf3", T=1.25), make_problem())
@@ -568,6 +579,85 @@ def test_cg_and_direct_solvers_agree_on_a_full_run():
     assert np.abs(a.phi_n - b.phi_n).max() < 1e-9
 
 
+# ----------------------------------------------------------------------------
+# The run's worker thread
+# ----------------------------------------------------------------------------
+
+
+class RecordedFactor:
+    """A SuperLU factor that notes the threads it is made and freed on."""
+
+    def __init__(self, lu, events):
+        self._lu, self._events = lu, events
+        events.append(("made", threading.current_thread()))
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def __del__(self):
+        self._events.append(("freed", threading.current_thread()))
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "bdf3", "gao"])
+def test_every_factor_is_made_and_freed_on_the_calling_thread(scheme, monkeypatch):
+    # A SuperLU factor freed on another thread than the one that made it is
+    # never released: the worker computes loads, never a factor.
+    events, real_splu = [], fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu", lambda *a, **kw: RecordedFactor(real_splu(*a, **kw), events))
+    run(cfg(scheme=scheme, T=1.25), make_problem())
+    gc.collect()
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("made") == kinds.count("freed") >= 3
+    assert {thread for _, thread in events} == {threading.current_thread()}
+
+
+def test_no_thread_starts_before_a_step_asks_for_its_loads():
+    before = threading.enumerate()
+    ops = OperatorCache(FeSpace(build_mesh(4, "tri")))
+    ops.heat_system(10.0)
+    assert threading.enumerate() == before
+    ops.close()
+
+
+def test_a_failure_in_the_loads_keeps_its_type_and_names_its_step():
+    problem = make_problem()
+    threads = []
+
+    def f1(x, y, t):
+        threads.append(threading.current_thread())
+        if t == 0.5:
+            raise MemoryError("cannot evaluate f1")
+        return problem.f1(x, y, t)
+
+    with pytest.raises(MemoryError, match=r"^step 2 at t=0\.5: cannot evaluate f1$") as info:
+        run(cfg(), replace(problem, f1=f1))
+    assert type(info.value) is MemoryError and type(info.value.__cause__) is MemoryError
+    assert threads and threading.current_thread() not in threads
+
+
+def test_a_failure_beside_a_running_job_waits_for_it_and_ends_the_worker():
+    # sigma* is negative in step 1 while the worker is still inside f2: the
+    # run fails only once the job is done, and leaves no thread behind.
+    problem = make_problem()
+    started, finished = threading.Event(), threading.Event()
+
+    def f2(x, y, t):
+        started.set()
+        time.sleep(0.2)
+        finished.set()
+        return problem.f2(x, y, t)
+
+    def negative_sigma(s):
+        assert started.wait(10)
+        return np.full_like(np.asarray(s, dtype=float), -1.0)
+
+    before = threading.enumerate()
+    with pytest.raises(ConductivityNotPositive, match=r"^step 1 at t=0\.25: "):
+        run(cfg(), replace(problem, f2=f2, sigma=negative_sigma))
+    assert finished.is_set()
+    assert threading.enumerate() == before
+
+
 def test_operator_cache_holds_only_the_current_heat_system():
     # A run's heat coefficient only moves forward (Euler, BDF2, BDF3), so the
     # cache keeps one system and frees the earlier factorization.
@@ -588,7 +678,8 @@ def test_potential_solve_is_second_order_accurate():
         space = FeSpace(build_mesh(M, "tri"))
         u = interpolate_nodal(space, exact_u, t)
         sigma_star = sigma(space.values_at_quad(u))
-        phi, res = potential_solve(space, make_problem(), OperatorCache(space), sigma_star, t)
+        with OperatorCache(space) as ops:
+            phi, res = potential_solve(space, ops, sigma_star, ops.loads(make_problem(), t))
         assert res < 1e-10
         errs.append(l2_distance(space, phi, exact_phi, t))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)

@@ -141,6 +141,15 @@ def test_solve_spd_returns_once_the_residual_is_exactly_zero(monkeypatch):
     assert A.products == 1
 
 
+@pytest.mark.parametrize("power", [-515, -530])
+def test_solve_spd_solves_a_tiny_load_as_the_scaled_unit_load(power):
+    # At 2**-515 (about 1e-155) and 2**-530 the squares of the residual
+    # underflow to zero, and so would ``p . Ap``, which reads as "not SPD".
+    # Run on the load scaled by a power of two, the loop is the unscaled one.
+    A, b = reduced_systems(16, "tri")["potential"]
+    assert np.array_equal(solve_spd(A, np.ldexp(b, power)), np.ldexp(solve_spd(A, b), power))
+
+
 def test_solve_spd_zero_rhs_returns_zero():
     A = random_spd(10, seed=3)
     x = solve_spd(A, np.zeros(10))
