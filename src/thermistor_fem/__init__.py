@@ -39,7 +39,6 @@ from .schemes import (
     TimeState,
     gao_step,
     imex_step,
-    potential_solve,
     resolve_tau,
     run_simulation,
 )

@@ -66,6 +66,9 @@ POSITIVITY_FLOOR = 1e-10
 #: Relative residual tolerance of `solve_spd`.
 CG_RTOL = 1e-12
 
+#: The methods of `DirichletSystem`: sparse LU, or `solve_spd`.
+SOLVERS = ("direct", "cg")
+
 #: Elements per block of the blocked kernels and of the source evaluations
 #: in `assemble_load`: their temporaries stay small and in cache.
 _CHUNK = 2048
@@ -690,8 +693,8 @@ class DirichletSystem:
     """
 
     def __init__(self, space: FeSpace, A: sp.spmatrix, method: str = "direct"):
-        if method not in ("direct", "cg"):
-            raise ValueError(f"method must be 'direct' or 'cg', got {method!r}")
+        if method not in SOLVERS:
+            raise ValueError(f"method must be one of {SOLVERS}, got {method!r}")
         self.space = space
         pattern = space.pattern
         A = A.tocsr()

@@ -39,6 +39,7 @@ import numpy as np
 
 from .analysis import interpolate_nodal, nodal_values
 from .fem import (
+    SOLVERS,
     ConductivityNotPositive,
     DirichletSystem,
     FeSpace,
@@ -88,10 +89,11 @@ class ProblemData:
     Dirichlet data, and error norms.  ``grad_u``/``grad_phi`` return pairs
     of partials for the H1 errors that every run reports.
 
-    A run calls ``f1``, ``f2`` and ``exact_phi`` (for the potential's
-    boundary values) on its worker thread, while the calling thread goes on
-    with the step (`OperatorCache.loads`); the other fields are called on
-    the calling thread.
+    A run's `OperatorCache` holds its problem.  ``f1``, ``f2`` and
+    ``exact_phi`` (for the potential's boundary values) are called on the
+    run's worker thread (`OperatorCache.loads`), while the calling thread
+    goes on with the step; the other fields are called on the calling
+    thread.
     """
 
     sigma: Callable
@@ -182,8 +184,8 @@ def validate_config(config: SchemeConfig) -> tuple[float, int]:
     if config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}; choose from {SCHEMES}")
     check_mesh_args(config.M, config.elem_kind)
-    if config.solver not in ("direct", "cg"):
-        raise ValueError(f"solver must be 'direct' or 'cg', got {config.solver!r}")
+    if config.solver not in SOLVERS:
+        raise ValueError(f"solver must be one of {SOLVERS}, got {config.solver!r}")
     quadrature_rules(config.elem_kind, config.assembly_points, config.error_points)
     tau, N = resolve_tau(config, mesh_size(config.M))
     levels = _scheme_table(config.scheme).levels
@@ -231,24 +233,27 @@ def resolve_tau(config: SchemeConfig, h: float) -> tuple[float, int]:
 
 
 class OperatorCache:
-    """Assembled operators and factorizations reused across time steps.
+    """One run's context: its space, problem and solver, the operators it
+    reuses across time steps, and the worker thread of its loads.
 
-    The temperature system matrix ``alpha * Mass + Stiffness`` is constant in
-    time for every scheme here, so its Dirichlet reduction (and, with the
-    direct solver, its factorization) is built once per ``alpha``.  Only the
-    newest is kept: ``alpha`` only moves forward (Euler, BDF2, BDF3).  The
-    potential matrix changes every step; `potential_solve` assembles it.
+    Every step and solve reads the space, the problem and the solver from
+    the cache, so one step cannot mix two spaces.  The temperature system
+    matrix ``alpha * Mass + Stiffness`` is constant in time for every scheme
+    here, so its Dirichlet reduction (and, with the direct solver, its
+    factorization) is built once per ``alpha``.  Only the newest is kept:
+    ``alpha`` only moves forward (Euler, BDF2, BDF3).  The potential matrix
+    changes every step; `potential_solve` assembles it.
 
-    The cache also owns the run's one worker thread, which computes a step's
-    `StepLoads` (`loads`) while the calling thread assembles and factorizes.
-    The thread starts on the first `loads`; `close` (or leaving a ``with``
-    block) joins it.  Every factorization is made and freed on the calling
-    thread: a SuperLU factor freed on another thread than its own is never
-    released.
+    The worker thread computes the `StepLoads` of a step's new time
+    (`loads`) while the calling thread assembles and factorizes.  It starts
+    on the first `loads`; `close` (or leaving a ``with`` block) joins it.
+    Every factorization is made and freed on the calling thread: a SuperLU
+    factor freed on another thread than its own is never released.
     """
 
-    def __init__(self, space: FeSpace, solver: str = "direct"):
+    def __init__(self, space: FeSpace, problem: ProblemData, solver: str = "direct"):
         self.space = space
+        self.problem = problem
         self.solver = solver
         self.mass = assemble_mass(space)
         self.stiffness = assemble_stiffness(space)
@@ -265,10 +270,10 @@ class OperatorCache:
         """Wait for the worker's job, if one runs, and end its thread."""
         self._worker.shutdown()
 
-    def loads(self, problem: ProblemData, t: float, history: Optional[np.ndarray] = None) -> Future:
+    def loads(self, t: float) -> Future:
         """Start computing the `StepLoads` at time ``t`` on the worker thread;
-        without ``history``, only the potential's.  Returns the future."""
-        return self._worker.submit(_step_loads, self, problem, t, history)
+        returns the future."""
+        return self._worker.submit(_step_loads, self, t)
 
     def heat_system(self, alpha: float) -> DirichletSystem:
         """The reduced ``alpha * Mass + Stiffness``, summed entry by entry on
@@ -281,63 +286,61 @@ class OperatorCache:
         return self._heat[1]
 
 
-def _sigma_at_quad(space: FeSpace, problem: ProblemData, u_coeffs: np.ndarray) -> np.ndarray:
-    return problem.sigma(space.values_at_quad(u_coeffs))
+def _sigma_at_quad(ops: OperatorCache, u_coeffs: np.ndarray) -> np.ndarray:
+    return ops.problem.sigma(ops.space.values_at_quad(u_coeffs))
 
 
 @dataclass(frozen=True)
 class StepLoads:
-    """What a step at time ``t`` needs besides its matrices: the potential's
-    load ``(f2(t), xi)`` and boundary values (the nodal interpolant of the
-    exact potential), and the temperature's load ``(f1(t), xi)`` and ``Mass
-    history`` (``None`` for a potential solve alone)."""
+    """What a step needs that depends on its new time ``t`` alone: the
+    potential's load ``(f2(t), xi)`` and boundary values (the nodal
+    interpolant of the exact potential), and the temperature's load
+    ``(f1(t), xi)``."""
 
     t: float
     f2: np.ndarray
     phi_boundary: np.ndarray
-    f1: Optional[np.ndarray] = None
-    mass_history: Optional[np.ndarray] = None
+    f1: np.ndarray
 
 
-def _step_loads(ops: OperatorCache, problem: ProblemData, t: float, history) -> StepLoads:
-    space = ops.space
+def _step_loads(ops: OperatorCache, t: float) -> StepLoads:
+    space, problem = ops.space, ops.problem
     b2 = assemble_load(space, lambda x, y: problem.f2(x, y, t))
     g = nodal_values(problem.exact_phi, space.mesh.nodes[space.boundary_dofs], t)
-    if history is None:
-        return StepLoads(t, b2, g)
     b1 = assemble_load(space, lambda x, y: problem.f1(x, y, t))
-    return StepLoads(t, b2, g, b1, ops.mass @ history)
+    return StepLoads(t, b2, g, b1)
 
 
-def potential_solve(space, ops, sigma_star, loads: Future) -> tuple[np.ndarray, float]:
+def potential_solve(ops: OperatorCache, sigma_star, loads: Future) -> tuple[np.ndarray, float]:
     """Solve the discrete potential equation at the time of ``loads``.
 
     ``(sigma* grad Phi_h, grad xi) = (f2(t), xi)`` for all interior test
-    functions, with ``Phi_h`` equal to the nodal interpolant of the exact
-    potential on the boundary; ``sigma_star`` holds conductivity values at
-    the assembly quadrature points.  The system is assembled and factorized
-    before the `StepLoads` future of `OperatorCache.loads` is waited for.
-    Returns ``Phi_h`` and the relative residual of its reduced system.
+    functions of ``ops.space``, with ``Phi_h`` equal to the nodal interpolant
+    of the exact potential on the boundary; ``sigma_star`` holds conductivity
+    values at the assembly quadrature points.  The system is assembled and
+    factorized before the `StepLoads` future of ``ops.loads(t)`` is waited
+    for.  Returns ``Phi_h`` and the relative residual of its reduced system.
     """
-    A = assemble_weighted_stiffness(space, sigma_star)
-    system = DirichletSystem(space, A, ops.solver)
+    A = assemble_weighted_stiffness(ops.space, sigma_star)
+    system = DirichletSystem(ops.space, A, ops.solver)
     step = loads.result()
     return system.solve(step.f2, step.phi_boundary)
 
 
-def temperature_solve(space, ops, alpha, joule, loads: Future) -> tuple[np.ndarray, float]:
+def temperature_solve(ops: OperatorCache, alpha, history, joule, loads: Future) -> tuple[np.ndarray, float]:
     """Solve ``(alpha Mass + Stiffness) U = Mass history + joule + (f1(t), xi)``.
 
-    This is the temperature update of every scheme here: ``alpha`` and the
-    ``Mass history`` of ``loads`` (a `StepLoads` future of
-    `OperatorCache.loads`) come from the backward difference, ``joule`` is
-    the assembled Joule load.  The temperature vanishes on the boundary.
-    Returns ``U`` and the relative residual of its reduced system.
+    This is the temperature update of every scheme here: ``alpha`` and
+    ``history`` come from the backward difference (`ImexTable.difference`),
+    ``joule`` is the assembled Joule load, and ``loads`` is the `StepLoads`
+    future of ``ops.loads(t)``.  ``Mass history`` is formed on the calling
+    thread.  The temperature vanishes on the boundary.  Returns ``U`` and
+    the relative residual of its reduced system.
     """
     system = ops.heat_system(alpha)
     step = loads.result()
-    rhs = step.mass_history + joule + step.f1
-    return system.solve(rhs, np.zeros(space.boundary_dofs.size))
+    rhs = ops.mass @ history + joule + step.f1
+    return system.solve(rhs, np.zeros(ops.space.boundary_dofs.size))
 
 
 # ----------------------------------------------------------------------------
@@ -367,7 +370,10 @@ class ImexTable:
         return len(self.history)
 
     def difference(self, levels, tau: float) -> tuple[float, np.ndarray]:
-        """``alpha`` and ``sum_k history[k] levels[k] / (d tau)``, newest level first."""
+        """``alpha`` and ``sum_k history[k] levels[k] / (d tau)``, newest level
+        first.  Raises ValueError unless ``tau`` is positive and finite."""
+        if not 0 < tau < math.inf:
+            raise ValueError(f"the time step must be positive and finite, got {tau!r}")
         history = sum(c * u for c, u in zip(self.history, levels))
         return self.a / (self.d * tau), history / (self.d * tau)
 
@@ -388,15 +394,9 @@ def _scheme_table(scheme: str) -> ImexTable:
     return TABLES["bdf2" if scheme == "gao" else scheme]
 
 
-def imex_step(
-    table: ImexTable,
-    state: TimeState,
-    space: FeSpace,
-    problem: ProblemData,
-    tau: float,
-    ops: OperatorCache,
-) -> TimeState:
-    """One potential-first step with the coefficients of ``table``.
+def imex_step(table: ImexTable, state: TimeState, tau: float, ops: OperatorCache) -> TimeState:
+    """One potential-first step with the coefficients of ``table``, on the
+    space and problem of ``ops``.
 
     The potential is solved first with the extrapolated conductivity
     evaluated at quadrature points, then the temperature is advanced with the
@@ -404,22 +404,17 @@ def imex_step(
     """
     us = state.temperatures(table.levels)
     alpha, history = table.difference(us, tau)
-    loads = ops.loads(problem, (state.n + 1) * tau, history)
-    sigma_star = sum(w * _sigma_at_quad(space, problem, u) for w, u in zip(table.extrap, us))
-    phi_new, res_phi = potential_solve(space, ops, sigma_star, loads)
-    joule = assemble_joule_load(space, sigma_star, phi_new)
-    u_new, res_u = temperature_solve(space, ops, alpha, joule, loads)
+    loads = ops.loads((state.n + 1) * tau)
+    sigma_star = sum(w * _sigma_at_quad(ops, u) for w, u in zip(table.extrap, us))
+    phi_new, res_phi = potential_solve(ops, sigma_star, loads)
+    joule = assemble_joule_load(ops.space, sigma_star, phi_new)
+    u_new, res_u = temperature_solve(ops, alpha, history, joule, loads)
     return state.advanced(u_new, phi_new, tau, float(sigma_star.min()), res_phi, res_u)
 
 
-def gao_step(
-    state: TimeState,
-    space: FeSpace,
-    problem: ProblemData,
-    tau: float,
-    ops: OperatorCache,
-) -> TimeState:
-    """Temperature-first BDF2 step with extrapolated Joule data.
+def gao_step(state: TimeState, tau: float, ops: OperatorCache) -> TimeState:
+    """Temperature-first BDF2 step with extrapolated Joule data, on the space
+    and problem of ``ops``.
 
     The temperature update uses ``2 sigma(U^n) |grad Phi^n|^2 -
     sigma(U^{n-1}) |grad Phi^{n-1}|^2`` from past potentials, then the
@@ -430,14 +425,14 @@ def gao_step(
     if state.phi_nm1 is None:
         raise ValueError("gao_step needs two history levels of both fields")
     alpha, history = table.difference(us, tau)
-    loads = ops.loads(problem, (state.n + 1) * tau, history)
+    loads = ops.loads((state.n + 1) * tau)
     joule = sum(
-        w * assemble_joule_load(space, _sigma_at_quad(space, problem, u), phi)
+        w * assemble_joule_load(ops.space, _sigma_at_quad(ops, u), phi)
         for w, u, phi in zip(table.extrap, us, (state.phi_n, state.phi_nm1))
     )
-    u_new, res_u = temperature_solve(space, ops, alpha, joule, loads)
-    sigma_new = _sigma_at_quad(space, problem, u_new)
-    phi_new, res_phi = potential_solve(space, ops, sigma_new, loads)
+    u_new, res_u = temperature_solve(ops, alpha, history, joule, loads)
+    sigma_new = _sigma_at_quad(ops, u_new)
+    phi_new, res_phi = potential_solve(ops, sigma_new, loads)
     return state.advanced(u_new, phi_new, tau, float(sigma_new.min()), res_phi, res_u)
 
 
@@ -463,7 +458,7 @@ def run_simulation(
     if (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
         raise ValueError(f"the space is on an M={space.mesh.M} {space.mesh.elem_kind} mesh, not the configuration's")
     table = _scheme_table(config.scheme)
-    ops = OperatorCache(space, config.solver)
+    ops = OperatorCache(space, problem, config.solver)
     state = TimeState(n=0, t=0.0, u_n=interpolate_nodal(space, problem.exact_u, 0.0))
     euler = partial(imex_step, TABLES["euler"])
     step = gao_step if config.scheme == "gao" else partial(imex_step, table)
@@ -473,9 +468,8 @@ def run_simulation(
         if config.scheme == "gao":
             # The first temperature-first step consumes two potential levels, so
             # the start-up also solves for the initial potential.
-            loads = ops.loads(problem, 0.0)
-            sigma0 = _sigma_at_quad(space, problem, state.u_n)
-            state = replace(state, phi_n=potential_solve(space, ops, sigma0, loads)[0])
+            loads = ops.loads(0.0)
+            state = replace(state, phi_n=potential_solve(ops, _sigma_at_quad(ops, state.u_n), loads)[0])
         for n in range(1, N + 1):
             # Start-up: BDF3 takes its first two temperature levels from the
             # exact solution, with no potential: its steps read temperatures
@@ -483,7 +477,7 @@ def run_simulation(
             if n < table.levels and config.scheme == "bdf3":
                 state = state.advanced(interpolate_nodal(space, problem.exact_u, n * tau), None, tau)
             else:
-                state = (euler if n < table.levels else step)(state, space, problem, tau, ops)
+                state = (euler if n < table.levels else step)(state, tau, ops)
                 trace.append(state.record)
     except RUN_FAILURES as exc:
         # numpy's allocation error takes no message argument: re-raise as the

@@ -24,19 +24,19 @@ from thermistor_fem import (
     SchemeConfig,
     TimeState,
     build_mesh,
+    fe_l2_norm,
     gao_step,
     imex_step,
     interpolate_nodal,
     l2_error,
     make_problem,
-    potential_solve,
     resolve_tau,
     run_simulation,
 )
 from thermistor_fem import fem
 from thermistor_fem.manufactured import exact_phi, exact_u, sigma
 from thermistor_fem.mesh import mesh_size
-from thermistor_fem.schemes import MAX_STEPS, SCHEMES, OperatorCache, ProblemData, validate_config
+from thermistor_fem.schemes import MAX_STEPS, SCHEMES, OperatorCache, ProblemData, potential_solve, validate_config
 
 
 STEPS = {
@@ -49,8 +49,8 @@ STEPS = {
 
 def one_step(step, state, space, problem, tau):
     """``step`` on a fresh operator cache, whose worker ends with the step."""
-    with OperatorCache(space) as ops:
-        return step(state, space, problem, tau, ops)
+    with OperatorCache(space, problem) as ops:
+        return step(state, tau, ops)
 
 
 def cfg(**kw):
@@ -324,11 +324,8 @@ def history_state(space, tau, n=2):
     """Exact-interpolant history up to level n (newest last)."""
     problem = make_problem()
     levels = [interpolate_nodal(space, exact_u, k * tau) for k in range(n + 1)]
-    with OperatorCache(space) as ops:
-        phi = [
-            potential_solve(space, ops, sigma(space.values_at_quad(levels[k])), ops.loads(problem, k * tau))[0]
-            for k in range(n + 1)
-        ]
+    with OperatorCache(space, problem) as ops:
+        phi = [potential_solve(ops, sigma(space.values_at_quad(u)), ops.loads(k * tau))[0] for k, u in enumerate(levels)]
     return TimeState(
         n=n,
         t=n * tau,
@@ -424,6 +421,20 @@ def test_steps_refuse_to_run_without_history(name, needs):
         state = replace(state, u_nm1=u0)
     with pytest.raises(ValueError):
         one_step(STEPS[name], state, space, make_problem(), 0.1)
+
+
+@pytest.mark.parametrize("name", ["bdf2_step", "gao_step"])
+@pytest.mark.parametrize("tau", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_steps_refuse_a_time_step_that_is_not_positive_and_finite(name, tau):
+    # A bad step is a bad argument (ValueError), not a solver failure, and it
+    # is refused before the step starts its loads job.
+    space = FeSpace(build_mesh(4, "tri"))
+    state = history_state(space, 0.1)
+    before = threading.enumerate()
+    with OperatorCache(space, make_problem()) as ops:
+        with pytest.raises(ValueError, match="^the time step must be positive and finite"):
+            STEPS[name](state, tau, ops)
+        assert threading.enumerate() == before
 
 
 # ----------------------------------------------------------------------------
@@ -540,9 +551,9 @@ def test_bdf3_solves_a_potential_only_in_its_steps(monkeypatch):
     # bdf3 steps solve for a potential and the start-up solves none.
     calls = []
 
-    def counting_potential_solve(space, ops, sigma_star, loads):
+    def counting_potential_solve(ops, sigma_star, loads):
         calls.append(loads.result().t)
-        return potential_solve(space, ops, sigma_star, loads)
+        return potential_solve(ops, sigma_star, loads)
 
     monkeypatch.setattr("thermistor_fem.schemes.potential_solve", counting_potential_solve)
     state, _ = run(cfg(scheme="bdf3", T=1.25), make_problem())
@@ -580,6 +591,48 @@ def test_cg_and_direct_solvers_agree_on_a_full_run():
 
 
 # ----------------------------------------------------------------------------
+# Temporal order of every scheme
+# ----------------------------------------------------------------------------
+
+
+def final_level(scheme, N, space):
+    """The level at T = 1 of ``scheme`` with N steps on ``space`` (tri M=16)."""
+    state, _ = run_simulation(SchemeConfig(scheme, 16, "tri", tau_rule=f"fixed:{1 / N!r}"), make_problem(), space)
+    return state
+
+
+@pytest.fixture(scope="module")
+def time_reference():
+    # bdf2 with 2560 steps on the same space: its temporal error lies far
+    # below that of the runs below, and the spatial error cancels.  640 steps
+    # are too few for bdf3's last leg.
+    space = FeSpace(build_mesh(16, "tri"))
+    return space, final_level("bdf2", 2560, space)
+
+
+#: Each scheme's temporal order, and the fields that show it at N = 10..80.
+#: ext1's temperature is not yet asymptotic there (orders 1.87, 1.67, 1.46).
+TEMPORAL_ORDERS = {
+    "euler": (1, ("u_n", "phi_n")),
+    "bdf2": (2, ("u_n", "phi_n")),
+    "bdf3": (3, ("u_n", "phi_n")),
+    "gao": (2, ("u_n", "phi_n")),
+    "ext1": (1, ("phi_n",)),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_scheme_converges_in_time_at_its_order(scheme, time_reference):
+    order, fields = TEMPORAL_ORDERS[scheme]
+    space, reference = time_reference
+    levels = [final_level(scheme, N, space) for N in (10, 20, 40, 80)]
+    for field in fields:
+        errs = [fe_l2_norm(FeEvaluation(space, getattr(s, field) - getattr(reference, field))) for s in levels]
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert orders[-1] == pytest.approx(order, abs=0.15), (field, orders)
+
+
+# ----------------------------------------------------------------------------
 # The run's worker thread
 # ----------------------------------------------------------------------------
 
@@ -613,7 +666,7 @@ def test_every_factor_is_made_and_freed_on_the_calling_thread(scheme, monkeypatc
 
 def test_no_thread_starts_before_a_step_asks_for_its_loads():
     before = threading.enumerate()
-    ops = OperatorCache(FeSpace(build_mesh(4, "tri")))
+    ops = OperatorCache(FeSpace(build_mesh(4, "tri")), make_problem())
     ops.heat_system(10.0)
     assert threading.enumerate() == before
     ops.close()
@@ -661,7 +714,7 @@ def test_a_failure_beside_a_running_job_waits_for_it_and_ends_the_worker():
 def test_operator_cache_holds_only_the_current_heat_system():
     # A run's heat coefficient only moves forward (Euler, BDF2, BDF3), so the
     # cache keeps one system and frees the earlier factorization.
-    ops = OperatorCache(FeSpace(build_mesh(4, "tri")))
+    ops = OperatorCache(FeSpace(build_mesh(4, "tri")), make_problem())
     first = ops.heat_system(10.0)
     assert ops.heat_system(10.0) is first
     freed = weakref.ref(first)
@@ -678,8 +731,8 @@ def test_potential_solve_is_second_order_accurate():
         space = FeSpace(build_mesh(M, "tri"))
         u = interpolate_nodal(space, exact_u, t)
         sigma_star = sigma(space.values_at_quad(u))
-        with OperatorCache(space) as ops:
-            phi, res = potential_solve(space, ops, sigma_star, ops.loads(make_problem(), t))
+        with OperatorCache(space, make_problem()) as ops:
+            phi, res = potential_solve(ops, sigma_star, ops.loads(t))
         assert res < 1e-10
         errs.append(l2_distance(space, phi, exact_phi, t))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)

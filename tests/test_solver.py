@@ -68,7 +68,7 @@ def reduced_systems(M, kind):
     g = problem.exact_phi(xb[:, 0], xb[:, 1], t)
     b_phi = assemble_load(space, lambda x, y: problem.f2(x, y, t))
     b_phi = b_phi[space.interior_dofs] - potential.A_ib @ g
-    heat = OperatorCache(space, "cg").heat_system(3 / (2 * 0.1))
+    heat = OperatorCache(space, problem, "cg").heat_system(3 / (2 * 0.1))
     b_u = assemble_load(space, lambda x, y: problem.f1(x, y, t))[space.interior_dofs]
     return {"potential": (potential.A_red, b_phi), "heat": (heat.A_red, b_u)}
 
@@ -255,7 +255,7 @@ def test_factorizations_in_the_first_column_order_equal_fresh_ones(kind, M, fact
     # reuse it.  Each factor and solve equals that of a fresh factorization.
     space = FeSpace(build_mesh(M, kind))
     problem = make_problem()
-    ops = OperatorCache(space)
+    ops = OperatorCache(space, problem)
 
     def potential(t):
         u = interpolate_nodal(space, problem.exact_u, t)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import _dense_oracle as oracle
-from thermistor_fem import FeSpace, build_mesh
+from thermistor_fem import FeSpace, build_mesh, make_problem
 from thermistor_fem import fem
 from thermistor_fem.fem import (
     DirichletSystem,
@@ -187,7 +187,7 @@ def test_dirichlet_reduction_equals_fancy_indexing(space, method, monkeypatch):
     monkeypatch.setattr(fem.spla, "splu", splu)
     mass, stiffness, weighted = einsum_matrices(space, conductivity(space))
     alpha = 1.5 / 0.1
-    ops = OperatorCache(space, method)
+    ops = OperatorCache(space, make_problem(), method)
     systems = [
         (DirichletSystem(space, assemble_weighted_stiffness(space, conductivity(space)), method), weighted),
         (ops.heat_system(alpha), (alpha * mass + stiffness).tocsr()),
