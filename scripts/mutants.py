@@ -56,20 +56,24 @@ MUTANTS = [
     Mutant("bdf3-history", SCHEMES, "history=(18, -9, 2)", "history=(18, -9, 1)", "killed"),
     Mutant("gao-swap", SCHEMES, "(state.phi_n, state.phi_nm1)", "(state.phi_nm1, state.phi_n)", "killed"),
     Mutant("gao-old-sigma", SCHEMES, "_sigma_at_quad(ops, u_new)", "_sigma_at_quad(ops, us[0])", "killed"),
-    Mutant(
-        "gao-phi0-time",
-        SCHEMES,
-        "loads = ops.loads(0.0)",
-        "loads = ops.loads(0.01)",
-        "equivalent: the initial potential enters gao only through the Joule"
-        " extrapolation of its first temperature-first step, so taking it at"
-        " t=0.01 moves the final errors of sqrt-h runs (tri and quad, M=8-32)"
-        " by at most 0.7% and no order; only a pinned gao number or a dense"
-        " reference of the start-up could see it",
-    ),
+    Mutant("gao-phi0-time", SCHEMES, "loads = ops.loads(0.0)", "loads = ops.loads(0.01)", "killed"),
     Mutant("ext1-extrap", SCHEMES, '"ext1": ImexTable(extrap=(1,),', '"ext1": ImexTable(extrap=(2, -1),', "killed"),
     Mutant("order-log2", ANALYSIS, "/ np.log(ratio)", "/ np.log(2.0)", "killed"),
     Mutant("floor-geq", FEM, "if not smin > POSITIVITY_FLOOR:", "if not smin >= POSITIVITY_FLOOR:", "killed"),
+    # The error report's two element ranges: the helper's range never
+    # filled; the second range shifted down by one row, so that one row is
+    # filled twice and the last never; the exact partials subtracted on the
+    # calling thread's range only.
+    Mutant("report-helper-idle", ANALYSIS, "helper.submit(run, ranges[1])", "helper.submit(run, [])", "killed"),
+    Mutant("report-split-shift", ANALYSIS, "(split, n_elements))", "(split - row, n_elements - row))", "killed"),
+    Mutant(
+        "report-exact-one-range",
+        ANALYSIS,
+        "d -= exact_grads[axis][lo:hi]",
+        "d -= exact_grads[axis][lo:hi] * (__import__('threading').current_thread()"
+        " is __import__('threading').main_thread())",
+        "killed",
+    ),
 ]
 
 
@@ -111,7 +115,7 @@ def main(names: list[str]) -> int:
         print(f"the unmutated suite does not pass: {verdict} {failed}")
         return 1
     print(f"unmutated suite passes ({seconds:.0f} s)")
-    print(f"{'mutant':16} {'expected':10} {'verdict':9} {'s':>4}  first failing test")
+    print(f"{'mutant':22} {'expected':10} {'verdict':9} {'s':>4}  first failing test")
     mismatches = 0
     for mutant in MUTANTS:
         if names and mutant.name not in names:
@@ -120,7 +124,7 @@ def main(names: list[str]) -> int:
             verdict, failed, seconds = probe(mutant, Path(tmp))
         expected = "survived" if mutant.expected.startswith("equivalent") else "killed"
         mismatches += verdict != expected
-        print(f"{mutant.name:16} {mutant.expected.split(':')[0]:10} {verdict:9} {seconds:4.0f}  {failed}", flush=True)
+        print(f"{mutant.name:22} {mutant.expected.split(':')[0]:10} {verdict:9} {seconds:4.0f}  {failed}", flush=True)
     return 1 if mismatches else 0
 
 

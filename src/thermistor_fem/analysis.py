@@ -19,26 +19,26 @@ quadrature tables, as one monomial table per shape and fine-element slot,
 taken from the first block of the shape, times the block coefficients; the
 point-by-point reference evaluation lives in the tests' dense oracle.
 
-Every norm here is `quadrature_norm` on the space's error rule and takes
-evaluated fields, not nodal coefficients and callables: the exact values and
-partials at the rule's points, an `FeEvaluation` of an FE function, or the
-post-processed field.  The error report thus evaluates each quantity once
-per field (the exact ones block by block, by `RuleTables.evaluate`) and
-hands it to every norm that reads it.  The subtractions are those of
-evaluating per norm, so the numbers equal that formulation's (kept in the
-tests' dense oracle) bit for bit.  `quadrature_norm` writes its integrand
-one block of elements at a time into one array and sums that array once:
-the temporaries are a block large, and the sum is the whole-array one.
+Every norm here sums `quadrature_norm`'s integrand on the space's error rule
+over evaluated fields: the exact values and partials at the rule's points
+(`exact_fields`, once per field), and an `FeEvaluation` or a post-processed
+field, evaluated block by block inside each norm and never whole.  The
+subtractions are those of the per-norm, whole-array formulation kept in the
+tests' dense oracle, whose numbers they equal bit for bit.  An integrand is
+written one block of elements at a time into one array, which one
+whole-array `np.sum` sums; the blocks of a second range of elements are
+written at the same time on a helper thread (`_fill`).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
-from .fem import _CHUNK, FeSpace, RuleTables, _check_vector
+from .fem import _CHUNK, FeSpace, RuleTables, _check_vector, _gradients
 
 __all__ = [
     "interpolate_nodal",
@@ -48,6 +48,7 @@ __all__ = [
     "l2_error",
     "h1_error",
     "h1_error_postprocessed",
+    "exact_fields",
     "fe_l2_norm",
     "fe_h1_norm",
     "quadrature_norm",
@@ -113,26 +114,47 @@ class PostProcessedField:
     fine: np.ndarray
     shapes: tuple
 
-    def _fill_on_tables(self, out: np.ndarray, tables: RuleTables, monomials) -> None:
-        """Write ``sum_k coeffs[b, k] * monomials(x - center[b])[k]`` at the
-        points of ``tables`` into ``out`` (``(ne, nq)``), one product per shape."""
+    def on_tables(self, tables: RuleTables) -> tuple:
+        """The field at the points of ``tables``, as two functions of the
+        elements ``lo:hi``: ``values(lo, hi)`` and ``derivative(lo, hi,
+        axis)``, the partial derivative along ``axis``, each ``(hi - lo, nq)``.
+
+        ``lo:hi`` must hold whole blocks in the order of `mesh.macroelements`
+        (whole rows of ``2 x 2`` patches).  Each shape's monomials and their
+        partials are tabulated here, once; a call takes one matrix product
+        per shape and table, with the coefficients of the shape's blocks in
+        ``lo:hi``.
+        """
+        monomials = (
+            partial(_monomials, powers=self.powers),
+            partial(_derivative_monomials, powers=self.powers, axis=0),
+            partial(_derivative_monomials, powers=self.powers, axis=1),
+        )
+        shapes = []
         for blocks in self.shapes:
             first = blocks[0]
-            mono = monomials(tables.x[self.fine[first]] - self.centers[first])  # (4, nq, n_terms)
-            vals = self.coeffs[blocks] @ mono.reshape(-1, mono.shape[-1]).T
-            out[self.fine[blocks]] = vals.reshape(len(blocks), *mono.shape[:-1])
+            d = tables.x[self.fine[first]] - self.centers[first]  # (4, nq, 2)
+            shapes.append((blocks, self.fine[blocks, 0], [f(d).reshape(-1, len(self.powers)).T for f in monomials]))
+        nq = tables.wdet.shape[1]
+
+        def table(lo: int, hi: int, k: int) -> np.ndarray:
+            out = np.empty((hi - lo, nq))
+            for blocks, starts, tabs in shapes:
+                ids = blocks[slice(*np.searchsorted(starts, (lo, hi)))]
+                out[self.fine[ids] - lo] = (self.coeffs[ids] @ tabs[k]).reshape(len(ids), 4, nq)
+            return out
+
+        return partial(table, k=0), lambda lo, hi, axis: table(lo, hi, 1 + axis)
 
     def values_on_tables(self, tables: RuleTables) -> np.ndarray:
-        out = np.empty(tables.wdet.shape)
-        self._fill_on_tables(out, tables, partial(_monomials, powers=self.powers))
-        return out
+        """The field's values at the points of ``tables``, ``(ne, nq)``."""
+        values, _ = self.on_tables(tables)
+        return values(0, len(tables.wdet))
 
     def gradients_on_tables(self, tables: RuleTables) -> np.ndarray:
-        out = np.empty(tables.x.shape)
-        for axis in (0, 1):
-            monomials = partial(_derivative_monomials, powers=self.powers, axis=axis)
-            self._fill_on_tables(out[..., axis], tables, monomials)
-        return out
+        """The field's gradients at the points of ``tables``, ``(ne, nq, 2)``."""
+        _, derivative = self.on_tables(tables)
+        return np.stack([derivative(0, len(tables.wdet), axis) for axis in (0, 1)], axis=-1)
 
 
 def i2h_postprocess(
@@ -176,73 +198,168 @@ def i2h_postprocess(
 # ----------------------------------------------------------------------------
 
 
+def _blocks(n_elements: int, row: int = 1) -> list:
+    """The blocks ``(lo, hi)`` in which a fill runs over ``n_elements``
+    elements, one list per element range.
+
+    A block holds whole rows of ``row`` elements, as many as fit in
+    `_CHUNK` elements and at least one.  The second range starts at the row
+    boundary at or below the middle.  Elements that fit in one block of
+    `_CHUNK` make one range of one block.
+    """
+    if n_elements <= _CHUNK:
+        return [[(0, n_elements)]]
+    step = max(_CHUNK // row, 1) * row
+    split = n_elements // row // 2 * row
+    return [
+        [(lo, min(lo + step, end)) for lo in range(start, end, step)]
+        for start, end in ((0, split), (split, n_elements))
+    ]
+
+
+def _patch_blocks(space: FeSpace) -> list:
+    """`_blocks` of the space's elements in whole rows of ``2 x 2`` patches,
+    so that every block holds whole blocks of `mesh.macroelements`."""
+    mesh = space.mesh
+    return _blocks(mesh.n_elements, 2 * mesh.n_elements // mesh.M)
+
+
+def _fill(ranges: list, fill) -> None:
+    """Call ``fill(lo, hi)`` on every block of ``ranges``: those of the first
+    range on the calling thread and, at the same time, those of the second
+    on a helper thread, which has ended when this returns or raises."""
+
+    def run(blocks):
+        for lo, hi in blocks:
+            fill(lo, hi)
+
+    if len(ranges) == 1:
+        return run(ranges[0])
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="error-report") as helper:
+        second = helper.submit(run, ranges[1])
+        run(ranges[0])
+        second.result()
+
+
+def _norm(tables: RuleTables, ranges: list, values, derivative=None) -> float:
+    """``sqrt(sum(wdet * (values**2 + |grad|**2)))`` over the points of
+    ``tables``, where ``values(lo, hi)`` gives the values ``(hi - lo, nq)``
+    on the elements ``lo:hi`` and ``derivative(lo, hi, axis)`` the partial
+    derivative along ``axis`` there (None: the L2 norm).  The integrand is
+    written in place, in the order written above, block by block over
+    ``ranges`` (`_fill`) into one array, which is summed once."""
+    s = np.empty(tables.wdet.shape)
+
+    def fill(lo: int, hi: int) -> None:
+        block = s[lo:hi]
+        np.square(values(lo, hi), out=block)
+        if derivative is not None:
+            block += derivative(lo, hi, 0) ** 2
+            block += derivative(lo, hi, 1) ** 2
+        block *= tables.wdet[lo:hi]
+
+    _fill(ranges, fill)
+    return float(np.sqrt(np.sum(s)))
+
+
 def quadrature_norm(tables: RuleTables, values: np.ndarray, grads: np.ndarray | None = None) -> float:
     """``sqrt(sum(wdet * (values**2 + |grads|**2)))`` over the points of
     ``tables``: the L2 norm of ``values`` (``(ne, nq)``), or the full H1 norm
     when the gradients (``(ne, nq, 2)``) are given."""
-    # In place, in the order written above, block by block into one array.
-    s = np.empty(values.shape)
-    for lo in range(0, s.shape[0], _CHUNK):
-        block = s[lo : lo + _CHUNK]
-        np.square(values[lo : lo + _CHUNK], out=block)
-        if grads is not None:
-            block += grads[lo : lo + _CHUNK, :, 0] ** 2
-            block += grads[lo : lo + _CHUNK, :, 1] ** 2
-        block *= tables.wdet[lo : lo + _CHUNK]
-    return float(np.sqrt(np.sum(s)))
+    derivative = None if grads is None else lambda lo, hi, axis: grads[lo:hi, :, axis]
+    return _norm(tables, _blocks(len(tables.wdet)), lambda lo, hi: values[lo:hi], derivative)
+
+
+def _error_rule_norm(space: FeSpace, values, derivative=None) -> float:
+    """`_norm` on the space's error rule, in `_patch_blocks`."""
+    return _norm(space.error_tables, _patch_blocks(space), values, derivative)
+
+
+def exact_fields(space: FeSpace, exact, grad, t: float) -> tuple[np.ndarray, tuple]:
+    """``exact(x, y, t)`` and the pair ``grad(x, y, t)`` at the points of the
+    space's error rule: the values ``(ne, nq)`` and the pair of partials.
+
+    Each callable is called once per block of elements (`_patch_blocks`),
+    on the ``(block, nq)`` coordinates of their points, and may return
+    anything that broadcasts to that shape; the blocks of the two element
+    ranges are evaluated at the same time (`_fill`).
+    """
+    tb = space.error_tables
+    values, gx, gy = (np.empty(tb.wdet.shape) for _ in range(3))
+
+    def fill(lo: int, hi: int) -> None:
+        x, y = tb.x[lo:hi, :, 0], tb.x[lo:hi, :, 1]
+        values[lo:hi] = exact(x, y, t)
+        gx[lo:hi], gy[lo:hi] = grad(x, y, t)
+
+    _fill(_patch_blocks(space), fill)
+    return values, (gx, gy)
 
 
 class FeEvaluation:
-    """An FE function on its space's error rule: ``values`` ``(ne, nq)`` and
-    ``grads`` ``(ne, nq, 2)`` at the rule's points.
+    """An FE function on its space's error rule, one block of elements at a
+    time: ``values(lo, hi)`` and ``derivative(lo, hi, axis)``, the partial
+    derivative along ``axis``, each ``(hi - lo, nq)``, at the rule's points
+    of the elements ``lo:hi``, from the nodal values of those elements.
 
-    Each is evaluated once, on first read, and kept for the next norm that
-    reads it: the evaluation is part of the first norm that needs it, so a
-    traced benchmark run counts it in that norm's layer.  `h1_error` takes
-    the gradients over: it subtracts the exact gradient from them in place
-    and drops them, so a later read evaluates them again.
+    Nothing is kept between calls: each norm evaluates what it reads, block
+    by block, with the arithmetic of `FeSpace.values_at_quad` and
+    `FeSpace.gradients_at_quad`.
     """
 
     def __init__(self, space: FeSpace, coeffs: np.ndarray):
+        _check_vector("coeffs", coeffs, space.n_dofs)
         self.space = space
         self.coeffs = coeffs
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self.space.values_at_quad(self.coeffs, self.space.error_tables)
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        tb = self.space.error_tables
+        return np.einsum("qi,ei->eq", tb.N, self.coeffs[self.space.mesh.elements[lo:hi]])
 
-    @cached_property
-    def grads(self) -> np.ndarray:
-        return self.space.gradients_at_quad(self.coeffs, self.space.error_tables)
+    def derivative(self, lo: int, hi: int, axis: int) -> np.ndarray:
+        # `FeSpace.gradients_at_quad`'s kernel on the rows lo:hi of the one
+        # axis, so that its temporaries are one partial large.
+        tb = self.space.error_tables
+        rows = RuleTables(tb.N, tb.grad[:, axis : axis + 1, :, lo:hi], tb.wdet[lo:hi], tb.x[lo:hi])
+        nodal = self.coeffs[self.space.mesh.elements[lo:hi].T]
+        return _gradients(rows, nodal, np.empty(tb.wdet[lo:hi].shape + (1,)))[..., 0]
+
+
+def _less_exact(derivative, exact_grads):
+    """``derivative`` less the exact partial along the same axis, in place."""
+
+    def less(lo: int, hi: int, axis: int) -> np.ndarray:
+        d = derivative(lo, hi, axis)
+        d -= exact_grads[axis][lo:hi]
+        return d
+
+    return less
 
 
 def l2_error(fe: FeEvaluation, exact_values: np.ndarray) -> float:
     """``||u_h - u||_0`` from the exact values at the error-rule points."""
-    return quadrature_norm(fe.space.error_tables, fe.values - exact_values)
+    return _error_rule_norm(fe.space, lambda lo, hi: fe.values(lo, hi) - exact_values[lo:hi])
 
 
 def h1_error(fe: FeEvaluation, exact_values: np.ndarray, exact_grads) -> float:
-    """Full H1 error ``sqrt(||u_h - u||_0^2 + ||grad(u_h - u)||_0^2)``.
-
+    """Full H1 error ``sqrt(||u_h - u||_0^2 + ||grad(u_h - u)||_0^2)``;
     ``exact_grads`` is the pair of partial derivatives at the error-rule
-    points; they are subtracted from ``fe.grads`` in place, which ``fe``
-    then drops.
-    """
-    grads = fe.grads
-    del fe.grads
-    grads[..., 0] -= exact_grads[0]
-    grads[..., 1] -= exact_grads[1]
-    return quadrature_norm(fe.space.error_tables, fe.values - exact_values, grads)
+    points."""
+    return _error_rule_norm(
+        fe.space,
+        lambda lo, hi: fe.values(lo, hi) - exact_values[lo:hi],
+        _less_exact(fe.derivative, exact_grads),
+    )
 
 
 def fe_l2_norm(fe: FeEvaluation) -> float:
     """L2 norm of an FE function (exact up to the error rule's degree)."""
-    return quadrature_norm(fe.space.error_tables, fe.values)
+    return _error_rule_norm(fe.space, fe.values)
 
 
 def fe_h1_norm(fe: FeEvaluation) -> float:
     """Full H1 norm of an FE function."""
-    return quadrature_norm(fe.space.error_tables, fe.values, fe.grads)
+    return _error_rule_norm(fe.space, fe.values, fe.derivative)
 
 
 def h1_error_postprocessed(
@@ -250,11 +367,12 @@ def h1_error_postprocessed(
 ) -> float:
     """Full H1 error of a post-processed field, from the exact values and the
     pair of exact partial derivatives at the points of ``space``'s error rule."""
-    tb = space.error_tables
-    grads = field.gradients_on_tables(tb)
-    grads[..., 0] -= exact_grads[0]
-    grads[..., 1] -= exact_grads[1]
-    return quadrature_norm(tb, field.values_on_tables(tb) - exact_values, grads)
+    values, derivative = field.on_tables(space.error_tables)
+    return _error_rule_norm(
+        space,
+        lambda lo, hi: values(lo, hi) - exact_values[lo:hi],
+        _less_exact(derivative, exact_grads),
+    )
 
 
 def convergence_order(e_coarse: float, e_fine: float, ratio: float) -> float:

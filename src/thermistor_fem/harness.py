@@ -96,21 +96,19 @@ _ERROR_FIELDS = [f.name for f in fields(ErrorReport)][6:]
 def _field_errors(space: FeSpace, blocks, coeffs, exact, grad, t: float, name: str) -> dict:
     """The error measures of one field, keyed by their `ErrorReport` names.
 
-    Each quantity on the error rule is evaluated once: the exact values and
-    gradients, which every error reads, and the values and gradients of the
-    solution, of its distance to the nodal interpolant and of its
-    post-processed lift, each released once its norms are taken.
+    The exact values and gradients, which three errors read, are evaluated
+    once on the error rule.  The solution, its distance to the nodal
+    interpolant and its post-processed lift are evaluated block by block
+    inside each norm that reads them, and every norm fills its integrand
+    over two element ranges at once (`analysis.quadrature_norm`).
     """
-    tb = space.error_tables
-    exact_values = tb.evaluate(lambda x, y: exact(x, y, t))
-    exact_grads = tb.evaluate(lambda x, y: grad(x, y, t))
+    exact_values, exact_grads = analysis.exact_fields(space, exact, grad, t)
     fe = analysis.FeEvaluation(space, coeffs)
     errors = {f"err_{name}_l2": analysis.l2_error(fe, exact_values)}
     errors[f"err_{name}_h1"] = analysis.h1_error(fe, exact_values, exact_grads)
     fe = analysis.FeEvaluation(space, coeffs - analysis.interpolate_nodal(space, exact, t))
     errors[f"superclose_{name}_h1"] = analysis.fe_h1_norm(fe)
     errors[f"superclose_{name}_l2"] = analysis.fe_l2_norm(fe)
-    del fe
     post = analysis.i2h_postprocess(space, blocks, coeffs)
     errors[f"superconv_{name}_h1"] = analysis.h1_error_postprocessed(post, space, exact_values, exact_grads)
     return errors

@@ -92,8 +92,13 @@ class ProblemData:
     A run's `OperatorCache` holds its problem.  ``f1``, ``f2`` and
     ``exact_phi`` (for the potential's boundary values) are called on the
     run's worker thread (`OperatorCache.loads`), while the calling thread
-    goes on with the step; the other fields are called on the calling
-    thread.
+    goes on with the step; ``sigma`` is called on the calling thread.  The
+    final error report calls ``exact_u``, ``exact_phi``, ``grad_u`` and
+    ``grad_phi`` at the error rule's points on two threads at once
+    (`analysis.exact_fields`): the calling thread for the first range of
+    elements, a helper for the second.  Initial and start-up levels and
+    the report's nodal interpolants call ``exact_u`` and ``exact_phi`` on
+    the calling thread.
     """
 
     sigma: Callable

@@ -19,8 +19,10 @@ they are the straightforward formulations whose arithmetic the package's
 fixed-pattern assembly, load scatter, slot-mapped Dirichlet reduction,
 einsum-reduced conjugate gradients, potential source, per-shape
 post-processing and once-per-field error report must reproduce bit for
-bit.  The per-norm report is built from the package's nodal interpolant,
-post-processing and `quadrature_norm`, which are checked on their own.
+bit.  The per-norm report is built from the package's nodal interpolant
+and post-processing coefficients, which are checked on their own, and
+evaluates the lift (`whole_table_lift`) and every norm (`whole_array_norm`)
+over whole arrays.
 The pairwise report writers (`pairwise_reports_to_csv`,
 `pairwise_order_table`, with `refinement_ratio` and `eoc_rows`) apply the
 order rule pair by pair, once for the CSV and once for the table: the
@@ -44,7 +46,6 @@ from thermistor_fem.analysis import (
     convergence_order,
     i2h_postprocess,
     interpolate_nodal,
-    quadrature_norm,
 )
 from thermistor_fem.harness import _TABLE_ROWS, ExperimentPlan, _fmt
 from thermistor_fem.mesh import macroelements
@@ -242,52 +243,113 @@ def dense_dirichlet_solve(A, b, boundary, values, n):
     return x
 
 
-def oracle_bdf2_step(mesh, problem, u_n, u_nm1, tau, t_new):
-    """Reference computation of one decoupled BDF2 step.
+def _at_points(mesh, levels):
+    """Per element and quadrature point: ``(elem, w, N, G, values)``, the
+    weight, the shape-function values and gradients there, and the FE value
+    of each nodal vector of ``levels`` there."""
+    nodes = mesh.nodes
+    for elem in (list(e) for e in mesh.elements):
+        pts, wts, values, gradients = _element_quadrature(nodes, elem)
+        for (x, y), w in zip(pts, wts):
+            N = values(x, y)
+            yield elem, w, N, gradients(x, y), [float(N @ u[elem]) for u in levels]
+
+
+def _sigma_star(problem, extrap, values):
+    """``sum_k extrap[k] sigma(values[k])``: the extrapolated conductivity at
+    a point, from the temperature levels' values there, newest first."""
+    return sum(c * float(problem.sigma(v)) for c, v in zip(extrap, values))
+
+
+def _grad_sq(phi, elem, G):
+    """``|grad Phi|^2`` at a point of ``elem`` with shape-function gradients ``G``."""
+    g = phi[elem] @ G
+    return float(g @ g)
+
+
+def oracle_potential(mesh, problem, extrap, us, t):
+    """The potential at ``t``: ``(sigma* grad Phi, grad xi) = (f2(t), xi)``
+    for the interior test functions, with ``Phi`` the exact potential at the
+    boundary nodes and ``sigma* = sum_k extrap[k] sigma(us[k])`` pointwise."""
+    nodes, boundary, n = mesh.nodes, list(mesh.boundary_nodes), len(mesh.nodes)
+    A = np.zeros((n, n))
+    for elem, w, _, G, values in _at_points(mesh, us):
+        A[np.ix_(elem, elem)] += w * _sigma_star(problem, extrap, values) * (G @ G.T)
+    b = dense_load(nodes, [list(e) for e in mesh.elements], lambda x, y: problem.f2(x, y, t))
+    g = np.array([problem.exact_phi(nodes[i][0], nodes[i][1], t) for i in boundary])
+    return dense_dirichlet_solve(A, b, boundary, g, n)
+
+
+def oracle_temperature(mesh, problem, table, us, tau, joule, t):
+    """The temperature at ``t``: ``(a/(d tau)) M U + K U = M sum_k
+    history[k] us[k] / (d tau) + (joule, xi) + (f1(t), xi)``, with ``U = 0``
+    on the boundary, ``table = (a, history, d)`` and ``joule(elem, G,
+    values)`` the Joule density at a point, from the values of ``us``
+    there."""
+    a, history, d = table
+    nodes, elements, n = mesh.nodes, [list(e) for e in mesh.elements], len(mesh.nodes)
+    M = dense_mass(nodes, elements)
+    A = (a / (d * tau)) * M + dense_stiffness(nodes, elements)
+    b = M @ (sum(h * u for h, u in zip(history, us)) / (d * tau))
+    for elem, w, N, G, values in _at_points(mesh, us):
+        b[elem] += w * joule(elem, G, values) * N
+    b += dense_load(nodes, elements, lambda x, y: problem.f1(x, y, t))
+    boundary = list(mesh.boundary_nodes)
+    return dense_dirichlet_solve(A, b, boundary, np.zeros(len(boundary)), n)
+
+
+def oracle_imex_step(mesh, problem, extrap, table, us, tau, t_new):
+    """Reference computation of one decoupled potential-first step.
 
     Solves the potential equation with the extrapolated conductivity
-    ``2 sigma(U^n) - sigma(U^{n-1})`` (each sigma evaluated pointwise from the
-    FE value at the quadrature point), then the temperature equation with the
-    fresh Joule load.  Returns ``(u_new, phi_new)``.
+    ``sigma* = sum_k extrap[k] sigma(U^{n-k})`` (each sigma evaluated
+    pointwise from the FE value at the quadrature point), then the
+    temperature equation with the backward difference ``table = (a,
+    history, d)`` and the fresh Joule density ``sigma* |grad Phi|^2``.
+    ``us`` are the temperature levels, newest first.  Returns ``(u_new,
+    phi_new)``.
     """
-    nodes = mesh.nodes
-    elements = [list(e) for e in mesh.elements]
-    boundary = list(mesh.boundary_nodes)
-    n = len(nodes)
+    phi = oracle_potential(mesh, problem, extrap, us, t_new)
 
-    # Potential solve with the extrapolated conductivity.
-    A_phi = np.zeros((n, n))
-    for elem in elements:
-        pts, wts, values, gradients = _element_quadrature(nodes, elem)
-        for (x, y), w in zip(pts, wts):
-            N = values(x, y)
-            un_q = float(N @ u_n[elem])
-            unm1_q = float(N @ u_nm1[elem])
-            sigma_star = 2.0 * float(problem.sigma(un_q)) - float(problem.sigma(unm1_q))
-            G = gradients(x, y)
-            A_phi[np.ix_(elem, elem)] += w * sigma_star * (G @ G.T)
-    b_phi = dense_load(nodes, elements, lambda x, y: problem.f2(x, y, t_new))
-    g = np.array([problem.exact_phi(nodes[i][0], nodes[i][1], t_new) for i in boundary])
-    phi_new = dense_dirichlet_solve(A_phi, b_phi, boundary, g, n)
+    def joule(elem, G, values):
+        return _sigma_star(problem, extrap, values) * _grad_sq(phi, elem, G)
 
-    # Temperature solve: (1.5/tau) M + K against history, Joule and source.
-    M = dense_mass(nodes, elements)
-    K = dense_stiffness(nodes, elements)
-    A_u = (1.5 / tau) * M + K
-    b_u = M @ ((4.0 * u_n - u_nm1) / (2.0 * tau))
-    for elem in elements:
-        pts, wts, values, gradients = _element_quadrature(nodes, elem)
-        for (x, y), w in zip(pts, wts):
-            N = values(x, y)
-            un_q = float(N @ u_n[elem])
-            unm1_q = float(N @ u_nm1[elem])
-            sigma_star = 2.0 * float(problem.sigma(un_q)) - float(problem.sigma(unm1_q))
-            G = gradients(x, y)
-            gphi = phi_new[elem] @ G
-            b_u[elem] += w * sigma_star * float(gphi @ gphi) * N
-    b_u += dense_load(nodes, elements, lambda x, y: problem.f1(x, y, t_new))
-    u_new = dense_dirichlet_solve(A_u, b_u, boundary, np.zeros(len(boundary)), n)
-    return u_new, phi_new
+    return oracle_temperature(mesh, problem, table, us, tau, joule, t_new), phi
+
+
+def oracle_bdf2_step(mesh, problem, u_n, u_nm1, tau, t_new):
+    """One step of ``bdf2``: extrapolation ``2 sigma(U^n) - sigma(U^{n-1})``
+    and the BDF2 difference."""
+    return oracle_imex_step(mesh, problem, (2, -1), (3, (4, -1), 2), (u_n, u_nm1), tau, t_new)
+
+
+def oracle_gao_run(mesh, problem, tau, N):
+    """The final ``(u, phi)`` of ``gao`` after ``N >= 2`` steps from ``t = 0``.
+
+    The start-up solves the potential at ``t = 0`` with ``sigma(U^0)`` and
+    takes one implicit Euler step (potential first, ``sigma(U^0)``).  Each
+    later step is temperature first: BDF2 with the Joule density ``2
+    sigma(U^n) |grad Phi^n|^2 - sigma(U^{n-1}) |grad Phi^{n-1}|^2``, then
+    the potential at the new time with ``sigma(U^{n+1})``.
+    """
+    us = [np.array([problem.exact_u(x, y, 0.0) for x, y in mesh.nodes])]
+    phis = [oracle_potential(mesh, problem, (1,), us, 0.0)]
+    u, phi = oracle_imex_step(mesh, problem, (1,), (1, (1,), 1), us, tau, tau)
+    us.insert(0, u)
+    phis.insert(0, phi)
+    for n in range(2, N + 1):
+        old_phis = phis[:2]
+
+        def joule(elem, G, values, old_phis=old_phis):
+            return sum(
+                c * float(problem.sigma(v)) * _grad_sq(p, elem, G) for c, v, p in zip((2, -1), values, old_phis)
+            )
+
+        u = oracle_temperature(mesh, problem, (3, (4, -1), 2), us[:2], tau, joule, n * tau)
+        phi = oracle_potential(mesh, problem, (1,), [u], n * tau)
+        us.insert(0, u)
+        phis.insert(0, phi)
+    return us[0], phis[0]
 
 
 def source_f2_formula(x, y, t):
@@ -491,8 +553,41 @@ def offset_grouped_postprocess(space, anchors, fine, coeffs):
 # ----------------------------------------------------------------------------
 #
 # Each norm evaluates what it needs from nodal coefficients and callables on
-# the space's error rule, as the package did before it evaluated each
-# quantity once per field: the report must equal this one bit for bit.
+# the space's error rule, over whole arrays, as the package did before it
+# evaluated each quantity once per field and then block by block on two
+# element ranges: the report must equal this one bit for bit.
+
+
+def whole_array_norm(tb, values, grads=None):
+    """``sqrt(sum(wdet * (values**2 + |grads|**2)))`` as one expression over
+    whole arrays, summed once; the package's blocked `quadrature_norm` must
+    equal it bit for bit."""
+    integrand = values**2 if grads is None else values**2 + grads[..., 0] ** 2 + grads[..., 1] ** 2
+    return float(np.sqrt(np.sum(tb.wdet * integrand)))
+
+
+def whole_table_lift(field, tb):
+    """A post-processed field's values ``(ne, nq)`` and gradients
+    ``(ne, nq, 2)`` at the points of ``tb``, written over the whole table in
+    one matrix product per shape and monomial table, the shape's monomials
+    taken at the points of its first block."""
+    values, grads = np.empty(tb.wdet.shape), np.empty(tb.x.shape)
+    outs = (values, grads[..., 0], grads[..., 1])
+    d_axis = [np.maximum(field.powers - np.eye(2, dtype=int)[a], 0) for a in (0, 1)]
+    for blocks in field.shapes:
+        first = blocks[0]
+        d = tb.x[field.fine[first]] - field.centers[first]  # (4, nq, 2)
+        tables = [
+            d[..., None, 0] ** field.powers[:, 0] * d[..., None, 1] ** field.powers[:, 1],
+            *(
+                field.powers[:, a] * (d[..., None, 0] ** low[:, 0] * d[..., None, 1] ** low[:, 1])
+                for a, low in enumerate(d_axis)
+            ),
+        ]
+        for out, mono in zip(outs, tables):
+            vals = field.coeffs[blocks] @ mono.reshape(-1, mono.shape[-1]).T
+            out[field.fine[blocks]] = vals.reshape(len(blocks), *mono.shape[:-1])
+    return values, grads
 
 
 def _h1_error(tb, values, grads, exact, exact_grad, t):
@@ -500,13 +595,13 @@ def _h1_error(tb, values, grads, exact, exact_grad, t):
     gx, gy = exact_grad(x, y, t)
     grads[..., 0] -= gx
     grads[..., 1] -= gy
-    return quadrature_norm(tb, values - exact(x, y, t), grads)
+    return whole_array_norm(tb, values - exact(x, y, t), grads)
 
 
 def l2_error(space, coeffs, exact, t):
     tb = space.error_tables
     diff = space.values_at_quad(coeffs, tb) - exact(tb.x[..., 0], tb.x[..., 1], t)
-    return quadrature_norm(tb, diff)
+    return whole_array_norm(tb, diff)
 
 
 def h1_error(space, coeffs, exact, exact_grad, t):
@@ -517,17 +612,17 @@ def h1_error(space, coeffs, exact, exact_grad, t):
 
 def fe_l2_norm(space, coeffs):
     tb = space.error_tables
-    return quadrature_norm(tb, space.values_at_quad(coeffs, tb))
+    return whole_array_norm(tb, space.values_at_quad(coeffs, tb))
 
 
 def fe_h1_norm(space, coeffs):
     tb = space.error_tables
-    return quadrature_norm(tb, space.values_at_quad(coeffs, tb), space.gradients_at_quad(coeffs, tb))
+    return whole_array_norm(tb, space.values_at_quad(coeffs, tb), space.gradients_at_quad(coeffs, tb))
 
 
 def h1_error_postprocessed(field, space, exact, exact_grad, t):
     tb = space.error_tables
-    v, g = field.values_on_tables(tb), field.gradients_on_tables(tb)
+    v, g = whole_table_lift(field, tb)
     return _h1_error(tb, v, g, exact, exact_grad, t)
 
 

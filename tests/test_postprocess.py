@@ -160,9 +160,42 @@ def test_quadrature_norm_is_the_fe_norms_bit_for_bit(kind):
     values, grads = at_error_points(space, zero, 0.0), at_error_points(space, zero_grad, 0.0)
     assert l2_error(fe, values) == fe_l2_norm(fe)
     assert h1_error(fe, values, grads) == h1
-    # h1_error took the gradients over; the next read evaluates them afresh.
+    # Nothing is kept between norms: the next one evaluates afresh.
     assert fe_h1_norm(fe) == h1
     assert quadrature_norm(tb, np.ones_like(v)) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("M", [4, 34, 50, 64])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_quadrature_norm_equals_the_whole_array_formula_bit_for_bit(kind, M):
+    # From tri M=34 and quad M=50 on, the integrand is filled over two
+    # element ranges, the second on a helper thread.
+    space = FeSpace(build_mesh(M, kind))
+    tb = space.error_tables
+    rng = np.random.default_rng(M)
+    v, g = rng.standard_normal(tb.wdet.shape), rng.standard_normal(tb.wdet.shape + (2,))
+    assert quadrature_norm(tb, v) == oracle.whole_array_norm(tb, v)
+    assert quadrature_norm(tb, v, g) == oracle.whole_array_norm(tb, v, g)
+
+
+@pytest.mark.parametrize("M", [8, 34, 50, 64])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_lift_on_tables_equals_the_whole_table_fill_bit_for_bit(kind, M):
+    # Over the whole table and block by block in whole patch rows, as the
+    # error report evaluates it, the lift has the whole-table fill's bits.
+    space, blocks = setup(M, kind)
+    field = i2h_postprocess(space, blocks, np.random.default_rng(M).standard_normal(space.n_dofs))
+    for tb in (space.tables, space.error_tables):
+        want_v, want_g = oracle.whole_table_lift(field, tb)
+        assert np.array_equal(field.values_on_tables(tb), want_v)
+        assert np.array_equal(field.gradients_on_tables(tb), want_g)
+        values, derivative = field.on_tables(tb)
+        row = 2 * space.mesh.n_elements // M
+        for lo in range(0, space.mesh.n_elements, 3 * row):
+            hi = min(lo + 3 * row, space.mesh.n_elements)
+            assert np.array_equal(values(lo, hi), want_v[lo:hi])
+            for axis in (0, 1):
+                assert np.array_equal(derivative(lo, hi, axis), want_g[lo:hi, :, axis])
 
 
 @st.composite

@@ -315,6 +315,34 @@ def test_bdf2_step_matches_dense_reference(kind):
     assert np.abs(new.phi_n - phi_ref).max() < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_ext1_step_matches_dense_reference(kind):
+    # ext1: the BDF2 difference with the conductivity of the newest level alone.
+    space = FeSpace(build_mesh(8, kind))
+    problem = make_problem()
+    u_nm1 = interpolate_nodal(space, exact_u, 0.1)
+    u_n = interpolate_nodal(space, exact_u, 0.2)
+    state = TimeState(n=2, t=0.2, u_n=u_n, u_nm1=u_nm1)
+    new = one_step(STEPS["ext1_step"], state, space, problem, 0.1)
+    u_ref, phi_ref = oracle.oracle_imex_step(space.mesh, problem, (1,), (3, (4, -1), 2), (u_n, u_nm1), 0.1, 0.3)
+    assert np.abs(new.u_n - u_ref).max() < 1e-9
+    assert np.abs(new.phi_n - phi_ref).max() < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_gao_run_matches_dense_reference_from_its_start_up(kind):
+    # Three steps from t=0: the potential at t=0, one implicit Euler step,
+    # then two temperature-first steps, the first of which reads the t=0
+    # potential in its Joule load.
+    space = FeSpace(build_mesh(8, kind))
+    problem = make_problem()
+    state, _ = run_simulation(SchemeConfig("gao", 8, kind, T=0.3, tau_rule="fixed:0.1"), problem, space)
+    u_ref, phi_ref = oracle.oracle_gao_run(space.mesh, problem, 0.1, 3)
+    assert state.n == 3
+    assert np.abs(state.u_n - u_ref).max() < 1e-9
+    assert np.abs(state.phi_n - phi_ref).max() < 1e-9
+
+
 # ----------------------------------------------------------------------------
 # Structural properties of the steps
 # ----------------------------------------------------------------------------
