@@ -26,8 +26,9 @@ field, evaluated block by block inside each norm and never whole.  The
 subtractions are those of the per-norm, whole-array formulation kept in the
 tests' dense oracle, whose numbers they equal bit for bit.  An integrand is
 written one block of elements at a time into one array, which one
-whole-array `np.sum` sums; the blocks of a second range of elements are
-written at the same time on a helper thread (`_fill`).
+whole-array `np.sum` sums; on a space of eight blocks of `_CHUNK` elements
+or more, the blocks of a second range are written at the same time
+on a helper thread (`_fill`).
 """
 
 from __future__ import annotations
@@ -227,14 +228,17 @@ def _patch_blocks(space: FeSpace) -> list:
 def _fill(ranges: list, fill) -> None:
     """Call ``fill(lo, hi)`` on every block of ``ranges``: those of the first
     range on the calling thread and, at the same time, those of the second
-    on a helper thread, which has ended when this returns or raises."""
+    on a helper thread, which has ended when this returns or raises.  Fewer
+    than eight blocks of `_CHUNK` elements are filled in order on the
+    calling thread: there the helper saved at most a tenth of an M=64
+    report, and its wait for the second core spread the report's times."""
 
     def run(blocks):
         for lo, hi in blocks:
             fill(lo, hi)
 
-    if len(ranges) == 1:
-        return run(ranges[0])
+    if ranges[-1][-1][1] < 8 * _CHUNK:
+        return run([block for blocks in ranges for block in blocks])
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="error-report") as helper:
         second = helper.submit(run, ranges[1])
         run(ranges[0])
@@ -281,8 +285,8 @@ def exact_fields(space: FeSpace, exact, grad, t: float) -> tuple[np.ndarray, tup
 
     Each callable is called once per block of elements (`_patch_blocks`),
     on the ``(block, nq)`` coordinates of their points, and may return
-    anything that broadcasts to that shape; the blocks of the two element
-    ranges are evaluated at the same time (`_fill`).
+    anything that broadcasts to that shape; on a large space the blocks of
+    the two element ranges are evaluated at the same time (`_fill`).
     """
     tb = space.error_tables
     values, gx, gy = (np.empty(tb.wdet.shape) for _ in range(3))

@@ -94,9 +94,9 @@ class ProblemData:
     run's worker thread (`OperatorCache.loads`), while the calling thread
     goes on with the step; ``sigma`` is called on the calling thread.  The
     final error report calls ``exact_u``, ``exact_phi``, ``grad_u`` and
-    ``grad_phi`` at the error rule's points on two threads at once
-    (`analysis.exact_fields`): the calling thread for the first range of
-    elements, a helper for the second.  Initial and start-up levels and
+    ``grad_phi`` at the error rule's points (`analysis.exact_fields`), on
+    a large space on two threads at once: the calling thread for the first
+    range of elements, a helper for the second.  Initial and start-up levels and
     the report's nodal interpolants call ``exact_u`` and ``exact_phi`` on
     the calling thread.
     """

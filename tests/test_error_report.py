@@ -26,6 +26,9 @@ from thermistor_fem import (
 from thermistor_fem.fem import _CHUNK
 from thermistor_fem.harness import compute_error_report
 
+#: Fewest elements whose report fills its second range on a helper thread.
+HELPER_ELEMENTS = 8 * _CHUNK
+
 
 def perturbed_state(space, problem, t=0.7):
     """The nodal interpolants at ``t`` plus noise, so that every
@@ -67,6 +70,25 @@ def test_report_equals_the_per_norm_formulation_bit_for_bit(kind, M, make_state)
     for name, value in want.items():
         assert got[name] == value, name
         assert value > 0, name
+
+
+@pytest.mark.parametrize(("kind", "M"), [("tri", 98), ("quad", 130)])
+def test_report_with_a_helper_thread_equals_the_per_norm_formulation_bit_for_bit(kind, M):
+    # Both spaces have HELPER_ELEMENTS elements or more, so the second
+    # element range is filled on the helper thread; 49 and 65 rows of
+    # patches split into unequal ranges.
+    problem = make_problem()
+    space = FeSpace(build_mesh(M, kind))
+    assert space.mesh.n_elements >= HELPER_ELEMENTS
+    state = perturbed_state(space, problem)
+    got = dataclasses.asdict(compute_error_report(space, state, problem, SchemeConfig("bdf2", M, kind), 0.1, 7))
+    fresh, t = FeSpace(build_mesh(M, kind)), state.t
+    want = {
+        **oracle.per_norm_field_errors(fresh, state.u_n, problem.exact_u, problem.grad_u, t, "u"),
+        **oracle.per_norm_field_errors(fresh, state.phi_n, problem.exact_phi, problem.grad_phi, t, "phi"),
+    }
+    for name, value in want.items():
+        assert got[name] == value, name
 
 
 @pytest.mark.parametrize("kind", ["tri", "quad"])
@@ -111,9 +133,10 @@ def test_report_evaluates_each_exact_field_once_per_set_of_points():
     assert calls == {"exact_u": 2, "exact_phi": 2, "grad_u": 1, "grad_phi": 1}
 
 
-def test_a_report_in_one_block_starts_no_thread():
-    # tri M=32 has 2048 elements, one block of _CHUNK; tri M=34 has two
-    # element ranges, and the second is filled on a helper thread.
+def test_a_report_below_the_helper_size_starts_no_thread():
+    # tri M=32 has 2048 elements, one block of _CHUNK; tri M=64 has two
+    # element ranges, both filled on the calling thread; tri M=92 has
+    # HELPER_ELEMENTS or more, and the second range is filled on a helper.
     problem = make_problem()
     seen = []
 
@@ -122,9 +145,10 @@ def test_a_report_in_one_block_starts_no_thread():
         return problem.grad_u(x, y, t)
 
     recording = dataclasses.replace(problem, grad_u=grad_u)
-    for M, threads in ((32, 1), (34, 2)):
+    for M, threads in ((32, 1), (64, 1), (92, 2)):
         space = FeSpace(build_mesh(M, "tri"))
         assert (space.mesh.n_elements <= _CHUNK) == (M == 32)
+        assert (space.mesh.n_elements >= HELPER_ELEMENTS) == (M == 92)
         before = threading.enumerate()
         seen.clear()
         compute_error_report(space, perturbed_state(space, problem), recording, SchemeConfig("bdf2", M, "tri"), 0.1, 7)
@@ -135,7 +159,7 @@ def test_a_report_in_one_block_starts_no_thread():
 
 def test_an_exact_field_that_fails_on_the_helpers_range_fails_its_run_as_a_serial_one():
     # grad_u refuses points above y = 0.75.  At M=8 the report evaluates it
-    # in one block, on the calling thread; at M=64 the upper half of the
+    # in one block, on the calling thread; at M=92 the upper half of the
     # elements is the helper thread's range.  Both runs end as the same
     # RunFailure, and the conftest fixture checks that no thread is left.
     problem = make_problem()
@@ -147,13 +171,13 @@ def test_an_exact_field_that_fails_on_the_helpers_range_fails_its_run_as_a_seria
             raise ValueError("grad_u is not defined above y = 0.75")
         return problem.grad_u(x, y, t)
 
-    runs = tuple(SchemeConfig("bdf2", M, "tri", tau_rule="fixed:0.5") for M in (8, 64))
+    runs = tuple(SchemeConfig("bdf2", M, "tri", tau_rule="fixed:0.5") for M in (8, 92))
     result = run_plan(ExperimentPlan("helper-failure", runs), dataclasses.replace(problem, grad_u=grad_u))
     assert result.reports == []
     serial, split = result.failures
     assert serial.message == split.message == "ValueError: grad_u is not defined above y = 0.75"
     assert str(split) == (
-        "run failed: scheme=bdf2 elem=tri M=64 tau_rule=fixed:0.5: ValueError: grad_u is not defined above y = 0.75"
+        "run failed: scheme=bdf2 elem=tri M=92 tau_rule=fixed:0.5: ValueError: grad_u is not defined above y = 0.75"
     )
     main = threading.main_thread()
     assert raised_on[0] is main and raised_on[-1] is not main
