@@ -60,18 +60,26 @@ MUTANTS = [
     Mutant("ext1-extrap", SCHEMES, '"ext1": ImexTable(extrap=(1,),', '"ext1": ImexTable(extrap=(2, -1),', "killed"),
     Mutant("order-log2", ANALYSIS, "/ np.log(ratio)", "/ np.log(2.0)", "killed"),
     Mutant("floor-geq", FEM, "if not smin > POSITIVITY_FLOOR:", "if not smin >= POSITIVITY_FLOOR:", "killed"),
-    # The error report's two element ranges: the helper's range never
-    # filled; the second range shifted down by one row, so that one row is
-    # filled twice and the last never; the exact partials subtracted on the
-    # calling thread's range only.
-    Mutant("report-helper-idle", ANALYSIS, "helper.submit(run, ranges[1])", "helper.submit(run, [])", "killed"),
-    Mutant("report-split-shift", ANALYSIS, "(split, n_elements))", "(split - row, n_elements - row))", "killed"),
+    # The two element ranges of `fem._fill`, which the error report and the
+    # table builds share: the helper's range never filled; the second range
+    # shifted down by one row, so that one row is filled twice and the last
+    # never; the exact partials subtracted on the calling thread's range
+    # only; the table weights one ulp off on the second range only.
+    Mutant("report-helper-idle", FEM, "helper.submit(run, ranges[1])", "helper.submit(run, [])", "killed"),
+    Mutant("report-split-shift", FEM, "(split, n_elements))", "(split - row, n_elements - row))", "killed"),
     Mutant(
         "report-exact-one-range",
         ANALYSIS,
         "d -= exact_grads[axis][lo:hi]",
         "d -= exact_grads[axis][lo:hi] * (__import__('threading').current_thread()"
         " is __import__('threading').main_thread())",
+        "killed",
+    ),
+    Mutant(
+        "tables-second-range",
+        FEM,
+        "rule.weights, out=wdet[lo:hi])",
+        "rule.weights * (1 + 2e-16 * (lo >= ne // 2)), out=wdet[lo:hi])",
         "killed",
     ),
 ]

@@ -26,20 +26,19 @@ field, evaluated block by block inside each norm and never whole.  The
 subtractions are those of the per-norm, whole-array formulation kept in the
 tests' dense oracle, whose numbers they equal bit for bit.  An integrand is
 written one block of elements at a time into one array, which one
-whole-array `np.sum` sums; on a space of eight blocks of `_CHUNK` elements
-or more, the blocks of a second range are written at the same time
-on a helper thread (`_fill`).
+whole-array `np.sum` sums; on a space of eight blocks of `fem._CHUNK`
+elements or more, the blocks of a second range are written at the same time
+on a helper thread (`fem._fill`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .fem import _CHUNK, FeSpace, RuleTables, _check_vector, _gradients
+from .fem import FeSpace, RuleTables, _blocks, _check_vector, _fill, _gradients
 
 __all__ = [
     "interpolate_nodal",
@@ -199,50 +198,11 @@ def i2h_postprocess(
 # ----------------------------------------------------------------------------
 
 
-def _blocks(n_elements: int, row: int = 1) -> list:
-    """The blocks ``(lo, hi)`` in which a fill runs over ``n_elements``
-    elements, one list per element range.
-
-    A block holds whole rows of ``row`` elements, as many as fit in
-    `_CHUNK` elements and at least one.  The second range starts at the row
-    boundary at or below the middle.  Elements that fit in one block of
-    `_CHUNK` make one range of one block.
-    """
-    if n_elements <= _CHUNK:
-        return [[(0, n_elements)]]
-    step = max(_CHUNK // row, 1) * row
-    split = n_elements // row // 2 * row
-    return [
-        [(lo, min(lo + step, end)) for lo in range(start, end, step)]
-        for start, end in ((0, split), (split, n_elements))
-    ]
-
-
 def _patch_blocks(space: FeSpace) -> list:
     """`_blocks` of the space's elements in whole rows of ``2 x 2`` patches,
     so that every block holds whole blocks of `mesh.macroelements`."""
     mesh = space.mesh
     return _blocks(mesh.n_elements, 2 * mesh.n_elements // mesh.M)
-
-
-def _fill(ranges: list, fill) -> None:
-    """Call ``fill(lo, hi)`` on every block of ``ranges``: those of the first
-    range on the calling thread and, at the same time, those of the second
-    on a helper thread, which has ended when this returns or raises.  Fewer
-    than eight blocks of `_CHUNK` elements are filled in order on the
-    calling thread: there the helper saved at most a tenth of an M=64
-    report, and its wait for the second core spread the report's times."""
-
-    def run(blocks):
-        for lo, hi in blocks:
-            fill(lo, hi)
-
-    if ranges[-1][-1][1] < 8 * _CHUNK:
-        return run([block for blocks in ranges for block in blocks])
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="error-report") as helper:
-        second = helper.submit(run, ranges[1])
-        run(ranges[0])
-        second.result()
 
 
 def _norm(tables: RuleTables, ranges: list, values, derivative=None) -> float:
@@ -251,7 +211,7 @@ def _norm(tables: RuleTables, ranges: list, values, derivative=None) -> float:
     on the elements ``lo:hi`` and ``derivative(lo, hi, axis)`` the partial
     derivative along ``axis`` there (None: the L2 norm).  The integrand is
     written in place, in the order written above, block by block over
-    ``ranges`` (`_fill`) into one array, which is summed once."""
+    ``ranges`` (`fem._fill`) into one array, which is summed once."""
     s = np.empty(tables.wdet.shape)
 
     def fill(lo: int, hi: int) -> None:
@@ -286,7 +246,7 @@ def exact_fields(space: FeSpace, exact, grad, t: float) -> tuple[np.ndarray, tup
     Each callable is called once per block of elements (`_patch_blocks`),
     on the ``(block, nq)`` coordinates of their points, and may return
     anything that broadcasts to that shape; on a large space the blocks of
-    the two element ranges are evaluated at the same time (`_fill`).
+    the two element ranges are evaluated at the same time (`fem._fill`).
     """
     tb = space.error_tables
     values, gx, gy = (np.empty(tb.wdet.shape) for _ in range(3))

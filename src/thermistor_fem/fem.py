@@ -16,10 +16,19 @@ in the tests.
 
 Coefficient fields (e.g. the electric conductivity evaluated from a previous
 time level) are represented as arrays of values at the quadrature points of
-the assembly rule, shape ``(n_elements, n_qpoints)``.  Functions ``f(x, y)``
-are evaluated by `RuleTables.evaluate`, one block of `_CHUNK` elements at a
-time, like the blocked kernels: the sources of `assemble_load` and the exact
-fields of the error report, whose memory this module alone thus bounds.
+the assembly rule, shape ``(n_elements, n_qpoints)``.  The sources
+``f(x, y)`` of `assemble_load` are evaluated by `RuleTables.evaluate`, one
+block of `_CHUNK` elements at a time, like the blocked kernels.
+
+Work over the elements in which each block writes only its own elements'
+entries runs on two element ranges (`_blocks`, `_fill`): the blocks of the
+first on the calling thread and, at the same time, those of the second on a
+helper thread, which has ended when the fill returns or raises.  The
+quadrature tables are built so (`_build_tables`), and the error report's
+exact fields and norm integrands are filled so (`analysis`).  No sum spans
+two blocks, so the results have the same bits at any split and block size.
+A space of fewer than eight blocks of `_CHUNK` elements is filled on the
+calling thread alone.
 
 The quadrature tables store the physical shape-function gradients
 element-last, ``(points, 2, ndof, elements)``, so that the blocked kernels
@@ -32,6 +41,7 @@ arithmetic of the full table.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +83,13 @@ SOLVERS = ("direct", "cg")
 #: in `assemble_load`: their temporaries stay small and in cache.
 _CHUNK = 2048
 
+#: Elements per block of a quadrature-table build.  A block costs 60 to 90
+#: numpy calls whatever its size, and the threads of the two ranges take
+#: turns at the interpreter between them.  On two ranges at M=256 (medians
+#: of 9, 2-vCPU host), blocks of 4 `_CHUNK` built a table in 25-77 ms,
+#: blocks of `_CHUNK` in 45-96 ms, and the serial build took 40-147 ms.
+_TABLE_CHUNK = 4 * _CHUNK
+
 
 class ConductivityNotPositive(ValueError):
     """Raised when a coefficient field is not strictly positive."""
@@ -80,6 +97,56 @@ class ConductivityNotPositive(ValueError):
 
 class NoConvergence(RuntimeError):
     """Raised when an iterative or direct solve cannot produce a solution."""
+
+
+# ----------------------------------------------------------------------------
+# Element blocks on two ranges
+# ----------------------------------------------------------------------------
+
+
+def _blocks(n_elements: int, row: int = 1, size: int = _CHUNK) -> list:
+    """The blocks ``(lo, hi)`` in which a fill runs over ``n_elements``
+    elements, one list per element range.
+
+    A block holds whole rows of ``row`` elements, as many as fit in ``size``
+    elements and at least one.  The second range starts at the row
+    boundary at or below the middle.  Elements that fit in one block make
+    one range of one block.
+    """
+    if n_elements <= size:
+        return [[(0, n_elements)]]
+    step = max(size // row, 1) * row
+    split = n_elements // row // 2 * row
+    return [
+        [(lo, min(lo + step, end)) for lo in range(start, end, step)]
+        for start, end in ((0, split), (split, n_elements))
+    ]
+
+
+def _fill(ranges: list, fill) -> None:
+    """Call ``fill(lo, hi)`` on every block of ``ranges``: those of the first
+    range on the calling thread and, at the same time, those of the second
+    on a helper thread, which has ended when this returns or raises.
+
+    Fewer than eight blocks of `_CHUNK` elements are filled in order on the
+    calling thread, for both users.  In the error report's norms and exact
+    fields the helper saved at most a tenth of an M=64 report, and its wait
+    for the second core spread the report's times.  A table build below that
+    size is at most two blocks of `_TABLE_CHUNK`; at M=64 a helper over
+    blocks of `_CHUNK` saved at most 2.7 of 11 ms (quad, error rule) and
+    cost up to 1 ms on triangles, which one thread builds in 2 ms.
+    """
+
+    def run(blocks):
+        for lo, hi in blocks:
+            fill(lo, hi)
+
+    if ranges[-1][-1][1] < 8 * _CHUNK:
+        return run([block for blocks in ranges for block in blocks])
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="element-range") as helper:
+        second = helper.submit(run, ranges[1])
+        run(ranges[0])
+        second.result()
 
 
 # ----------------------------------------------------------------------------
@@ -237,61 +304,66 @@ class RuleTables:
     wdet: np.ndarray
     x: np.ndarray
 
-    def evaluate(self, f):
-        """``f(x, y)`` at the rule's points, ``(ne, nq)``, or a pair of such
-        arrays when ``f`` returns a tuple.  ``f`` is called once per block of
-        `_CHUNK` elements, in element order, on the ``(block, nq)``
-        coordinates of their points, and may return anything that broadcasts
-        to that shape: its temporaries are as large as one block.  A tuple
-        that is not a pair, or a change of kind between blocks, is refused."""
-        out = []
-        for lo in range(0, self.wdet.shape[0], _CHUNK):
+    def evaluate(self, f) -> np.ndarray:
+        """``f(x, y)`` at the rule's points, ``(ne, nq)``.  ``f`` is called
+        once per block of `_CHUNK` elements, in element order, on the
+        ``(block, nq)`` coordinates of their points, and may return anything
+        that broadcasts to that shape: its temporaries are as large as one
+        block."""
+        out = np.empty(self.wdet.shape)
+        for lo in range(0, len(out), _CHUNK):
             x = self.x[lo : lo + _CHUNK]
-            values = f(x[..., 0], x[..., 1])
-            pair = isinstance(values, tuple)
-            if pair and len(values) != 2 or out and len(out) != 1 + pair:
-                raise ValueError("a field must return one array or a pair of arrays, the same on every block")
-            out = out or [np.empty(self.wdet.shape) for _ in range(1 + pair)]
-            for o, v in zip(out, values if pair else (values,)):
-                o[lo : lo + _CHUNK] = v
-        return tuple(out) if pair else out[0]
+            out[lo : lo + _CHUNK] = f(x[..., 0], x[..., 1])
+        return out
 
 
 def _build_tables(mesh: Mesh, rule: QuadRule) -> RuleTables:
+    """The `RuleTables` of ``rule`` on ``mesh``, filled in blocks of
+    `_TABLE_CHUNK` elements over two element ranges (`_fill`).  Each block
+    writes only its own elements of ``grad``, ``wdet`` and ``x``, so the
+    tables have the same bits at any split and any block size."""
     if not np.all(np.isfinite(mesh.nodes)):
         raise ValueError("mesh has non-finite node coordinates")
     shape = _shape_quad if mesh.elem_kind == "quad" else _shape_tri
     N, dN = shape(rule.points)  # dN holds one point or one per rule point
     (ne, ndof), nq, ng = mesh.elements.shape, rule.n_points, dN.shape[0]
     grad = np.empty((ng, 2, ndof, ne))
-    detJ = np.empty((ne, nq))
+    wdet = np.empty((ne, nq))
     x = np.empty((ne, nq, 2))
 
     # The sums below run over the element nodes (or the reference axes) in
     # index order: that reproduces the einsum formulas in the comments bit
     # for bit, at a fraction of their cost.  Each block of elements is laid
     # out element-last, so that every operation is one long contiguous loop.
-    for lo in range(0, ne, _CHUNK):
-        block = mesh.elements[lo : lo + _CHUNK]
-        c = np.ascontiguousarray(mesh.nodes[block].transpose(1, 2, 0))  # (ndof, 2, ne)
+    def fill(lo: int, hi: int) -> None:
+        c = np.ascontiguousarray(mesh.nodes[mesh.elements[lo:hi]].transpose(1, 2, 0))  # (ndof, 2, block)
         # Jacobian of the reference-to-physical map at each quadrature point:
-        # J[e,q,a,b] = sum_i dN[q,i,b] * coords[e,i,a]; J[a][b] is (ng, ne).
-        J = [[sum(dN[:, i, b, None] * c[i, a] for i in range(ndof)) for b in range(2)] for a in range(2)]
-        det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+        # J[e,q,a,b] = sum_i dN[q,i,b] * coords[e,i,a]; jab is (ng, block).
+        (j00, j01), (j10, j11) = [
+            [sum(dN[:, i, b, None] * c[i, a] for i in range(ndof)) for b in range(2)] for a in range(2)
+        ]
+        det = j00 * j11 - j01 * j10
         if not np.all(det > 0):  # NaN fails too
             raise ValueError("mesh contains degenerate or inverted elements")
-        inv = [[J[1][1] / det, -J[0][1] / det], [-J[1][0] / det, J[0][0] / det]]
+        # The inverse [[j11, -j01], [-j10, j00]] / det, in J's own storage.
+        for j in (j01, j10):
+            np.negative(j, out=j)
+        for j in (j00, j01, j10, j11):
+            j /= det
+        inv = [[j11, j01], [j10, j00]]
         # grad_x N = J^{-T} grad_ref N: grad[q,a,i,e] = sum_b inv[e,q,b,a] * dN[q,i,b]
         for i in range(ndof):
             for a in range(2):
-                g = grad[:, a, i, lo : lo + _CHUNK]
+                g = grad[:, a, i, lo:hi]
                 np.multiply(inv[0][a], dN[:, i, 0, None], out=g)
                 g += inv[1][a] * dN[:, i, 1, None]
-        detJ[lo : lo + _CHUNK] = det.T
+        # wdet[e,q] = weights[q] * detJ[e,q]; the product commutes exactly.
+        np.multiply(det.T, rule.weights, out=wdet[lo:hi])
         # x[e,q,a] = sum_i N[q,i] * coords[e,i,a]
         for a in range(2):
-            x[lo : lo + _CHUNK, :, a] = sum(N[:, i, None] * c[i, a] for i in range(ndof)).T
-    wdet = rule.weights[None, :] * detJ
+            x[lo:hi, :, a] = sum(N[:, i, None] * c[i, a] for i in range(ndof)).T
+
+    _fill(_blocks(ne, size=_TABLE_CHUNK), fill)
     return RuleTables(N=N, grad=grad, wdet=wdet, x=x)
 
 

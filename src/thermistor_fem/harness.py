@@ -100,7 +100,7 @@ def _field_errors(space: FeSpace, blocks, coeffs, exact, grad, t: float, name: s
     once on the error rule.  The solution, its distance to the nodal
     interpolant and its post-processed lift are evaluated block by block
     inside each norm that reads them, and every norm fills its integrand
-    over two element ranges, at once on a large space (`analysis._fill`).
+    over two element ranges, at once on a large space (`fem._fill`).
     """
     exact_values, exact_grads = analysis.exact_fields(space, exact, grad, t)
     fe = analysis.FeEvaluation(space, coeffs)

@@ -1,6 +1,7 @@
 """Assembly of mass/stiffness/load operators against the dense oracle and
 hand-derived identities."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from thermistor_fem import (
     macroelements,
 )
 from thermistor_fem.fem import (
+    _CHUNK,
     POSITIVITY_FLOOR,
     DirichletSystem,
     _shape_quad,
@@ -285,8 +287,13 @@ def einsum_tables(mesh, rule):
     return grad, rule.weights[None, :] * detJ, np.einsum("qi,eia->eqa", N, coords)
 
 
-@pytest.mark.parametrize("M", [2, 8, 10, 64])
-@pytest.mark.parametrize("kind", ["tri", "quad"])
+# From 8 blocks of `fem._CHUNK` elements on (tri M=92 and 98, quad M=130)
+# the second element range of a table build is filled on a helper thread;
+# the ranges hold unequal numbers of blocks of `fem._TABLE_CHUNK` elements.
+@pytest.mark.parametrize(
+    ("kind", "M"),
+    [(kind, M) for kind in ("tri", "quad") for M in (2, 8, 10, 64)] + [("tri", 92), ("tri", 98), ("quad", 130)],
+)
 def test_tables_equal_the_einsum_formulas_bit_for_bit(kind, M):
     space = FeSpace(build_mesh(M, kind))
     ne, ndof = space.mesh.elements.shape
@@ -298,3 +305,60 @@ def test_tables_equal_the_einsum_formulas_bit_for_bit(kind, M):
         assert np.array_equal(oracle.materialized_grad(tb), grad)
         assert np.array_equal(tb.wdet, wdet)
         assert np.array_equal(tb.x, x)
+
+
+def counted_thread_starts(monkeypatch) -> list:
+    """The names of the threads started from here on, in order."""
+    started, start = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+@pytest.mark.parametrize(("kind", "M"), [("tri", 90), ("tri", 92), ("quad", 126), ("quad", 128)])
+def test_a_table_build_starts_one_helper_only_from_eight_blocks(monkeypatch, kind, M):
+    # tri M=90 and quad M=126 hold fewer than 8 * _CHUNK elements: both
+    # ranges are built on the calling thread.  From tri M=92 and quad M=128
+    # on, each table build starts one helper, which has ended on return.
+    mesh = build_mesh(M, kind)
+    helpers = int(mesh.n_elements >= 8 * _CHUNK)
+    assert helpers == (M in (92, 128))
+    before = threading.enumerate()
+    started = counted_thread_starts(monkeypatch)
+    space = FeSpace(mesh)
+    assert len(started) == helpers
+    assert space.error_tables.wdet.shape[0] == mesh.n_elements
+    assert len(started) == 2 * helpers
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize(("kind", "M"), [("tri", 92), ("quad", 130)])
+def test_an_inverted_element_in_the_second_range_is_refused_as_in_a_serial_build(monkeypatch, kind, M):
+    # The last element lies in the second range, which the helper builds; a
+    # serial build (M=4, no thread) of the same fault raises the same error.
+    started = counted_thread_starts(monkeypatch)
+    errors = []
+    for size in (4, M):
+        mesh = build_mesh(size, kind)
+        elements = mesh.elements.copy()
+        elements[-1] = elements[-1, ::-1]  # clockwise
+        with pytest.raises(ValueError) as raised:
+            FeSpace(replace(mesh, elements=elements))
+        errors.append((type(raised.value), str(raised.value)))
+    assert errors[0] == errors[1] == (ValueError, "mesh contains degenerate or inverted elements")
+    assert len(started) == 1
+
+
+@pytest.mark.parametrize(("kind", "M"), [("tri", 92), ("quad", 130)])
+def test_non_finite_nodes_are_refused_before_any_thread_starts(monkeypatch, kind, M):
+    mesh = build_mesh(M, kind)
+    nodes = mesh.nodes.copy()
+    nodes[-1, 0] = np.nan  # a node of the last element, in the second range
+    started = counted_thread_starts(monkeypatch)
+    with pytest.raises(ValueError, match="non-finite"):
+        FeSpace(replace(mesh, nodes=nodes))
+    assert started == []

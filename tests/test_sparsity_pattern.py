@@ -16,7 +16,7 @@ from thermistor_fem.fem import (
     assemble_stiffness,
     assemble_weighted_stiffness,
 )
-from thermistor_fem.manufactured import exact_u, grad_phi, grad_u, source_f1, source_f2
+from thermistor_fem.manufactured import exact_u, grad_u, source_f1, source_f2
 from thermistor_fem.schemes import OperatorCache
 
 
@@ -97,33 +97,32 @@ def test_loads_equal_add_at(space):
 @pytest.mark.parametrize("M", [8, 34, 50, 256])
 @pytest.mark.parametrize("kind", ["tri", "quad"])
 def test_block_evaluation_equals_the_full_table_evaluation(kind, M):
-    # One block at M=8; a partial last block at tri M=34 and quad M=50; at
-    # M=256 many whole blocks.  The fields are those the error report reads.
+    # `assemble_load` evaluates its source one block of `fem._CHUNK` elements
+    # at a time: one block at M=8, a partial last block at tri M=34 and quad
+    # M=50, many whole blocks at M=256.  The load must be the one of the
+    # source evaluated on the whole table at once.
     space = FeSpace(build_mesh(M, kind))
-    fields = {
+    tb, el, n = space.tables, space.mesh.elements, space.n_dofs
+    sources = {
         "array": lambda x, y: exact_u(x, y, 0.37),
-        "pair": lambda x, y: grad_u(x, y, 0.37),
-        "pair with a copy": lambda x, y: grad_phi(x, y, 0.37),
+        "one partial": lambda x, y: grad_u(x, y, 0.37)[1],
+        "source": lambda x, y: source_f1(x, y, 0.37),
         "scalar": lambda x, y: 2.5,
     }
-    for tb in (space.tables, space.error_tables):
-        for name, f in fields.items():
-            got, want = tb.evaluate(f), f(tb.x[..., 0], tb.x[..., 1])
-            if name.startswith("pair"):
-                assert type(got) is tuple and len(got) == 2, name
-                got, want = np.stack(got), np.stack(want)
-            assert got.shape[-2:] == tb.wdet.shape and got.flags.writeable, name
-            assert np.array_equal(got, np.broadcast_to(want, got.shape)), name
+    for name, f in sources.items():
+        fq = np.broadcast_to(f(tb.x[..., 0], tb.x[..., 1]), tb.wdet.shape)
+        want = oracle.add_at_scatter(el, np.einsum("eq,qi->ei", fq * tb.wdet, tb.N), n)
+        assert np.array_equal(assemble_load(space, f), want), name
 
 
-def test_block_evaluation_refuses_a_tuple_that_is_not_a_pair_or_a_change_of_kind():
-    # A field reaches the report through `ProblemData.grad_u`/`grad_phi`: a
-    # wrong one must fail, not leave error values unwritten.
-    tb = FeSpace(build_mesh(64, "tri")).tables
-    assert tb.wdet.shape[0] == 4 * fem._CHUNK
+def test_a_load_source_that_returns_a_tuple_is_refused():
+    # A source must give one array per block; a tuple, on the first block or
+    # on a later one, must fail, not be summed into the load.
+    space = FeSpace(build_mesh(64, "tri"))
+    assert space.tables.wdet.shape[0] == 4 * fem._CHUNK
 
     def switching(first, later):
-        """A field that returns ``first`` on the first block, ``later`` after."""
+        """A source that returns ``first`` on the first block, ``later`` after."""
         calls = []
 
         def f(x, y):
@@ -135,12 +134,13 @@ def test_block_evaluation_refuses_a_tuple_that_is_not_a_pair_or_a_change_of_kind
     array, pair = (lambda x, y: x), (lambda x, y: (x, y))
     for f in (
         lambda x, y: (x,),
+        pair,
         lambda x, y: (x, y, x),
         switching(pair, array),
         switching(array, pair),
     ):
-        with pytest.raises(ValueError, match="one array or a pair of arrays"):
-            tb.evaluate(f)
+        with pytest.raises(ValueError):
+            assemble_load(space, f)
 
 
 # tri M=34 (2,312 elements) and quad M=50 (2,500) end in a partial block of
