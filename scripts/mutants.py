@@ -60,6 +60,16 @@ MUTANTS = [
     Mutant("ext1-extrap", SCHEMES, '"ext1": ImexTable(extrap=(1,),', '"ext1": ImexTable(extrap=(2, -1),', "killed"),
     Mutant("order-log2", ANALYSIS, "/ np.log(ratio)", "/ np.log(2.0)", "killed"),
     Mutant("floor-geq", FEM, "if not smin > POSITIVITY_FLOOR:", "if not smin >= POSITIVITY_FLOOR:", "killed"),
+    # The FE gradients summed over the element nodes in reverse order: on
+    # triangles each sum has two nonzero terms and its bits do not move,
+    # on squares they do.
+    Mutant(
+        "gradients-node-order",
+        FEM,
+        "for i in range(nodal.shape[0]):",
+        "for i in reversed(range(nodal.shape[0])):",
+        "killed",
+    ),
     # The two element ranges of `fem._fill`, which the error report and the
     # table builds share: the helper's range never filled; the second range
     # shifted down by one row, so that one row is filled twice and the last

@@ -20,7 +20,6 @@ from .analysis import (
     i2h_postprocess,
     interpolate_nodal,
     l2_error,
-    quadrature_norm,
 )
 from .fem import ConductivityNotPositive, FeSpace, NoConvergence
 from .harness import (

@@ -19,16 +19,16 @@ quadrature tables, as one monomial table per shape and fine-element slot,
 taken from the first block of the shape, times the block coefficients; the
 point-by-point reference evaluation lives in the tests' dense oracle.
 
-Every norm here sums `quadrature_norm`'s integrand on the space's error rule
-over evaluated fields: the exact values and partials at the rule's points
-(`exact_fields`, once per field), and an `FeEvaluation` or a post-processed
-field, evaluated block by block inside each norm and never whole.  The
-subtractions are those of the per-norm, whole-array formulation kept in the
-tests' dense oracle, whose numbers they equal bit for bit.  An integrand is
-written one block of elements at a time into one array, which one
-whole-array `np.sum` sums; on a space of eight blocks of `fem._CHUNK`
-elements or more, the blocks of a second range are written at the same time
-on a helper thread (`fem._fill`).
+Every norm here is `_norm` on the space's error rule, the one path that
+evaluates there: over the exact values and partials at the rule's points
+(`exact_fields`, once per field, refused unless they have the rule's shape),
+and an `FeEvaluation` or a post-processed field, evaluated block by block
+inside each norm and never whole.  The subtractions are those of the
+per-norm, whole-array formulation kept in the tests' dense oracle, whose
+numbers they equal bit for bit.  An integrand is written one block of
+elements at a time into one array, which one whole-array `np.sum` sums; on
+a space of eight blocks of `fem._CHUNK` elements or more, the blocks of a
+second range are written at the same time on a helper thread (`fem._fill`).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "exact_fields",
     "fe_l2_norm",
     "fe_h1_norm",
-    "quadrature_norm",
     "convergence_order",
     "eoc",
 ]
@@ -123,8 +122,11 @@ class PostProcessedField:
         (whole rows of ``2 x 2`` patches).  Each shape's monomials and their
         partials are tabulated here, once; a call takes one matrix product
         per shape and table, with the coefficients of the shape's blocks in
-        ``lo:hi``.
+        ``lo:hi``.  Tables of another mesh, whose element count is not that
+        of the blocks, raise ValueError.
         """
+        if self.fine.size != len(tables.wdet):
+            raise ValueError(f"the field's blocks cover {self.fine.size} elements, the tables {len(tables.wdet)}")
         monomials = (
             partial(_monomials, powers=self.powers),
             partial(_derivative_monomials, powers=self.powers, axis=0),
@@ -145,16 +147,6 @@ class PostProcessedField:
             return out
 
         return partial(table, k=0), lambda lo, hi, axis: table(lo, hi, 1 + axis)
-
-    def values_on_tables(self, tables: RuleTables) -> np.ndarray:
-        """The field's values at the points of ``tables``, ``(ne, nq)``."""
-        values, _ = self.on_tables(tables)
-        return values(0, len(tables.wdet))
-
-    def gradients_on_tables(self, tables: RuleTables) -> np.ndarray:
-        """The field's gradients at the points of ``tables``, ``(ne, nq, 2)``."""
-        _, derivative = self.on_tables(tables)
-        return np.stack([derivative(0, len(tables.wdet), axis) for axis in (0, 1)], axis=-1)
 
 
 def i2h_postprocess(
@@ -205,14 +197,20 @@ def _patch_blocks(space: FeSpace) -> list:
     return _blocks(mesh.n_elements, 2 * mesh.n_elements // mesh.M)
 
 
-def _norm(tables: RuleTables, ranges: list, values, derivative=None) -> float:
-    """``sqrt(sum(wdet * (values**2 + |grad|**2)))`` over the points of
-    ``tables``, where ``values(lo, hi)`` gives the values ``(hi - lo, nq)``
-    on the elements ``lo:hi`` and ``derivative(lo, hi, axis)`` the partial
-    derivative along ``axis`` there (None: the L2 norm).  The integrand is
-    written in place, in the order written above, block by block over
-    ``ranges`` (`fem._fill`) into one array, which is summed once."""
-    s = np.empty(tables.wdet.shape)
+def _norm(space: FeSpace, values, derivative=None, exact=()) -> float:
+    """``sqrt(sum(wdet * (values**2 + |grad|**2)))`` over the points of the
+    space's error rule, where ``values(lo, hi)`` gives the values ``(hi -
+    lo, nq)`` on the elements ``lo:hi`` and ``derivative(lo, hi, axis)`` the
+    partial derivative along ``axis`` there (None: the L2 norm).  The
+    integrand is written in place, in the order written above, block by
+    block over `_patch_blocks` (`fem._fill`) into one array, which is summed
+    once.  ``exact`` holds the exact arrays the two read rows of; each must
+    have the rule's shape ``(ne, nq)``, else ValueError."""
+    tb = space.error_tables
+    for a in exact:
+        if np.shape(a) != tb.wdet.shape:
+            raise ValueError(f"exact fields must have the error rule's shape {tb.wdet.shape}, got {np.shape(a)}")
+    s = np.empty(tb.wdet.shape)
 
     def fill(lo: int, hi: int) -> None:
         block = s[lo:hi]
@@ -220,23 +218,10 @@ def _norm(tables: RuleTables, ranges: list, values, derivative=None) -> float:
         if derivative is not None:
             block += derivative(lo, hi, 0) ** 2
             block += derivative(lo, hi, 1) ** 2
-        block *= tables.wdet[lo:hi]
+        block *= tb.wdet[lo:hi]
 
-    _fill(ranges, fill)
+    _fill(_patch_blocks(space), fill)
     return float(np.sqrt(np.sum(s)))
-
-
-def quadrature_norm(tables: RuleTables, values: np.ndarray, grads: np.ndarray | None = None) -> float:
-    """``sqrt(sum(wdet * (values**2 + |grads|**2)))`` over the points of
-    ``tables``: the L2 norm of ``values`` (``(ne, nq)``), or the full H1 norm
-    when the gradients (``(ne, nq, 2)``) are given."""
-    derivative = None if grads is None else lambda lo, hi, axis: grads[lo:hi, :, axis]
-    return _norm(tables, _blocks(len(tables.wdet)), lambda lo, hi: values[lo:hi], derivative)
-
-
-def _error_rule_norm(space: FeSpace, values, derivative=None) -> float:
-    """`_norm` on the space's error rule, in `_patch_blocks`."""
-    return _norm(space.error_tables, _patch_blocks(space), values, derivative)
 
 
 def exact_fields(space: FeSpace, exact, grad, t: float) -> tuple[np.ndarray, tuple]:
@@ -267,8 +252,9 @@ class FeEvaluation:
     of the elements ``lo:hi``, from the nodal values of those elements.
 
     Nothing is kept between calls: each norm evaluates what it reads, block
-    by block, with the arithmetic of `FeSpace.values_at_quad` and
-    `FeSpace.gradients_at_quad`.
+    by block.  The values are the einsum of `FeSpace.values_at_quad` on the
+    error rule, and each partial is `fem._gradients` on that axis of the
+    rule's gradient table, so that its temporaries are one partial large.
     """
 
     def __init__(self, space: FeSpace, coeffs: np.ndarray):
@@ -281,12 +267,10 @@ class FeEvaluation:
         return np.einsum("qi,ei->eq", tb.N, self.coeffs[self.space.mesh.elements[lo:hi]])
 
     def derivative(self, lo: int, hi: int, axis: int) -> np.ndarray:
-        # `FeSpace.gradients_at_quad`'s kernel on the rows lo:hi of the one
-        # axis, so that its temporaries are one partial large.
         tb = self.space.error_tables
-        rows = RuleTables(tb.N, tb.grad[:, axis : axis + 1, :, lo:hi], tb.wdet[lo:hi], tb.x[lo:hi])
         nodal = self.coeffs[self.space.mesh.elements[lo:hi].T]
-        return _gradients(rows, nodal, np.empty(tb.wdet[lo:hi].shape + (1,)))[..., 0]
+        out = np.empty(tb.wdet[lo:hi].shape + (1,))
+        return _gradients(tb.grad[:, axis : axis + 1, :, lo:hi], nodal, out)[..., 0]
 
 
 def _less_exact(derivative, exact_grads):
@@ -302,28 +286,29 @@ def _less_exact(derivative, exact_grads):
 
 def l2_error(fe: FeEvaluation, exact_values: np.ndarray) -> float:
     """``||u_h - u||_0`` from the exact values at the error-rule points."""
-    return _error_rule_norm(fe.space, lambda lo, hi: fe.values(lo, hi) - exact_values[lo:hi])
+    return _norm(fe.space, lambda lo, hi: fe.values(lo, hi) - exact_values[lo:hi], exact=(exact_values,))
 
 
 def h1_error(fe: FeEvaluation, exact_values: np.ndarray, exact_grads) -> float:
     """Full H1 error ``sqrt(||u_h - u||_0^2 + ||grad(u_h - u)||_0^2)``;
     ``exact_grads`` is the pair of partial derivatives at the error-rule
     points."""
-    return _error_rule_norm(
+    return _norm(
         fe.space,
         lambda lo, hi: fe.values(lo, hi) - exact_values[lo:hi],
         _less_exact(fe.derivative, exact_grads),
+        (exact_values, *exact_grads),
     )
 
 
 def fe_l2_norm(fe: FeEvaluation) -> float:
     """L2 norm of an FE function (exact up to the error rule's degree)."""
-    return _error_rule_norm(fe.space, fe.values)
+    return _norm(fe.space, fe.values)
 
 
 def fe_h1_norm(fe: FeEvaluation) -> float:
     """Full H1 norm of an FE function."""
-    return _error_rule_norm(fe.space, fe.values, fe.derivative)
+    return _norm(fe.space, fe.values, fe.derivative)
 
 
 def h1_error_postprocessed(
@@ -332,10 +317,11 @@ def h1_error_postprocessed(
     """Full H1 error of a post-processed field, from the exact values and the
     pair of exact partial derivatives at the points of ``space``'s error rule."""
     values, derivative = field.on_tables(space.error_tables)
-    return _error_rule_norm(
+    return _norm(
         space,
         lambda lo, hi: values(lo, hi) - exact_values[lo:hi],
         _less_exact(derivative, exact_grads),
+        (exact_values, *exact_grads),
     )
 
 

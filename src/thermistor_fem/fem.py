@@ -12,7 +12,10 @@ for bit (``np.array_equal``): matrices equal ``coo_matrix(...).tocsr()`` of
 the einsum element matrices, loads equal ``np.add.at``, the Dirichlet
 blocks equal fancy indexing of the full matrix, and the quadrature values
 equal their einsum formulas.  Each is checked against those formulations
-in the tests.
+in the tests.  FE gradients have one kernel, `_gradients`, which reads a
+table's gradient array: the Joule load takes it on the assembly rule, and
+the error report's `analysis.FeEvaluation` one axis at a time on the error
+rule.
 
 Coefficient fields (e.g. the electric conductivity evaluated from a previous
 time level) are represented as arrays of values at the quadrature points of
@@ -413,35 +416,28 @@ class FeSpace:
         """The CSR pattern of every assembled matrix (built on first use)."""
         return SparsityPattern(self)
 
-    def values_at_quad(self, coeffs: np.ndarray, tables: RuleTables | None = None) -> np.ndarray:
-        """Evaluate the FE function at quadrature points, shape ``(ne, nq)``."""
-        tb = tables if tables is not None else self.tables
+    def values_at_quad(self, coeffs: np.ndarray) -> np.ndarray:
+        """Evaluate the FE function at the assembly points, shape ``(ne, nq)``."""
         _check_vector("coeffs", coeffs, self.n_dofs)
-        nodal = coeffs[self.mesh.elements]  # (ne, ndof)
-        return np.einsum("qi,ei->eq", tb.N, nodal)
-
-    def gradients_at_quad(self, coeffs: np.ndarray, tables: RuleTables | None = None) -> np.ndarray:
-        """Evaluate the FE gradient at quadrature points, shape ``(ne, nq, 2)``."""
-        tb = tables if tables is not None else self.tables
-        _check_vector("coeffs", coeffs, self.n_dofs)
-        return _gradients(tb, coeffs[self.mesh.elements.T], np.empty(tb.wdet.shape + (2,)))
+        return np.einsum("qi,ei->eq", self.tables.N, coeffs[self.mesh.elements])
 
 
-def _gradients(tb: RuleTables, nodal: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """FE gradients from the ``(ndof, ne)`` nodal values into ``out``, of
-    shape ``(ne, nq, 2)`` or, when ``tb.grad`` holds one point, ``(ne, 1, 2)``.
+def _gradients(grad: np.ndarray, nodal: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """FE gradients from a table's ``grad`` (`RuleTables`), or a slice of its
+    axes, and the ``(ndof, ne)`` nodal values into ``out``, of shape ``(ne,
+    nq, n_axes)`` or, when ``grad`` holds one point, ``(ne, 1, n_axes)``.
 
     ``g[e,q,a] = sum_i grad[q,a,i,e] * nodal[i,e]``, summed from zero in node
     order like the einsum ``"eqia,ei->eqa"``, bit for bit, once per point of
-    ``tb.grad`` and broadcast over ``out``; in blocks of elements, so that
-    the temporaries stay small.
+    ``grad`` and broadcast over ``out``; in blocks of elements, so that the
+    temporaries stay small.
     """
     for lo in range(0, out.shape[0], _CHUNK):
-        grad = tb.grad[..., lo : lo + _CHUNK]
-        acc = np.zeros(grad.shape[:2] + grad.shape[3:])  # (nq or 1, 2, block)
+        g = grad[..., lo : lo + _CHUNK]
+        acc = np.zeros(g.shape[:2] + g.shape[3:])  # (nq or 1, n_axes, block)
         term = np.empty_like(acc)
         for i in range(nodal.shape[0]):
-            acc += np.multiply(grad[:, :, i], nodal[i, lo : lo + _CHUNK], out=term)
+            acc += np.multiply(g[:, :, i], nodal[i, lo : lo + _CHUNK], out=term)
         out[lo : lo + _CHUNK] = acc.transpose(2, 0, 1)
     return out
 
@@ -682,7 +678,7 @@ def assemble_joule_load(space: FeSpace, sigma_star: np.ndarray, phi_coeffs: np.n
     sigma_star = _check_coefficient(space, sigma_star)
     _check_vector("phi_coeffs", phi_coeffs, space.n_dofs)
     tb = space.tables
-    g = _gradients(tb, phi_coeffs[space.mesh.elements.T], np.empty((tb.grad.shape[-1], tb.grad.shape[0], 2)))
+    g = _gradients(tb.grad, phi_coeffs[space.mesh.elements.T], np.empty((tb.grad.shape[-1], tb.grad.shape[0], 2)))
     g2 = g[..., 0] ** 2 + g[..., 1] ** 2  # once per element where tb.grad holds one point
     return _scatter(space, sigma_star * g2)
 

@@ -3,11 +3,12 @@
 Everything here is deliberately written from scratch — closed-form element
 matrices, hand-coded quadrature tables, per-element Python loops, dense numpy
 solves — so that agreement with the package is evidence of correctness rather
-than shared code.  Only the raw mesh arrays (node coordinates, connectivity,
-boundary node list) are taken from the package, and those are pinned by their
-own hand-checked tests.  The post-processing evaluators at the end take a
-post-processed field's block polynomials and evaluate them at arbitrary
-points, block by block, as the reference for the package's table path.
+than shared code.  The dense paths take only the raw mesh arrays (node
+coordinates, connectivity, boundary node list) from the package, and those
+are pinned by their own hand-checked tests.  The post-processing evaluators
+at the end take a post-processed field's block polynomials and evaluate
+them at arbitrary points, block by block, as the reference for the
+package's table path.
 
 The sparse reference paths (`coo_assemble`, `add_at_scatter`,
 `fancy_reduction`, `jacobi_cg`, with `materialized_grad` for the einsums
@@ -19,10 +20,13 @@ they are the straightforward formulations whose arithmetic the package's
 fixed-pattern assembly, load scatter, slot-mapped Dirichlet reduction,
 einsum-reduced conjugate gradients, potential source, per-shape
 post-processing and once-per-field error report must reproduce bit for
-bit.  The per-norm report is built from the package's nodal interpolant
-and post-processing coefficients, which are checked on their own, and
-evaluates the lift (`whole_table_lift`) and every norm (`whole_array_norm`)
-over whole arrays.
+bit.  These take the package's raw arrays too, and no more: the quadrature
+tables (``N``, ``grad``, ``wdet``, ``x``) and, for the per-norm report,
+the nodal interpolant and the post-processing coefficients, each checked on
+its own.  The report evaluates the FE values and gradients as the einsums
+of their definitions over those tables (`fe_values`, `fe_gradients`), the
+lift (`whole_table_lift`) and every norm (`whole_array_norm`) over whole
+arrays; it calls none of the package's evaluation kernels.
 The pairwise report writers (`pairwise_reports_to_csv`,
 `pairwise_order_table`, with `refinement_ratio` and `eoc_rows`) apply the
 order rule pair by pair, once for the CSV and once for the table: the
@@ -555,13 +559,15 @@ def offset_grouped_postprocess(space, anchors, fine, coeffs):
 # Each norm evaluates what it needs from nodal coefficients and callables on
 # the space's error rule, over whole arrays, as the package did before it
 # evaluated each quantity once per field and then block by block on two
-# element ranges: the report must equal this one bit for bit.
+# element ranges: the report must equal this one bit for bit.  The FE values
+# and gradients are the einsums of their definitions, over the tables' raw
+# arrays, not the package's kernels.
 
 
 def whole_array_norm(tb, values, grads=None):
     """``sqrt(sum(wdet * (values**2 + |grads|**2)))`` as one expression over
-    whole arrays, summed once; the package's blocked `quadrature_norm` must
-    equal it bit for bit."""
+    whole arrays, summed once; the package's blocked norms must equal it bit
+    for bit."""
     integrand = values**2 if grads is None else values**2 + grads[..., 0] ** 2 + grads[..., 1] ** 2
     return float(np.sqrt(np.sum(tb.wdet * integrand)))
 
@@ -598,26 +604,32 @@ def _h1_error(tb, values, grads, exact, exact_grad, t):
     return whole_array_norm(tb, values - exact(x, y, t), grads)
 
 
+def fe_values(space, coeffs):
+    """An FE function's values ``(ne, nq)`` at the error rule's points."""
+    return np.einsum("qi,ei->eq", space.error_tables.N, coeffs[space.mesh.elements])
+
+
+def fe_gradients(space, coeffs):
+    """An FE function's gradients ``(ne, nq, 2)`` at the error rule's points."""
+    return np.einsum("eqia,ei->eqa", materialized_grad(space.error_tables), coeffs[space.mesh.elements])
+
+
 def l2_error(space, coeffs, exact, t):
     tb = space.error_tables
-    diff = space.values_at_quad(coeffs, tb) - exact(tb.x[..., 0], tb.x[..., 1], t)
+    diff = fe_values(space, coeffs) - exact(tb.x[..., 0], tb.x[..., 1], t)
     return whole_array_norm(tb, diff)
 
 
 def h1_error(space, coeffs, exact, exact_grad, t):
-    tb = space.error_tables
-    v, g = space.values_at_quad(coeffs, tb), space.gradients_at_quad(coeffs, tb)
-    return _h1_error(tb, v, g, exact, exact_grad, t)
+    return _h1_error(space.error_tables, fe_values(space, coeffs), fe_gradients(space, coeffs), exact, exact_grad, t)
 
 
 def fe_l2_norm(space, coeffs):
-    tb = space.error_tables
-    return whole_array_norm(tb, space.values_at_quad(coeffs, tb))
+    return whole_array_norm(space.error_tables, fe_values(space, coeffs))
 
 
 def fe_h1_norm(space, coeffs):
-    tb = space.error_tables
-    return whole_array_norm(tb, space.values_at_quad(coeffs, tb), space.gradients_at_quad(coeffs, tb))
+    return whole_array_norm(space.error_tables, fe_values(space, coeffs), fe_gradients(space, coeffs))
 
 
 def h1_error_postprocessed(field, space, exact, exact_grad, t):

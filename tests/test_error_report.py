@@ -13,16 +13,23 @@ import pytest
 import _dense_oracle as oracle
 from thermistor_fem import (
     ExperimentPlan,
+    FeEvaluation,
     FeSpace,
     SchemeConfig,
     TimeState,
     build_mesh,
+    h1_error,
+    h1_error_postprocessed,
+    i2h_postprocess,
     interpolate_nodal,
+    l2_error,
+    macroelements,
     make_problem,
     resolve_tau,
     run_plan,
     run_simulation,
 )
+from thermistor_fem.analysis import exact_fields
 from thermistor_fem.fem import _CHUNK
 from thermistor_fem.harness import compute_error_report
 
@@ -181,3 +188,31 @@ def test_an_exact_field_that_fails_on_the_helpers_range_fails_its_run_as_a_seria
     )
     main = threading.main_thread()
     assert raised_on[0] is main and raised_on[-1] is not main
+
+
+@pytest.mark.parametrize("case", ["lift M=8, space M=16", "fe M=8, exact M=16", "fe M=16, exact M=8"])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_norms_refuse_fields_of_another_space(kind, case):
+    # The first two used to give a number: the lift's table filled only its
+    # first rows of uninitialised memory, and the FE norms read the first
+    # rows of the exact values.  The third failed in numpy's broadcasting.
+    problem = make_problem()
+    coarse, fine = FeSpace(build_mesh(8, kind)), FeSpace(build_mesh(16, kind))
+    fe_space, exact_space = (fine, coarse) if case == "fe M=16, exact M=8" else (coarse, fine)
+    values, grads = exact_fields(exact_space, problem.exact_u, problem.grad_u, 0.5)
+    coeffs = interpolate_nodal(fe_space, problem.exact_u, 0.5)
+    if case.startswith("lift"):
+        field = i2h_postprocess(coarse, macroelements(coarse.mesh), coeffs)
+        with pytest.raises(ValueError, match="the field's blocks cover"):
+            h1_error_postprocessed(field, fine, values, grads)
+        return
+    fe = FeEvaluation(fe_space, coeffs)
+    want = rf"exact fields must have the error rule's shape \({fe_space.mesh.n_elements}, "
+    with pytest.raises(ValueError, match=want):
+        l2_error(fe, values)
+    with pytest.raises(ValueError, match=want):
+        h1_error(fe, values, grads)
+    own_values, own_grads = exact_fields(fe_space, problem.exact_u, problem.grad_u, 0.5)
+    with pytest.raises(ValueError, match=want):  # the partials are checked too
+        h1_error(fe, own_values, grads)
+    assert h1_error(fe, own_values, own_grads) > 0

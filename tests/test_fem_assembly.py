@@ -186,7 +186,6 @@ NODAL_ENTRY_POINTS = {
         v, np.zeros(space.boundary_dofs.size)
     ),
     "values_at_quad": lambda space, v: space.values_at_quad(v),
-    "gradients_at_quad": lambda space, v: space.gradients_at_quad(v, space.error_tables),
     "fe_l2_norm": lambda space, v: fe_l2_norm(FeEvaluation(space, v)),
     "i2h_postprocess": lambda space, v: i2h_postprocess(space, macroelements(space.mesh), v),
     "assemble_joule_load": lambda space, v: assemble_joule_load(space, np.ones(space.tables.wdet.shape), v),

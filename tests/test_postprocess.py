@@ -20,7 +20,6 @@ from thermistor_fem import (
     interpolate_nodal,
     l2_error,
     macroelements,
-    quadrature_norm,
 )
 from thermistor_fem.manufactured import exact_u, grad_u
 
@@ -34,6 +33,14 @@ def at_error_points(space, f, t):
     """``f(x, y, t)`` at the points of the space's error rule."""
     tb = space.error_tables
     return f(tb.x[..., 0], tb.x[..., 1], t)
+
+
+def lift_on(field, tb):
+    """The lift's values ``(ne, nq)`` and gradients ``(ne, nq, 2)`` at the
+    points of ``tb``, through `PostProcessedField.on_tables` over all rows."""
+    values, derivative = field.on_tables(tb)
+    ne = len(tb.wdet)
+    return values(0, ne), np.stack([derivative(0, ne, axis) for axis in (0, 1)], axis=-1)
 
 
 def block_polynomial(kind):
@@ -71,8 +78,8 @@ def test_block_polynomials_are_reproduced_exactly(kind):
     assert np.abs(g[:, 1] - gy).max() < 1e-11
 
     tb = space.error_tables
-    diff = field.values_on_tables(tb) - p(tb.x[..., 0], tb.x[..., 1], 0.0)
-    assert quadrature_norm(tb, diff) < 1e-12
+    diff = lift_on(field, tb)[0] - p(tb.x[..., 0], tb.x[..., 1], 0.0)
+    assert oracle.whole_array_norm(tb, diff) < 1e-12
     exact = at_error_points(space, p, 0.0), at_error_points(space, grad, 0.0)
     assert h1_error_postprocessed(field, space, *exact) < 1e-11
 
@@ -111,8 +118,8 @@ def test_postprocessing_is_h1_stable(kind):
         for _ in range(10):
             c = rng.standard_normal(space.n_dofs)
             field = i2h_postprocess(space, blocks, c)
-            tb = space.error_tables
-            lifted = quadrature_norm(tb, field.values_on_tables(tb), field.gradients_on_tables(tb))
+            zero = np.zeros(space.error_tables.wdet.shape)
+            lifted = h1_error_postprocessed(field, space, zero, (zero, zero))
             assert lifted <= 2.0 * fe_h1_norm(FeEvaluation(space, c))
 
 
@@ -142,40 +149,57 @@ def test_postprocess_rejects_empty_block_list():
         i2h_postprocess(space, empty, np.zeros(space.n_dofs))
 
 
+def fields(space, seed):
+    """Random exact values and partials at the error rule's points, as the
+    norms take them and as the oracle's callables of ``(x, y, t)``."""
+    rng = np.random.default_rng(seed)
+    values, gx, gy = (rng.standard_normal(space.error_tables.wdet.shape) for _ in range(3))
+    return (values, (gx, gy)), (lambda x, y, t: values, lambda x, y, t: (gx, gy))
+
+
 @pytest.mark.parametrize("kind", ["tri", "quad"])
 def test_quadrature_norm_is_the_fe_norms_bit_for_bit(kind):
-    # The FE norms and errors are quadrature_norm on the error rule; zero
-    # gradients add nothing to the L2 part.
+    # The five norms equal the oracle's whole-array ones, which evaluate the
+    # FE function with their own einsums; zero exact fields add nothing, and
+    # the unit function has norm one on the unit square.
     space = FeSpace(build_mesh(4, kind))
     c = np.random.default_rng(6).standard_normal(space.n_dofs)
-    tb = space.error_tables
-    v, g = space.values_at_quad(c, tb), space.gradients_at_quad(c, tb)
     fe = FeEvaluation(space, c)
     h1 = fe_h1_norm(fe)
-    assert quadrature_norm(tb, v) == fe_l2_norm(fe)
-    assert quadrature_norm(tb, v, g) == h1
-    assert quadrature_norm(tb, v, np.zeros_like(g)) == fe_l2_norm(fe)
-    zero = lambda x, y, t: 0.0 * x  # noqa: E731
-    zero_grad = lambda x, y, t: (0.0 * x, 0.0 * y)  # noqa: E731
-    values, grads = at_error_points(space, zero, 0.0), at_error_points(space, zero_grad, 0.0)
-    assert l2_error(fe, values) == fe_l2_norm(fe)
-    assert h1_error(fe, values, grads) == h1
+    assert fe_l2_norm(fe) == oracle.fe_l2_norm(space, c)
+    assert h1 == oracle.fe_h1_norm(space, c)
+    (values, grads), (exact, grad) = fields(space, 7)
+    assert l2_error(fe, values) == oracle.l2_error(space, c, exact, 0.0)
+    assert h1_error(fe, values, grads) == oracle.h1_error(space, c, exact, grad, 0.0)
+    field = i2h_postprocess(space, macroelements(space.mesh), c)
+    assert h1_error_postprocessed(field, space, values, grads) == oracle.h1_error_postprocessed(
+        field, space, exact, grad, 0.0
+    )
+    zero = np.zeros(space.error_tables.wdet.shape)
+    assert l2_error(fe, zero) == fe_l2_norm(fe)
+    assert h1_error(fe, zero, (zero, zero)) == h1
     # Nothing is kept between norms: the next one evaluates afresh.
     assert fe_h1_norm(fe) == h1
-    assert quadrature_norm(tb, np.ones_like(v)) == pytest.approx(1.0, abs=1e-14)
+    assert fe_l2_norm(FeEvaluation(space, np.ones(space.n_dofs))) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("M", [4, 34, 50, 64])
 @pytest.mark.parametrize("kind", ["tri", "quad"])
 def test_quadrature_norm_equals_the_whole_array_formula_bit_for_bit(kind, M):
     # From tri M=34 and quad M=50 on, the integrand is filled over two
-    # element ranges, the second on a helper thread.
+    # element ranges, the second on a helper thread.  Rough nodal data and
+    # rough exact fields, for each of the five norms.
     space = FeSpace(build_mesh(M, kind))
-    tb = space.error_tables
-    rng = np.random.default_rng(M)
-    v, g = rng.standard_normal(tb.wdet.shape), rng.standard_normal(tb.wdet.shape + (2,))
-    assert quadrature_norm(tb, v) == oracle.whole_array_norm(tb, v)
-    assert quadrature_norm(tb, v, g) == oracle.whole_array_norm(tb, v, g)
+    c = np.random.default_rng(M).standard_normal(space.n_dofs)
+    fe = FeEvaluation(space, c)
+    (values, grads), (exact, grad) = fields(space, M + 1)
+    field = i2h_postprocess(space, macroelements(space.mesh), c)
+    assert fe_l2_norm(fe) == oracle.fe_l2_norm(space, c)
+    assert fe_h1_norm(fe) == oracle.fe_h1_norm(space, c)
+    assert l2_error(fe, values) == oracle.l2_error(space, c, exact, 0.0)
+    assert h1_error(fe, values, grads) == oracle.h1_error(space, c, exact, grad, 0.0)
+    want = oracle.h1_error_postprocessed(field, space, exact, grad, 0.0)
+    assert h1_error_postprocessed(field, space, values, grads) == want
 
 
 @pytest.mark.parametrize("M", [8, 34, 50, 64])
@@ -187,8 +211,9 @@ def test_lift_on_tables_equals_the_whole_table_fill_bit_for_bit(kind, M):
     field = i2h_postprocess(space, blocks, np.random.default_rng(M).standard_normal(space.n_dofs))
     for tb in (space.tables, space.error_tables):
         want_v, want_g = oracle.whole_table_lift(field, tb)
-        assert np.array_equal(field.values_on_tables(tb), want_v)
-        assert np.array_equal(field.gradients_on_tables(tb), want_g)
+        got_v, got_g = lift_on(field, tb)
+        assert np.array_equal(got_v, want_v)
+        assert np.array_equal(got_g, want_g)
         values, derivative = field.on_tables(tb)
         row = 2 * space.mesh.n_elements // M
         for lo in range(0, space.mesh.n_elements, 3 * row):
@@ -230,9 +255,9 @@ def test_lift_of_the_interpolant_of_a_block_polynomial_is_the_polynomial(case):
     field = i2h_postprocess(space, macroelements(space.mesh), interpolate_nodal(space, p, 0.0))
     tb = space.error_tables
     x, y = tb.x[..., 0], tb.x[..., 1]
-    assert np.abs(field.values_on_tables(tb) - p(x, y, 0.0)).max() <= 1e-11
+    v, g = lift_on(field, tb)
+    assert np.abs(v - p(x, y, 0.0)).max() <= 1e-11
     gx, gy = grad(x, y, 0.0)
-    g = field.gradients_on_tables(tb)
     assert np.abs(g[..., 0] - gx).max() <= 1e-11
     assert np.abs(g[..., 1] - gy).max() <= 1e-11
 
@@ -277,8 +302,8 @@ def test_postprocess_equals_the_offset_grouped_formulation_bit_for_bit(kind, M):
     assert np.array_equal(got.coeffs, want.coeffs)
     assert np.array_equal(got.centers, want.centers)
     for tb in (space.tables, space.error_tables):
-        assert np.array_equal(got.values_on_tables(tb), want.values_on_tables(tb))
-        assert np.array_equal(got.gradients_on_tables(tb), want.gradients_on_tables(tb))
+        for a, b in zip(lift_on(got, tb), lift_on(want, tb)):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("rule", ["tables", "error_tables"])
@@ -296,5 +321,6 @@ def test_table_evaluation_equals_the_block_by_block_evaluation(kind, rule, half_
     ids = oracle.block_of_element(blocks[1], space.mesh.n_elements)[:, None]
     want_v = oracle.block_values(field, ids, tb.x)
     want_g = oracle.block_gradients(field, ids, tb.x)
-    assert np.abs(field.values_on_tables(tb) - want_v).max() <= 1e-13 * np.abs(want_v).max()
-    assert np.abs(field.gradients_on_tables(tb) - want_g).max() <= 1e-13 * np.abs(want_g).max()
+    got_v, got_g = lift_on(field, tb)
+    assert np.abs(got_v - want_v).max() <= 1e-13 * np.abs(want_v).max()
+    assert np.abs(got_g - want_g).max() <= 1e-13 * np.abs(want_g).max()

@@ -71,12 +71,15 @@ def test_stiffness_kernel_equals_the_einsum(space):
 
 
 def test_gradients_equal_the_einsum(space):
+    # On the whole table, and one axis at a time as `FeEvaluation` reads it.
     coeffs = np.random.default_rng(2).standard_normal(space.n_dofs)
+    nodal = coeffs[space.mesh.elements.T]
     for tb in (space.tables, space.error_tables):
         want = np.einsum("eqia,ei->eqa", oracle.materialized_grad(tb), coeffs[space.mesh.elements])
-        got = space.gradients_at_quad(coeffs, tb)
-        assert got.shape == tb.wdet.shape + (2,) and got.flags.writeable
-        assert np.array_equal(got, want)
+        assert np.array_equal(fem._gradients(tb.grad, nodal, np.empty(want.shape)), want)
+        for axis in (0, 1):
+            got = fem._gradients(tb.grad[:, axis : axis + 1], nodal, np.empty(tb.wdet.shape + (1,)))
+            assert np.array_equal(got[..., 0], want[..., axis])
 
 
 def test_loads_equal_add_at(space):
