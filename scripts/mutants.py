@@ -56,7 +56,7 @@ MUTANTS = [
     Mutant("bdf3-history", SCHEMES, "history=(18, -9, 2)", "history=(18, -9, 1)", "killed"),
     Mutant("gao-swap", SCHEMES, "(state.phi_n, state.phi_nm1)", "(state.phi_nm1, state.phi_n)", "killed"),
     Mutant("gao-old-sigma", SCHEMES, "_sigma_at_quad(ops, u_new)", "_sigma_at_quad(ops, us[0])", "killed"),
-    Mutant("gao-phi0-time", SCHEMES, "loads = ops.loads(0.0)", "loads = ops.loads(0.01)", "killed"),
+    Mutant("gao-phi0-time", SCHEMES, "with ops.loads(0.0) as loads:", "with ops.loads(0.01) as loads:", "killed"),
     Mutant("ext1-extrap", SCHEMES, '"ext1": ImexTable(extrap=(1,),', '"ext1": ImexTable(extrap=(2, -1),', "killed"),
     Mutant("order-log2", ANALYSIS, "/ np.log(ratio)", "/ np.log(2.0)", "killed"),
     Mutant("floor-geq", FEM, "if not smin > POSITIVITY_FLOOR:", "if not smin >= POSITIVITY_FLOOR:", "killed"),
@@ -75,13 +75,19 @@ MUTANTS = [
     # shifted down by one row, so that one row is filled twice and the last
     # never; the exact partials subtracted on the calling thread's range
     # only; the table weights one ulp off on the second range only.
-    Mutant("report-helper-idle", FEM, "helper.submit(run, ranges[1])", "helper.submit(run, [])", "killed"),
+    Mutant(
+        "report-helper-idle",
+        FEM,
+        '_beside("element-range", run, ranges[1])',
+        '_beside("element-range", run, [])',
+        "killed",
+    ),
     Mutant("report-split-shift", FEM, "(split, n_elements))", "(split - row, n_elements - row))", "killed"),
     Mutant(
         "report-exact-one-range",
         ANALYSIS,
-        "d -= exact_grads[axis][lo:hi]",
-        "d -= exact_grads[axis][lo:hi] * (__import__('threading').current_thread()"
+        "d -= exact[1 + axis][lo:hi]",
+        "d -= exact[1 + axis][lo:hi] * (__import__('threading').current_thread()"
         " is __import__('threading').main_thread())",
         "killed",
     ),

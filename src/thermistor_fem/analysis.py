@@ -23,12 +23,13 @@ Every norm here is `_norm` on the space's error rule, the one path that
 evaluates there: over the exact values and partials at the rule's points
 (`exact_fields`, once per field, refused unless they have the rule's shape),
 and an `FeEvaluation` or a post-processed field, evaluated block by block
-inside each norm and never whole.  The subtractions are those of the
-per-norm, whole-array formulation kept in the tests' dense oracle, whose
-numbers they equal bit for bit.  An integrand is written one block of
-elements at a time into one array, which one whole-array `np.sum` sums; on
-a space of eight blocks of `fem._CHUNK` elements or more, the blocks of a
-second range are written at the same time on a helper thread (`fem._fill`).
+inside each norm and never whole.  `_norm` subtracts the exact arrays in
+place; the subtractions are those of the per-norm, whole-array formulation
+kept in the tests' dense oracle, whose numbers they equal bit for bit.  An
+integrand is written one block of elements at a time into one array, which
+one whole-array `np.sum` sums; on a space of eight blocks of `fem._CHUNK`
+elements or more, the blocks of a second range are written at the same time
+on a helper thread (`fem._fill`).
 """
 
 from __future__ import annotations
@@ -199,13 +200,15 @@ def _patch_blocks(space: FeSpace) -> list:
 
 def _norm(space: FeSpace, values, derivative=None, exact=()) -> float:
     """``sqrt(sum(wdet * (values**2 + |grad|**2)))`` over the points of the
-    space's error rule, where ``values(lo, hi)`` gives the values ``(hi -
-    lo, nq)`` on the elements ``lo:hi`` and ``derivative(lo, hi, axis)`` the
-    partial derivative along ``axis`` there (None: the L2 norm).  The
-    integrand is written in place, in the order written above, block by
-    block over `_patch_blocks` (`fem._fill`) into one array, which is summed
-    once.  ``exact`` holds the exact arrays the two read rows of; each must
-    have the rule's shape ``(ne, nq)``, else ValueError."""
+    space's error rule, where ``values(lo, hi)`` gives new arrays of the
+    values ``(hi - lo, nq)`` on the elements ``lo:hi`` and ``derivative(lo,
+    hi, axis)`` of the partial derivative along ``axis`` there (None: the
+    L2 norm).  ``exact`` holds nothing (a norm), or the exact values and,
+    with ``derivative``, the two exact partials (an error): each is
+    subtracted in place from what the two give.  Each must have the rule's
+    shape ``(ne, nq)``, else ValueError.  The integrand is written in place,
+    in the order written above, block by block over `_patch_blocks`
+    (`fem._fill`) into one array, which is summed once."""
     tb = space.error_tables
     for a in exact:
         if np.shape(a) != tb.wdet.shape:
@@ -214,10 +217,16 @@ def _norm(space: FeSpace, values, derivative=None, exact=()) -> float:
 
     def fill(lo: int, hi: int) -> None:
         block = s[lo:hi]
-        np.square(values(lo, hi), out=block)
+        v = values(lo, hi)
+        if exact:
+            v -= exact[0][lo:hi]
+        np.square(v, out=block)
         if derivative is not None:
-            block += derivative(lo, hi, 0) ** 2
-            block += derivative(lo, hi, 1) ** 2
+            for axis in (0, 1):
+                d = derivative(lo, hi, axis)
+                if exact:
+                    d -= exact[1 + axis][lo:hi]
+                block += d**2
         block *= tb.wdet[lo:hi]
 
     _fill(_patch_blocks(space), fill)
@@ -273,32 +282,16 @@ class FeEvaluation:
         return _gradients(tb.grad[:, axis : axis + 1, :, lo:hi], nodal, out)[..., 0]
 
 
-def _less_exact(derivative, exact_grads):
-    """``derivative`` less the exact partial along the same axis, in place."""
-
-    def less(lo: int, hi: int, axis: int) -> np.ndarray:
-        d = derivative(lo, hi, axis)
-        d -= exact_grads[axis][lo:hi]
-        return d
-
-    return less
-
-
 def l2_error(fe: FeEvaluation, exact_values: np.ndarray) -> float:
     """``||u_h - u||_0`` from the exact values at the error-rule points."""
-    return _norm(fe.space, lambda lo, hi: fe.values(lo, hi) - exact_values[lo:hi], exact=(exact_values,))
+    return _norm(fe.space, fe.values, exact=(exact_values,))
 
 
 def h1_error(fe: FeEvaluation, exact_values: np.ndarray, exact_grads) -> float:
     """Full H1 error ``sqrt(||u_h - u||_0^2 + ||grad(u_h - u)||_0^2)``;
     ``exact_grads`` is the pair of partial derivatives at the error-rule
     points."""
-    return _norm(
-        fe.space,
-        lambda lo, hi: fe.values(lo, hi) - exact_values[lo:hi],
-        _less_exact(fe.derivative, exact_grads),
-        (exact_values, *exact_grads),
-    )
+    return _norm(fe.space, fe.values, fe.derivative, (exact_values, *exact_grads))
 
 
 def fe_l2_norm(fe: FeEvaluation) -> float:
@@ -316,13 +309,7 @@ def h1_error_postprocessed(
 ) -> float:
     """Full H1 error of a post-processed field, from the exact values and the
     pair of exact partial derivatives at the points of ``space``'s error rule."""
-    values, derivative = field.on_tables(space.error_tables)
-    return _norm(
-        space,
-        lambda lo, hi: values(lo, hi) - exact_values[lo:hi],
-        _less_exact(derivative, exact_grads),
-        (exact_values, *exact_grads),
-    )
+    return _norm(space, *field.on_tables(space.error_tables), (exact_values, *exact_grads))
 
 
 def convergence_order(e_coarse: float, e_fine: float, ratio: float) -> float:

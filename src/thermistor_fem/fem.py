@@ -26,12 +26,13 @@ block of `_CHUNK` elements at a time, like the blocked kernels.
 Work over the elements in which each block writes only its own elements'
 entries runs on two element ranges (`_blocks`, `_fill`): the blocks of the
 first on the calling thread and, at the same time, those of the second on a
-helper thread, which has ended when the fill returns or raises.  The
-quadrature tables are built so (`_build_tables`), and the error report's
-exact fields and norm integrands are filled so (`analysis`).  No sum spans
-two blocks, so the results have the same bits at any split and block size.
-A space of fewer than eight blocks of `_CHUNK` elements is filled on the
-calling thread alone.
+helper thread (`_beside`, which also runs a time step's loads beside the
+step: `schemes.OperatorCache.loads`).  Every helper has ended when the call
+that starts it returns or raises.  The quadrature tables are built so
+(`_build_tables`), and the error report's exact fields and norm integrands
+are filled so (`analysis`).  No sum spans two blocks, so the results have
+the same bits at any split and block size.  A space of fewer than eight
+blocks of `_CHUNK` elements is filled on the calling thread alone.
 
 The quadrature tables store the physical shape-function gradients
 element-last, ``(points, 2, ndof, elements)``, so that the blocked kernels
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,8 +105,17 @@ class NoConvergence(RuntimeError):
 
 
 # ----------------------------------------------------------------------------
-# Element blocks on two ranges
+# Helper threads, and element blocks on two ranges
 # ----------------------------------------------------------------------------
+
+
+@contextmanager
+def _beside(name: str, job, *args):
+    """Run ``job(*args)`` on a helper thread beside the ``with`` block, and
+    yield its future.  Leaving the block, by returning or raising, waits for
+    the job and ends the thread: the package's one way to start a thread."""
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix=name) as helper:
+        yield helper.submit(job, *args)
 
 
 def _blocks(n_elements: int, row: int = 1, size: int = _CHUNK) -> list:
@@ -146,8 +157,7 @@ def _fill(ranges: list, fill) -> None:
 
     if ranges[-1][-1][1] < 8 * _CHUNK:
         return run([block for blocks in ranges for block in blocks])
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="element-range") as helper:
-        second = helper.submit(run, ranges[1])
+    with _beside("element-range", run, ranges[1]) as second:
         run(ranges[0])
         second.result()
 
@@ -713,11 +723,14 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     Raises
     ------
     NoConvergence
-        If the matrix has a diagonal entry that is not positive, if a search
-        direction ``p`` meets ``p . Ap`` that is not positive (an indefinite
-        matrix, or NaN), or if the iteration cap is reached.
+        If the load is not finite, if the matrix has a diagonal entry that
+        is not positive, if a search direction ``p`` meets ``p . Ap`` that
+        is not positive (an indefinite matrix, or NaN), or if the iteration
+        cap is reached.
     """
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise NoConvergence("the reduced load has non-finite values")
     diag = A.diagonal()
     if not np.all(diag > 0):
         raise NoConvergence("matrix has a non-positive diagonal entry; not SPD")

@@ -30,7 +30,8 @@ interpolants of the exact solution.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
@@ -44,6 +45,7 @@ from .fem import (
     DirichletSystem,
     FeSpace,
     NoConvergence,
+    _beside,
     assemble_joule_load,
     assemble_load,
     assemble_mass,
@@ -90,15 +92,16 @@ class ProblemData:
     of partials for the H1 errors that every run reports.
 
     A run's `OperatorCache` holds its problem.  ``f1``, ``f2`` and
-    ``exact_phi`` (for the potential's boundary values) are called on the
-    run's worker thread (`OperatorCache.loads`), while the calling thread
-    goes on with the step; ``sigma`` is called on the calling thread.  The
-    final error report calls ``exact_u``, ``exact_phi``, ``grad_u`` and
-    ``grad_phi`` at the error rule's points (`analysis.exact_fields`), on
-    a large space on two threads at once: the calling thread for the first
-    range of elements, a helper for the second.  Initial and start-up levels and
-    the report's nodal interpolants call ``exact_u`` and ``exact_phi`` on
-    the calling thread.
+    ``exact_phi`` (for the potential's boundary values) are called on a
+    helper thread that each step starts and ends (`OperatorCache.loads`),
+    while the calling thread goes on with the step; ``sigma`` is called on
+    the calling thread.  The final error report calls ``exact_u``,
+    ``exact_phi``, ``grad_u`` and ``grad_phi`` at the error rule's points
+    (`analysis.exact_fields`), on a large space on two threads at once: the
+    calling thread for the first range of elements, a helper for the
+    second, which ends with the call.  Initial and start-up levels and the
+    report's nodal interpolants call ``exact_u`` and ``exact_phi`` on the
+    calling thread.
     """
 
     sigma: Callable
@@ -238,8 +241,8 @@ def resolve_tau(config: SchemeConfig, h: float) -> tuple[float, int]:
 
 
 class OperatorCache:
-    """One run's context: its space, problem and solver, the operators it
-    reuses across time steps, and the worker thread of its loads.
+    """One run's context: its space, problem and solver, and the operators
+    it reuses across time steps.
 
     Every step and solve reads the space, the problem and the solver from
     the cache, so one step cannot mix two spaces.  The temperature system
@@ -249,11 +252,11 @@ class OperatorCache:
     ``alpha`` only moves forward (Euler, BDF2, BDF3).  The potential matrix
     changes every step; `potential_solve` assembles it.
 
-    The worker thread computes the `StepLoads` of a step's new time
-    (`loads`) while the calling thread assembles and factorizes.  It starts
-    on the first `loads`; `close` (or leaving a ``with`` block) joins it.
-    Every factorization is made and freed on the calling thread: a SuperLU
-    factor freed on another thread than its own is never released.
+    A step computes the `StepLoads` of its new time on a helper thread
+    (`loads`) while the calling thread assembles and factorizes; the cache
+    owns no thread.  Every factorization is made and freed on the calling
+    thread: a SuperLU factor freed on another thread than its own is never
+    released.
     """
 
     def __init__(self, space: FeSpace, problem: ProblemData, solver: str = "direct"):
@@ -263,22 +266,13 @@ class OperatorCache:
         self.mass = assemble_mass(space)
         self.stiffness = assemble_stiffness(space)
         self._heat: tuple[float, DirichletSystem] | None = None
-        self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="step-loads")
 
-    def __enter__(self) -> "OperatorCache":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Wait for the worker's job, if one runs, and end its thread."""
-        self._worker.shutdown()
-
-    def loads(self, t: float) -> Future:
-        """Start computing the `StepLoads` at time ``t`` on the worker thread;
-        returns the future."""
-        return self._worker.submit(_step_loads, self, t)
+    def loads(self, t: float) -> AbstractContextManager[Future]:
+        """A context manager that computes the `StepLoads` at time ``t`` on a
+        helper thread while its ``with`` block runs, and yields their future.
+        Leaving the block, by returning or by raising, waits for the job and
+        ends the thread (`fem._beside`)."""
+        return _beside("step-loads", _step_loads, self, t)
 
     def heat_system(self, alpha: float) -> DirichletSystem:
         """The reduced ``alpha * Mass + Stiffness``, summed entry by entry on
@@ -323,8 +317,9 @@ def potential_solve(ops: OperatorCache, sigma_star, loads: Future) -> tuple[np.n
     functions of ``ops.space``, with ``Phi_h`` equal to the nodal interpolant
     of the exact potential on the boundary; ``sigma_star`` holds conductivity
     values at the assembly quadrature points.  The system is assembled and
-    factorized before the `StepLoads` future of ``ops.loads(t)`` is waited
-    for.  Returns ``Phi_h`` and the relative residual of its reduced system.
+    factorized before ``loads``, the `StepLoads` future that ``with
+    ops.loads(t) as loads`` yields, is waited for.  Returns ``Phi_h`` and
+    the relative residual of its reduced system.
     """
     A = assemble_weighted_stiffness(ops.space, sigma_star)
     system = DirichletSystem(ops.space, A, ops.solver)
@@ -338,9 +333,9 @@ def temperature_solve(ops: OperatorCache, alpha, history, joule, loads: Future) 
     This is the temperature update of every scheme here: ``alpha`` and
     ``history`` come from the backward difference (`ImexTable.difference`),
     ``joule`` is the assembled Joule load, and ``loads`` is the `StepLoads`
-    future of ``ops.loads(t)``.  ``Mass history`` is formed on the calling
-    thread.  The temperature vanishes on the boundary.  Returns ``U`` and
-    the relative residual of its reduced system.
+    future that ``with ops.loads(t) as loads`` yields.  ``Mass history`` is
+    formed on the calling thread.  The temperature vanishes on the boundary.
+    Returns ``U`` and the relative residual of its reduced system.
     """
     system = ops.heat_system(alpha)
     step = loads.result()
@@ -409,11 +404,11 @@ def imex_step(table: ImexTable, state: TimeState, tau: float, ops: OperatorCache
     """
     us = state.temperatures(table.levels)
     alpha, history = table.difference(us, tau)
-    loads = ops.loads((state.n + 1) * tau)
-    sigma_star = sum(w * _sigma_at_quad(ops, u) for w, u in zip(table.extrap, us))
-    phi_new, res_phi = potential_solve(ops, sigma_star, loads)
-    joule = assemble_joule_load(ops.space, sigma_star, phi_new)
-    u_new, res_u = temperature_solve(ops, alpha, history, joule, loads)
+    with ops.loads((state.n + 1) * tau) as loads:
+        sigma_star = sum(w * _sigma_at_quad(ops, u) for w, u in zip(table.extrap, us))
+        phi_new, res_phi = potential_solve(ops, sigma_star, loads)
+        joule = assemble_joule_load(ops.space, sigma_star, phi_new)
+        u_new, res_u = temperature_solve(ops, alpha, history, joule, loads)
     return state.advanced(u_new, phi_new, tau, float(sigma_star.min()), res_phi, res_u)
 
 
@@ -430,14 +425,14 @@ def gao_step(state: TimeState, tau: float, ops: OperatorCache) -> TimeState:
     if state.phi_nm1 is None:
         raise ValueError("gao_step needs two history levels of both fields")
     alpha, history = table.difference(us, tau)
-    loads = ops.loads((state.n + 1) * tau)
-    joule = sum(
-        w * assemble_joule_load(ops.space, _sigma_at_quad(ops, u), phi)
-        for w, u, phi in zip(table.extrap, us, (state.phi_n, state.phi_nm1))
-    )
-    u_new, res_u = temperature_solve(ops, alpha, history, joule, loads)
-    sigma_new = _sigma_at_quad(ops, u_new)
-    phi_new, res_phi = potential_solve(ops, sigma_new, loads)
+    with ops.loads((state.n + 1) * tau) as loads:
+        joule = sum(
+            w * assemble_joule_load(ops.space, _sigma_at_quad(ops, u), phi)
+            for w, u, phi in zip(table.extrap, us, (state.phi_n, state.phi_nm1))
+        )
+        u_new, res_u = temperature_solve(ops, alpha, history, joule, loads)
+        sigma_new = _sigma_at_quad(ops, u_new)
+        phi_new, res_phi = potential_solve(ops, sigma_new, loads)
     return state.advanced(u_new, phi_new, tau, float(sigma_new.min()), res_phi, res_u)
 
 
@@ -456,8 +451,8 @@ def run_simulation(
     temperature interpolants only; no potential is solved for them.
     A `RUN_FAILURES` exception of step ``n`` (0: the initial potential of
     ``gao``) is re-raised as the first `RUN_FAILURES` type it is an instance
-    of, its text prefixed with ``step n at t=...:``.  The run's worker
-    thread (`OperatorCache`) ends before it returns or raises.
+    of, its text prefixed with ``step n at t=...:``.  Each step's helper
+    thread (`OperatorCache.loads`) ends before the step returns or raises.
     """
     tau, N = validate_config(config)
     if (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
@@ -473,8 +468,8 @@ def run_simulation(
         if config.scheme == "gao":
             # The first temperature-first step consumes two potential levels, so
             # the start-up also solves for the initial potential.
-            loads = ops.loads(0.0)
-            state = replace(state, phi_n=potential_solve(ops, _sigma_at_quad(ops, state.u_n), loads)[0])
+            with ops.loads(0.0) as loads:
+                state = replace(state, phi_n=potential_solve(ops, _sigma_at_quad(ops, state.u_n), loads)[0])
         for n in range(1, N + 1):
             # Start-up: BDF3 takes its first two temperature levels from the
             # exact solution, with no potential: its steps read temperatures
@@ -489,6 +484,4 @@ def run_simulation(
         # tuple's own type.
         kind = next(kind for kind in RUN_FAILURES if isinstance(exc, kind))
         raise kind(f"step {n} at t={n * tau:g}: {exc}") from exc
-    finally:
-        ops.close()
     return state, trace

@@ -14,8 +14,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYT
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
-    # A run's worker thread must end with the run (`OperatorCache.close`).
-    # BLAS threads are native and are not listed here.
+    # Every helper thread ends with the call that starts it (`fem._beside`):
+    # a step's loads, a fill's second element range.  BLAS threads are
+    # native and are not listed here.
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

@@ -48,9 +48,8 @@ STEPS = {
 
 
 def one_step(step, state, space, problem, tau):
-    """``step`` on a fresh operator cache, whose worker ends with the step."""
-    with OperatorCache(space, problem) as ops:
-        return step(state, tau, ops)
+    """``step`` on a fresh operator cache."""
+    return step(state, tau, OperatorCache(space, problem))
 
 
 def cfg(**kw):
@@ -352,8 +351,10 @@ def history_state(space, tau, n=2):
     """Exact-interpolant history up to level n (newest last)."""
     problem = make_problem()
     levels = [interpolate_nodal(space, exact_u, k * tau) for k in range(n + 1)]
-    with OperatorCache(space, problem) as ops:
-        phi = [potential_solve(ops, sigma(space.values_at_quad(u)), ops.loads(k * tau))[0] for k, u in enumerate(levels)]
+    ops, phi = OperatorCache(space, problem), []
+    for k, u in enumerate(levels):
+        with ops.loads(k * tau) as loads:
+            phi.append(potential_solve(ops, sigma(space.values_at_quad(u)), loads)[0])
     return TimeState(
         n=n,
         t=n * tau,
@@ -458,11 +459,11 @@ def test_steps_refuse_a_time_step_that_is_not_positive_and_finite(name, tau):
     # is refused before the step starts its loads job.
     space = FeSpace(build_mesh(4, "tri"))
     state = history_state(space, 0.1)
+    ops = OperatorCache(space, make_problem())
     before = threading.enumerate()
-    with OperatorCache(space, make_problem()) as ops:
-        with pytest.raises(ValueError, match="^the time step must be positive and finite"):
-            STEPS[name](state, tau, ops)
-        assert threading.enumerate() == before
+    with pytest.raises(ValueError, match="^the time step must be positive and finite"):
+        STEPS[name](state, tau, ops)
+    assert threading.enumerate() == before
 
 
 # ----------------------------------------------------------------------------
@@ -661,7 +662,7 @@ def test_every_scheme_converges_in_time_at_its_order(scheme, time_reference):
 
 
 # ----------------------------------------------------------------------------
-# The run's worker thread
+# The steps' helper threads
 # ----------------------------------------------------------------------------
 
 
@@ -682,7 +683,7 @@ class RecordedFactor:
 @pytest.mark.parametrize("scheme", ["bdf2", "bdf3", "gao"])
 def test_every_factor_is_made_and_freed_on_the_calling_thread(scheme, monkeypatch):
     # A SuperLU factor freed on another thread than the one that made it is
-    # never released: the worker computes loads, never a factor.
+    # never released: the helper computes loads, never a factor.
     events, real_splu = [], fem.spla.splu
     monkeypatch.setattr(fem.spla, "splu", lambda *a, **kw: RecordedFactor(real_splu(*a, **kw), events))
     run(cfg(scheme=scheme, T=1.25), make_problem())
@@ -693,11 +694,25 @@ def test_every_factor_is_made_and_freed_on_the_calling_thread(scheme, monkeypatc
 
 
 def test_no_thread_starts_before_a_step_asks_for_its_loads():
+    # The loads' helper starts when their ``with`` block is entered, not
+    # when the context manager is made.
     before = threading.enumerate()
     ops = OperatorCache(FeSpace(build_mesh(4, "tri")), make_problem())
     ops.heat_system(10.0)
+    ops.loads(0.5)
     assert threading.enumerate() == before
-    ops.close()
+
+
+@pytest.mark.parametrize("name", ["bdf2_step", "gao_step"])
+def test_a_step_ends_its_helper_before_it_returns(name):
+    # The cache owns no thread and is never closed: the step's loads run on
+    # a helper that has ended when the step returns.
+    space = FeSpace(build_mesh(4, "tri"))
+    state = history_state(space, 0.1)
+    ops = OperatorCache(space, make_problem())
+    before = threading.enumerate()
+    STEPS[name](state, 0.1, ops)
+    assert threading.enumerate() == before
 
 
 def test_a_failure_in_the_loads_keeps_its_type_and_names_its_step():
@@ -717,7 +732,7 @@ def test_a_failure_in_the_loads_keeps_its_type_and_names_its_step():
 
 
 def test_a_failure_beside_a_running_job_waits_for_it_and_ends_the_worker():
-    # sigma* is negative in step 1 while the worker is still inside f2: the
+    # sigma* is negative in step 1 while the helper is still inside f2: the
     # run fails only once the job is done, and leaves no thread behind.
     problem = make_problem()
     started, finished = threading.Event(), threading.Event()
@@ -759,8 +774,9 @@ def test_potential_solve_is_second_order_accurate():
         space = FeSpace(build_mesh(M, "tri"))
         u = interpolate_nodal(space, exact_u, t)
         sigma_star = sigma(space.values_at_quad(u))
-        with OperatorCache(space, make_problem()) as ops:
-            phi, res = potential_solve(ops, sigma_star, ops.loads(t))
+        ops = OperatorCache(space, make_problem())
+        with ops.loads(t) as loads:
+            phi, res = potential_solve(ops, sigma_star, loads)
         assert res < 1e-10
         errs.append(l2_distance(space, phi, exact_phi, t))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)

@@ -87,25 +87,39 @@ def test_solve_spd_is_the_reference_jacobi_cg_on_random_matrices(n, seed):
     assert np.array_equal(solve_spd(A, b), oracle.jacobi_cg(A, b))
 
 
-def nan_right_hand_side(n):
-    b = np.ones(n)
-    b[7] = np.nan
-    return b
+def nan_off_diagonal(n):
+    A = sp.diags(np.arange(1.0, n + 1.0)).tolil()
+    A[7, 8] = A[8, 7] = np.nan
+    return A
 
 
 @pytest.mark.parametrize(
     "A, b",
     [
         ([[1.0, 1.0], [1.0, 1.0]], np.array([1.0, -1.0])),  # p . Ap = 0
-        (sp.diags(np.arange(1.0, 1001.0)), nan_right_hand_side(1000)),  # p . Ap is NaN
+        (nan_off_diagonal(1000), np.ones(1000)),  # p . Ap is NaN
     ],
-    ids=["zero-curvature", "nan-rhs"],
+    ids=["zero-curvature", "nan-matrix"],
 )
 def test_solve_spd_stops_at_the_first_breakdown(A, b):
     A = CountingMatrix(A)
     with pytest.raises(NoConvergence, match="broke down"):
         solve_spd(A, b)
     assert A.products == 1
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_solve_spd_refuses_a_load_that_is_not_finite(bad):
+    # An inf load made the stop test ``inf <= inf`` before the first
+    # iteration, and the solve returned zeros; a NaN load broke down as
+    # "matrix not SPD".  Both are refused before the loop, in the words of
+    # `DirichletSystem.solve`.
+    A = CountingMatrix(sp.diags(np.full(5, 2.0)))
+    b = np.ones(5)
+    b[2] = bad
+    with pytest.raises(NoConvergence, match="^the reduced load has non-finite values$"):
+        solve_spd(A, b)
+    assert A.products == 0
 
 
 def test_solve_spd_raises_at_the_iteration_cap():
