@@ -58,7 +58,7 @@ for M in (8, 16, 32, 64):
     field = i2h_postprocess(space, blocks, coeffs)
     exact = exact_on_error_rule(space, problem.exact_u, problem.grad_u, t)
     e1 = h1_error(FeEvaluation(space, coeffs), *exact)
-    e2 = h1_error_postprocessed(field, space, *exact)
+    e2 = h1_error_postprocessed(field, *exact)
     plain.append((space.mesh.h, e1))
     lifted.append((space.mesh.h, e2))
     print(f"{M:>4} {e1:>16.3e} {e2:>20.3e}")
@@ -83,10 +83,10 @@ for M in (8, 16, 32, 64):
     blocks = macroelements(space.mesh)
     exact_u = exact_on_error_rule(space, problem.exact_u, problem.grad_u, state.t)
     u_raw = h1_error(FeEvaluation(space, state.u_n), *exact_u)
-    u_lift = h1_error_postprocessed(i2h_postprocess(space, blocks, state.u_n), space, *exact_u)
+    u_lift = h1_error_postprocessed(i2h_postprocess(space, blocks, state.u_n), *exact_u)
     exact_phi = exact_on_error_rule(space, problem.exact_phi, problem.grad_phi, state.t)
     p_raw = h1_error(FeEvaluation(space, state.phi_n), *exact_phi)
-    p_lift = h1_error_postprocessed(i2h_postprocess(space, blocks, state.phi_n), space, *exact_phi)
+    p_lift = h1_error_postprocessed(i2h_postprocess(space, blocks, state.phi_n), *exact_phi)
     rows_u.append((space.mesh.h, u_lift))
     rows_phi.append((space.mesh.h, p_lift))
     print(f"{M:>4} {u_raw:>12.3e} {u_lift:>15.3e} {p_raw:>14.3e} {p_lift:>19.3e}")

@@ -52,6 +52,7 @@ MUTANTS = [
     Mutant("tau-guard-sign", SCHEMES, "* (1 - 1e-12)", "* (1 + 1e-12)", "killed"),
     Mutant("cg-loose", FEM, "CG_RTOL = 1e-12", "CG_RTOL = 1e-10", "killed"),
     Mutant("lift-base", ANALYSIS, "block_coeffs[:, 0] += base", "block_coeffs[:, 0] += 0.999999 * base", "killed"),
+    Mutant("lift-axis", ANALYSIS, "self._table(lo, hi, 1 + axis)", "self._table(lo, hi, 2 - axis)", "killed"),
     Mutant("joule-no-sigma", FEM, "_scatter(space, sigma_star * g2)", "_scatter(space, g2)", "killed"),
     Mutant("bdf3-history", SCHEMES, "history=(18, -9, 2)", "history=(18, -9, 1)", "killed"),
     Mutant("gao-swap", SCHEMES, "(state.phi_n, state.phi_nm1)", "(state.phi_nm1, state.phi_n)", "killed"),

@@ -14,15 +14,19 @@ On the uniform mesh every block is a translate of the blocks of its shape
 (one shape for quads, two for triangles: below and above the block
 diagonal), as `mesh.macroelements` lists them.  `i2h_postprocess` solves
 one Vandermonde system per shape, built from its first block, with all
-blocks of the shape as right-hand sides.  The field is only ever evaluated on
-quadrature tables, as one monomial table per shape and fine-element slot,
-taken from the first block of the shape, times the block coefficients; the
-point-by-point reference evaluation lives in the tests' dense oracle.
+blocks of the shape as right-hand sides, and returns the lift as a
+`PostProcessedField` on its space.  The lift is only ever evaluated on that
+space's error rule, as one monomial table per shape and fine-element slot,
+tabulated once from the first block of the shape, times the block
+coefficients; the point-by-point reference evaluation lives in the tests'
+dense oracle.
 
-Every norm here is `_norm` on the space's error rule, the one path that
-evaluates there: over the exact values and partials at the rule's points
-(`exact_fields`, once per field, refused unless they have the rule's shape),
-and an `FeEvaluation` or a post-processed field, evaluated block by block
+A field here, an `FeEvaluation` or a `PostProcessedField`, knows its space
+and answers ``values(lo, hi)`` and ``derivative(lo, hi, axis)`` on a block
+of elements.  Every norm is `_norm` of one field, L2 or H1, on its space's
+error rule, the one path that evaluates there: over the exact values and
+partials at the rule's points (`exact_fields`, once per field, refused
+unless they have the rule's shape), and the field, evaluated block by block
 inside each norm and never whole.  `_norm` subtracts the exact arrays in
 place; the subtractions are those of the per-norm, whole-array formulation
 kept in the tests' dense oracle, whose numbers they equal bit for bit.  An
@@ -34,12 +38,9 @@ on a helper thread (`fem._fill`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
-from .fem import FeSpace, RuleTables, _blocks, _check_vector, _fill, _gradients
+from .fem import FeSpace, _blocks, _check_vector, _fill, _gradients
 
 __all__ = [
     "interpolate_nodal",
@@ -93,79 +94,70 @@ def _derivative_monomials(d: np.ndarray, powers: np.ndarray, axis: int) -> np.nd
     return powers[:, axis] * _monomials(d, lowered)
 
 
-@dataclass(frozen=True)
 class PostProcessedField:
-    """Piecewise polynomial produced by macroelement post-processing.
+    """Piecewise polynomial produced by macroelement post-processing, on the
+    error rule of its space: ``values(lo, hi)`` and ``derivative(lo, hi,
+    axis)``, the partial derivative along ``axis``, each ``(hi - lo, nq)``,
+    at the rule's points of the elements ``lo:hi``, as `FeEvaluation` gives
+    them.  ``lo:hi`` must hold whole blocks in the order of
+    `mesh.macroelements` (whole rows of ``2 x 2`` patches, `_patch_blocks`).
 
     The polynomial on block ``b`` is ``sum_k coeffs[b, k] *
-    (x - center[b,0])**powers[k,0] * (y - center[b,1])**powers[k,1]``.
-
+    (x - centers[b,0])**powers[k,0] * (y - centers[b,1])**powers[k,1]``.
     ``fine`` holds the fine elements of each block and ``shapes`` the block
     indices of each block shape, as `mesh.macroelements` returns them.  The
-    field is evaluated on quadrature tables, per shape: the blocks of one
-    shape are translates of each other, so the monomials at the points of
-    fine slot ``k`` are the same for all of them and are taken from the
-    shape's first block.
+    blocks of one shape are translates of each other, so the monomials at
+    the points of fine slot ``k`` are the same for all of them: they and
+    their partials are tabulated when the field is made, once per shape, at
+    the points of the shape's first block.  A call takes one matrix product
+    per shape, with the coefficients of the shape's blocks in ``lo:hi``.
     """
 
-    powers: np.ndarray
-    coeffs: np.ndarray
-    centers: np.ndarray
-    fine: np.ndarray
-    shapes: tuple
+    def __init__(self, space: FeSpace, powers, coeffs, centers, fine, shapes):
+        self.space = space
+        self.powers, self.coeffs, self.centers, self.fine, self.shapes = powers, coeffs, centers, fine, shapes
+        x = space.error_tables.x
+        self._tables = []
+        for blocks in shapes:
+            d = x[fine[blocks[0]]] - centers[blocks[0]]  # (4, nq, 2)
+            tabs = (_monomials(d, powers), *(_derivative_monomials(d, powers, axis) for axis in (0, 1)))
+            self._tables.append((blocks, fine[blocks, 0], [t.reshape(-1, len(powers)).T for t in tabs]))
 
-    def on_tables(self, tables: RuleTables) -> tuple:
-        """The field at the points of ``tables``, as two functions of the
-        elements ``lo:hi``: ``values(lo, hi)`` and ``derivative(lo, hi,
-        axis)``, the partial derivative along ``axis``, each ``(hi - lo, nq)``.
+    def _table(self, lo: int, hi: int, k: int) -> np.ndarray:
+        nq = self.space.error_tables.wdet.shape[1]
+        out = np.empty((hi - lo, nq))
+        for blocks, starts, tabs in self._tables:
+            ids = blocks[slice(*np.searchsorted(starts, (lo, hi)))]
+            out[self.fine[ids] - lo] = (self.coeffs[ids] @ tabs[k]).reshape(len(ids), 4, nq)
+        return out
 
-        ``lo:hi`` must hold whole blocks in the order of `mesh.macroelements`
-        (whole rows of ``2 x 2`` patches).  Each shape's monomials and their
-        partials are tabulated here, once; a call takes one matrix product
-        per shape and table, with the coefficients of the shape's blocks in
-        ``lo:hi``.  Tables of another mesh, whose element count is not that
-        of the blocks, raise ValueError.
-        """
-        if self.fine.size != len(tables.wdet):
-            raise ValueError(f"the field's blocks cover {self.fine.size} elements, the tables {len(tables.wdet)}")
-        monomials = (
-            partial(_monomials, powers=self.powers),
-            partial(_derivative_monomials, powers=self.powers, axis=0),
-            partial(_derivative_monomials, powers=self.powers, axis=1),
-        )
-        shapes = []
-        for blocks in self.shapes:
-            first = blocks[0]
-            d = tables.x[self.fine[first]] - self.centers[first]  # (4, nq, 2)
-            shapes.append((blocks, self.fine[blocks, 0], [f(d).reshape(-1, len(self.powers)).T for f in monomials]))
-        nq = tables.wdet.shape[1]
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        return self._table(lo, hi, 0)
 
-        def table(lo: int, hi: int, k: int) -> np.ndarray:
-            out = np.empty((hi - lo, nq))
-            for blocks, starts, tabs in shapes:
-                ids = blocks[slice(*np.searchsorted(starts, (lo, hi)))]
-                out[self.fine[ids] - lo] = (self.coeffs[ids] @ tabs[k]).reshape(len(ids), 4, nq)
-            return out
-
-        return partial(table, k=0), lambda lo, hi, axis: table(lo, hi, 1 + axis)
+    def derivative(self, lo: int, hi: int, axis: int) -> np.ndarray:
+        return self._table(lo, hi, 1 + axis)
 
 
 def i2h_postprocess(
     space: FeSpace, blocks: tuple[np.ndarray, np.ndarray, tuple], coeffs: np.ndarray
 ) -> PostProcessedField:
-    """Apply the macroelement post-processing operator to nodal values.
+    """Apply the macroelement post-processing operator to nodal values: the
+    lift of ``coeffs``, a `PostProcessedField` on ``space``.
 
     ``blocks`` is the ``(anchors, fine, shapes)`` triple of
-    `mesh.macroelements`.  Solves, for every block, the small interpolation
-    system that matches the block polynomial to ``coeffs`` at the anchor
-    nodes.  The blocks of one shape share one system, built from its first
-    block and solved once with all of their anchor values as right-hand sides.
+    `mesh.macroelements`; blocks whose fine elements are not the space's
+    elements, each once, raise ValueError.  Solves, for every block, the
+    small interpolation system that matches the block polynomial to
+    ``coeffs`` at the anchor nodes.  The blocks of one shape share one
+    system, built from its first block and solved once with all of their
+    anchor values as right-hand sides.
     """
     anchors, fine, shapes = blocks  # (nb, na), (nb, 4), per-shape block ids
     mesh = space.mesh
     _check_vector("coeffs", coeffs, space.n_dofs)
-    if np.bincount(fine.ravel(), minlength=mesh.n_elements).min() == 0:
-        raise ValueError("macroelement blocks do not cover the mesh")
+    counts = np.bincount(fine.ravel(), minlength=mesh.n_elements)
+    if len(counts) != mesh.n_elements or np.any(counts != 1):
+        raise ValueError(f"macroelement blocks do not cover the mesh's {mesh.n_elements} elements once each")
     powers = _POWERS[mesh.elem_kind]
     centers = mesh.nodes[anchors].mean(axis=1)  # (nb, 2)
     # One matrix serves all blocks of a shape, so its rounding errors do not
@@ -178,12 +170,11 @@ def i2h_postprocess(
     rhs = values - base[:, None]
     block_coeffs = np.empty((len(anchors), len(powers)))
     for ids in shapes:
-        # Vandermonde in centered monomials, (na, nterms); anchors of the other
-        # element kind make it non-square, which solve rejects (LinAlgError).
+        # Vandermonde in centered monomials, (na, nterms).
         V = _monomials(mesh.nodes[anchors[ids[0]]] - centers[ids[0]], powers)
         block_coeffs[ids] = np.linalg.solve(V, rhs[ids].T).T
     block_coeffs[:, 0] += base
-    return PostProcessedField(powers, block_coeffs, centers, fine, shapes)
+    return PostProcessedField(space, powers, block_coeffs, centers, fine, shapes)
 
 
 # ----------------------------------------------------------------------------
@@ -198,18 +189,19 @@ def _patch_blocks(space: FeSpace) -> list:
     return _blocks(mesh.n_elements, 2 * mesh.n_elements // mesh.M)
 
 
-def _norm(space: FeSpace, values, derivative=None, exact=()) -> float:
+def _norm(field, h1: bool, exact=()) -> float:
     """``sqrt(sum(wdet * (values**2 + |grad|**2)))`` over the points of the
-    space's error rule, where ``values(lo, hi)`` gives new arrays of the
-    values ``(hi - lo, nq)`` on the elements ``lo:hi`` and ``derivative(lo,
-    hi, axis)`` of the partial derivative along ``axis`` there (None: the
-    L2 norm).  ``exact`` holds nothing (a norm), or the exact values and,
-    with ``derivative``, the two exact partials (an error): each is
-    subtracted in place from what the two give.  Each must have the rule's
-    shape ``(ne, nq)``, else ValueError.  The integrand is written in place,
-    in the order written above, block by block over `_patch_blocks`
-    (`fem._fill`) into one array, which is summed once."""
-    tb = space.error_tables
+    error rule of ``field.space``, where ``field`` is an `FeEvaluation` or a
+    `PostProcessedField`: its ``values(lo, hi)`` gives new arrays of the
+    values ``(hi - lo, nq)`` on the elements ``lo:hi`` and, with ``h1``,
+    its ``derivative(lo, hi, axis)`` those of the partial derivative along
+    ``axis`` there (else the L2 norm).  ``exact`` holds nothing (a norm), or
+    the exact values and, with ``h1``, the two exact partials (an error):
+    each is subtracted in place from what the field gives.  Each must have
+    the rule's shape ``(ne, nq)``, else ValueError.  The integrand is
+    written in place, in the order written above, block by block over
+    `_patch_blocks` (`fem._fill`) into one array, which is summed once."""
+    tb = field.space.error_tables
     for a in exact:
         if np.shape(a) != tb.wdet.shape:
             raise ValueError(f"exact fields must have the error rule's shape {tb.wdet.shape}, got {np.shape(a)}")
@@ -217,19 +209,19 @@ def _norm(space: FeSpace, values, derivative=None, exact=()) -> float:
 
     def fill(lo: int, hi: int) -> None:
         block = s[lo:hi]
-        v = values(lo, hi)
+        v = field.values(lo, hi)
         if exact:
             v -= exact[0][lo:hi]
         np.square(v, out=block)
-        if derivative is not None:
+        if h1:
             for axis in (0, 1):
-                d = derivative(lo, hi, axis)
+                d = field.derivative(lo, hi, axis)
                 if exact:
                     d -= exact[1 + axis][lo:hi]
                 block += d**2
         block *= tb.wdet[lo:hi]
 
-    _fill(_patch_blocks(space), fill)
+    _fill(_patch_blocks(field.space), fill)
     return float(np.sqrt(np.sum(s)))
 
 
@@ -284,32 +276,31 @@ class FeEvaluation:
 
 def l2_error(fe: FeEvaluation, exact_values: np.ndarray) -> float:
     """``||u_h - u||_0`` from the exact values at the error-rule points."""
-    return _norm(fe.space, fe.values, exact=(exact_values,))
+    return _norm(fe, False, (exact_values,))
 
 
 def h1_error(fe: FeEvaluation, exact_values: np.ndarray, exact_grads) -> float:
     """Full H1 error ``sqrt(||u_h - u||_0^2 + ||grad(u_h - u)||_0^2)``;
     ``exact_grads`` is the pair of partial derivatives at the error-rule
     points."""
-    return _norm(fe.space, fe.values, fe.derivative, (exact_values, *exact_grads))
+    return _norm(fe, True, (exact_values, *exact_grads))
 
 
 def fe_l2_norm(fe: FeEvaluation) -> float:
     """L2 norm of an FE function (exact up to the error rule's degree)."""
-    return _norm(fe.space, fe.values)
+    return _norm(fe, False)
 
 
 def fe_h1_norm(fe: FeEvaluation) -> float:
     """Full H1 norm of an FE function."""
-    return _norm(fe.space, fe.values, fe.derivative)
+    return _norm(fe, True)
 
 
-def h1_error_postprocessed(
-    field: PostProcessedField, space: FeSpace, exact_values: np.ndarray, exact_grads
-) -> float:
+def h1_error_postprocessed(field: PostProcessedField, exact_values: np.ndarray, exact_grads) -> float:
     """Full H1 error of a post-processed field, from the exact values and the
-    pair of exact partial derivatives at the points of ``space``'s error rule."""
-    return _norm(space, *field.on_tables(space.error_tables), (exact_values, *exact_grads))
+    pair of exact partial derivatives at the points of its space's error
+    rule."""
+    return _norm(field, True, (exact_values, *exact_grads))
 
 
 def convergence_order(e_coarse: float, e_fine: float, ratio: float) -> float:

@@ -110,24 +110,23 @@ def _field_errors(space: FeSpace, blocks, coeffs, exact, grad, t: float, name: s
     errors[f"superclose_{name}_h1"] = analysis.fe_h1_norm(fe)
     errors[f"superclose_{name}_l2"] = analysis.fe_l2_norm(fe)
     post = analysis.i2h_postprocess(space, blocks, coeffs)
-    errors[f"superconv_{name}_h1"] = analysis.h1_error_postprocessed(post, space, exact_values, exact_grads)
+    errors[f"superconv_{name}_h1"] = analysis.h1_error_postprocessed(post, exact_values, exact_grads)
     return errors
 
 
-def compute_error_report(
-    space: FeSpace,
-    state: TimeState,
-    problem: ProblemData,
-    config: SchemeConfig,
-    tau: float,
-    N: int,
-) -> ErrorReport:
-    """Measure all error norms of a finished run at its final time."""
+def compute_error_report(space: FeSpace, state: TimeState, problem: ProblemData, config: SchemeConfig) -> ErrorReport:
+    """Measure all error norms of a finished run at its final time; the
+    report's ``tau`` and ``N`` are those `validate_config` gives ``config``.
+
+    Raises ValueError naming every error field that is not finite (NaN or
+    infinite), so that a bad problem fails its run instead of writing
+    ``nan`` into the CSV."""
+    tau, N = validate_config(config)
     t = state.t
     blocks = macroelements(space.mesh)
     u = _field_errors(space, blocks, state.u_n, problem.exact_u, problem.grad_u, t, "u")
     phi = _field_errors(space, blocks, state.phi_n, problem.exact_phi, problem.grad_phi, t, "phi")
-    return ErrorReport(
+    report = ErrorReport(
         scheme=config.scheme,
         elem=config.elem_kind,
         M=config.M,
@@ -138,6 +137,10 @@ def compute_error_report(
         **u,
         **phi,
     )
+    bad = [name for name in _ERROR_FIELDS if not math.isfinite(getattr(report, name))]
+    if bad:
+        raise ValueError(f"final-time errors that are not finite: {', '.join(bad)}")
+    return report
 
 
 @dataclass(frozen=True)
@@ -176,11 +179,11 @@ class PlanResult:
 
 def run_one(config: SchemeConfig, problem: Optional[ProblemData] = None) -> ErrorReport:
     """Run a single configuration and measure its errors."""
-    tau, N = validate_config(config)
+    validate_config(config)
     problem = problem or make_problem()
     space = FeSpace(build_mesh(config.M, config.elem_kind), config.assembly_points, config.error_points)
     state, _ = run_simulation(config, problem, space)
-    return compute_error_report(space, state, problem, config, tau, N)
+    return compute_error_report(space, state, problem, config)
 
 
 def run_plan(plan: ExperimentPlan, problem: Optional[ProblemData] = None) -> PlanResult:

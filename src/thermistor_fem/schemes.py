@@ -296,7 +296,6 @@ class StepLoads:
     interpolant of the exact potential), and the temperature's load
     ``(f1(t), xi)``."""
 
-    t: float
     f2: np.ndarray
     phi_boundary: np.ndarray
     f1: np.ndarray
@@ -307,7 +306,7 @@ def _step_loads(ops: OperatorCache, t: float) -> StepLoads:
     b2 = assemble_load(space, lambda x, y: problem.f2(x, y, t))
     g = nodal_values(problem.exact_phi, space.mesh.nodes[space.boundary_dofs], t)
     b1 = assemble_load(space, lambda x, y: problem.f1(x, y, t))
-    return StepLoads(t, b2, g, b1)
+    return StepLoads(b2, g, b1)
 
 
 def potential_solve(ops: OperatorCache, sigma_star, loads: Future) -> tuple[np.ndarray, float]:

@@ -41,16 +41,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
-from thermistor_fem.analysis import (
-    PostProcessedField,
-    convergence_order,
-    i2h_postprocess,
-    interpolate_nodal,
-)
+from thermistor_fem.analysis import convergence_order, i2h_postprocess, interpolate_nodal
 from thermistor_fem.harness import _TABLE_ROWS, ExperimentPlan, _fmt
 from thermistor_fem.mesh import macroelements
 from thermistor_fem.schemes import MAX_STEPS, SchemeConfig
@@ -534,7 +530,9 @@ def offset_grouped_postprocess(space, anchors, fine, coeffs):
     every block's centred anchor offsets are formed, and each shape's
     Vandermonde matrix is built from those of its first block.  The solve
     is the package's: anchor values less the block's first one, all blocks
-    of a shape as right-hand sides."""
+    of a shape as right-hand sides.  Returns the block polynomials
+    (``powers``, ``coeffs``, ``centers``) with ``fine`` and ``shapes``, the
+    attributes `whole_table_lift` and `block_values` read."""
     mesh = space.mesh
     powers = _BLOCK_POWERS[mesh.elem_kind]
     pts = mesh.nodes[anchors]
@@ -549,7 +547,7 @@ def offset_grouped_postprocess(space, anchors, fine, coeffs):
         V = d[ids[0], :, None, 0] ** powers[:, 0] * d[ids[0], :, None, 1] ** powers[:, 1]
         block_coeffs[ids] = np.linalg.solve(V, rhs[ids].T).T
     block_coeffs[:, 0] += base
-    return PostProcessedField(powers, block_coeffs, centers, fine, tuple(shapes))
+    return SimpleNamespace(powers=powers, coeffs=block_coeffs, centers=centers, fine=fine, shapes=tuple(shapes))
 
 
 # ----------------------------------------------------------------------------
@@ -632,8 +630,8 @@ def fe_h1_norm(space, coeffs):
     return whole_array_norm(space.error_tables, fe_values(space, coeffs), fe_gradients(space, coeffs))
 
 
-def h1_error_postprocessed(field, space, exact, exact_grad, t):
-    tb = space.error_tables
+def h1_error_postprocessed(field, exact, exact_grad, t):
+    tb = field.space.error_tables
     v, g = whole_table_lift(field, tb)
     return _h1_error(tb, v, g, exact, exact_grad, t)
 
@@ -647,7 +645,7 @@ def per_norm_field_errors(space, coeffs, exact, grad, t, name):
         f"err_{name}_h1": h1_error(space, coeffs, exact, grad, t),
         f"superclose_{name}_h1": fe_h1_norm(space, coeffs - interp),
         f"superclose_{name}_l2": fe_l2_norm(space, coeffs - interp),
-        f"superconv_{name}_h1": h1_error_postprocessed(post, space, exact, grad, t),
+        f"superconv_{name}_h1": h1_error_postprocessed(post, exact, grad, t),
     }
 
 

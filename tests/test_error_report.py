@@ -6,6 +6,7 @@ import dataclasses
 import threading
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -61,12 +62,11 @@ def test_report_equals_the_per_norm_formulation_bit_for_bit(kind, M, make_state)
     problem = make_problem()
     config = SchemeConfig("bdf2", M, kind, tau_rule="fixed:0.25")
     space = FeSpace(build_mesh(M, kind))
-    tau, N = resolve_tau(config, space.mesh.h)
     if make_state == "perturbed":
         state = perturbed_state(space, problem)
     else:
         state = bdf2_state(space, problem, config)
-    got = dataclasses.asdict(compute_error_report(space, state, problem, config, tau, N))
+    got = dataclasses.asdict(compute_error_report(space, state, problem, config))
 
     fresh, t = FeSpace(build_mesh(M, kind)), state.t
     want = {
@@ -77,6 +77,7 @@ def test_report_equals_the_per_norm_formulation_bit_for_bit(kind, M, make_state)
     for name, value in want.items():
         assert got[name] == value, name
         assert value > 0, name
+    assert (got["tau"], got["N"]) == resolve_tau(config, space.mesh.h)
 
 
 @pytest.mark.parametrize(("kind", "M"), [("tri", 98), ("quad", 130)])
@@ -88,7 +89,7 @@ def test_report_with_a_helper_thread_equals_the_per_norm_formulation_bit_for_bit
     space = FeSpace(build_mesh(M, kind))
     assert space.mesh.n_elements >= HELPER_ELEMENTS
     state = perturbed_state(space, problem)
-    got = dataclasses.asdict(compute_error_report(space, state, problem, SchemeConfig("bdf2", M, kind), 0.1, 7))
+    got = dataclasses.asdict(compute_error_report(space, state, problem, SchemeConfig("bdf2", M, kind)))
     fresh, t = FeSpace(build_mesh(M, kind)), state.t
     want = {
         **oracle.per_norm_field_errors(fresh, state.u_n, problem.exact_u, problem.grad_u, t, "u"),
@@ -111,7 +112,7 @@ def test_report_peaks_below_five_and_three_quarters_error_rule_arrays(kind):
     state = perturbed_state(space, problem)
     tracemalloc.start()
     try:
-        compute_error_report(space, state, problem, SchemeConfig("bdf2", 128, kind), 0.1, 7)
+        compute_error_report(space, state, problem, SchemeConfig("bdf2", 128, kind))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -136,7 +137,7 @@ def test_report_evaluates_each_exact_field_once_per_set_of_points():
     config = SchemeConfig("bdf2", 8, "tri", tau_rule="fixed:0.25")
     space = FeSpace(build_mesh(8, "tri"))
     state = perturbed_state(space, problem)
-    compute_error_report(space, state, counting, config, 0.25, 4)
+    compute_error_report(space, state, counting, config)
     assert calls == {"exact_u": 2, "exact_phi": 2, "grad_u": 1, "grad_phi": 1}
 
 
@@ -158,7 +159,7 @@ def test_a_report_below_the_helper_size_starts_no_thread():
         assert (space.mesh.n_elements >= HELPER_ELEMENTS) == (M == 92)
         before = threading.enumerate()
         seen.clear()
-        compute_error_report(space, perturbed_state(space, problem), recording, SchemeConfig("bdf2", M, "tri"), 0.1, 7)
+        compute_error_report(space, perturbed_state(space, problem), recording, SchemeConfig("bdf2", M, "tri"))
         assert threading.current_thread() in seen
         assert len(set(seen)) == threads
         assert threading.enumerate() == before
@@ -193,26 +194,42 @@ def test_an_exact_field_that_fails_on_the_helpers_range_fails_its_run_as_a_seria
 @pytest.mark.parametrize("case", ["lift M=8, space M=16", "fe M=8, exact M=16", "fe M=16, exact M=8"])
 @pytest.mark.parametrize("kind", ["tri", "quad"])
 def test_norms_refuse_fields_of_another_space(kind, case):
-    # The first two used to give a number: the lift's table filled only its
-    # first rows of uninitialised memory, and the FE norms read the first
-    # rows of the exact values.  The third failed in numpy's broadcasting.
+    # A lift or an FE function of one mesh, with the exact fields of the
+    # other.  The FE norms used to give a number for "fe M=8, exact M=16",
+    # from the first rows of the exact values.  The lift reads its space's
+    # error rule, so only exact fields can come from another space.
     problem = make_problem()
     coarse, fine = FeSpace(build_mesh(8, kind)), FeSpace(build_mesh(16, kind))
-    fe_space, exact_space = (fine, coarse) if case == "fe M=16, exact M=8" else (coarse, fine)
+    field_space, exact_space = (fine, coarse) if case == "fe M=16, exact M=8" else (coarse, fine)
     values, grads = exact_fields(exact_space, problem.exact_u, problem.grad_u, 0.5)
-    coeffs = interpolate_nodal(fe_space, problem.exact_u, 0.5)
+    coeffs = interpolate_nodal(field_space, problem.exact_u, 0.5)
+    want = rf"exact fields must have the error rule's shape \({field_space.mesh.n_elements}, "
     if case.startswith("lift"):
-        field = i2h_postprocess(coarse, macroelements(coarse.mesh), coeffs)
-        with pytest.raises(ValueError, match="the field's blocks cover"):
-            h1_error_postprocessed(field, fine, values, grads)
-        return
-    fe = FeEvaluation(fe_space, coeffs)
-    want = rf"exact fields must have the error rule's shape \({fe_space.mesh.n_elements}, "
+        h1 = partial(h1_error_postprocessed, i2h_postprocess(field_space, macroelements(field_space.mesh), coeffs))
+    else:
+        fe = FeEvaluation(field_space, coeffs)
+        h1 = partial(h1_error, fe)
+        with pytest.raises(ValueError, match=want):
+            l2_error(fe, values)
     with pytest.raises(ValueError, match=want):
-        l2_error(fe, values)
-    with pytest.raises(ValueError, match=want):
-        h1_error(fe, values, grads)
-    own_values, own_grads = exact_fields(fe_space, problem.exact_u, problem.grad_u, 0.5)
+        h1(values, grads)
+    own_values, own_grads = exact_fields(field_space, problem.exact_u, problem.grad_u, 0.5)
     with pytest.raises(ValueError, match=want):  # the partials are checked too
-        h1_error(fe, own_values, grads)
-    assert h1_error(fe, own_values, own_grads) > 0
+        h1(own_values, grads)
+    assert h1(own_values, own_grads) > 0
+
+
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+def test_a_problem_with_nan_errors_fails_its_runs(kind):
+    # grad_u gives NaN: the two H1 errors that read it are not finite, and
+    # each run fails with a ValueError that names them, instead of writing
+    # nan into the CSV.
+    problem = make_problem()
+    nan_grad = dataclasses.replace(problem, grad_u=lambda x, y, t: (np.nan, np.nan))
+    runs = tuple(SchemeConfig("bdf2", M, kind, tau_rule="fixed:0.5") for M in (8, 16))
+    result = run_plan(ExperimentPlan("nan-grad", runs), nan_grad)
+    assert result.reports == []
+    assert [failure.message for failure in result.failures] == [
+        "ValueError: final-time errors that are not finite: err_u_h1, superconv_u_h1"
+    ] * 2
+    assert result.csv_text.splitlines()[1:] == [f"# {failure}" for failure in result.failures]

@@ -614,6 +614,22 @@ def test_cli_writes_the_csv_and_exits_3_when_a_run_fails_mid_run(tmp_path, monke
     assert capsys.readouterr().err == HEATED_FAILURE + "\n"
 
 
+def test_cli_writes_the_csv_and_exits_2_when_an_error_is_not_finite(tmp_path, monkeypatch, capsys):
+    # grad_u, which no step reads, gives NaN: the run completes, and its
+    # report refuses the two errors that read it.
+    nan_grad = replace(make_problem(), grad_u=lambda x, y, t: (np.nan, np.nan))
+    monkeypatch.setattr("thermistor_fem.harness.make_problem", lambda: nan_grad)
+    out = tmp_path / "x.csv"
+    code = main(["run", "--scheme", "bdf2", "--elem", "tri", "--M", "4", "--tau-rule", "fixed:0.25", "--out", str(out)])
+    line = (
+        "run failed: scheme=bdf2 elem=tri M=4 tau_rule=fixed:0.25: "
+        "ValueError: final-time errors that are not finite: err_u_h1, superconv_u_h1"
+    )
+    assert code == 2
+    assert out.read_text() == f"{SCHEMA}\n# {line}\n"
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_cli_writes_the_csv_and_exits_3_on_a_memory_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("thermistor_fem.harness.make_problem", _memory_error_on_first_call)
     out = tmp_path / "x.csv"

@@ -36,7 +36,15 @@ from thermistor_fem import (
 from thermistor_fem import fem
 from thermistor_fem.manufactured import exact_phi, exact_u, sigma
 from thermistor_fem.mesh import mesh_size
-from thermistor_fem.schemes import MAX_STEPS, SCHEMES, OperatorCache, ProblemData, potential_solve, validate_config
+from thermistor_fem.schemes import (
+    MAX_STEPS,
+    SCHEMES,
+    OperatorCache,
+    ProblemData,
+    _step_loads,
+    potential_solve,
+    validate_config,
+)
 
 
 STEPS = {
@@ -578,12 +586,18 @@ def test_exact_init_seeds_interpolants():
 def test_bdf3_solves_a_potential_only_in_its_steps(monkeypatch):
     # The exact start levels carry temperatures only: of N levels, the N - 2
     # bdf3 steps solve for a potential and the start-up solves none.
-    calls = []
+    calls, made = [], {}  # made: id of each StepLoads -> (it, its time)
+
+    def timed_step_loads(ops, t):
+        loads = _step_loads(ops, t)
+        made[id(loads)] = (loads, t)
+        return loads
 
     def counting_potential_solve(ops, sigma_star, loads):
-        calls.append(loads.result().t)
+        calls.append(made[id(loads.result())][1])
         return potential_solve(ops, sigma_star, loads)
 
+    monkeypatch.setattr("thermistor_fem.schemes._step_loads", timed_step_loads)
     monkeypatch.setattr("thermistor_fem.schemes.potential_solve", counting_potential_solve)
     state, _ = run(cfg(scheme="bdf3", T=1.25), make_problem())
     assert calls == pytest.approx([0.75, 1.0, 1.25])
