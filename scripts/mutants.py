@@ -61,6 +61,8 @@ MUTANTS = [
     Mutant("ext1-extrap", SCHEMES, '"ext1": ImexTable(extrap=(1,),', '"ext1": ImexTable(extrap=(2, -1),', "killed"),
     Mutant("order-log2", ANALYSIS, "/ np.log(ratio)", "/ np.log(2.0)", "killed"),
     Mutant("floor-geq", FEM, "if not smin > POSITIVITY_FLOOR:", "if not smin >= POSITIVITY_FLOOR:", "killed"),
+    # A run that keeps the space's sparsity pattern after it ends.
+    Mutant("pattern-kept", SCHEMES, 'vars(space).pop("pattern", None)', "pass", "killed"),
     # The FE gradients summed over the element nodes in reverse order: on
     # triangles each sum has two nonzero terms and its bits do not move,
     # on squares they do.

@@ -5,7 +5,9 @@ piecewise-linear elements on triangles, with one degree of freedom per mesh
 node.  Assembly is vectorized over elements and returns ``scipy.sparse.csr``
 matrices on one fixed `SparsityPattern` per space: the pattern, and the
 maps that sum element entries into it and cut the Dirichlet blocks out of
-it, are built once, so a time step only gathers and sums values.
+it, are built on first use and kept, so a time step only gathers and sums
+values.  `schemes.run_simulation` releases them when the run ends; a later
+user rebuilds the same pattern.
 
 The fast paths are held to the arithmetic of the straightforward ones bit
 for bit (``np.array_equal``): matrices equal ``coo_matrix(...).tocsr()`` of
@@ -396,7 +398,10 @@ class FeSpace:
 
     Holds the quadrature tables of the assembly rule, and builds on first
     use those of the error rule (`error_tables`) and the sparsity pattern
-    with its assembly and reduction maps (`pattern`).
+    with its assembly and reduction maps (`pattern`).  A run releases the
+    pattern it used when it returns or raises (`schemes.run_simulation`),
+    so that the error report runs without it; the next assembly, Dirichlet
+    reduction or run builds it again, identical.
 
     Parameters
     ----------
@@ -423,7 +428,8 @@ class FeSpace:
 
     @cached_property
     def pattern(self) -> "SparsityPattern":
-        """The CSR pattern of every assembled matrix (built on first use)."""
+        """The CSR pattern of every assembled matrix (built on first use,
+        released by the run that used it)."""
         return SparsityPattern(self)
 
     def values_at_quad(self, coeffs: np.ndarray) -> np.ndarray:
@@ -478,6 +484,11 @@ class SparsityPattern:
     indices.  The two Dirichlet submatrices are read the same way: the fancy
     indexing ``A[I][:, I]`` and ``A[I][:, B]`` is applied once to a matrix
     whose values tag its slots.  `factorize` turns an interior block into its LU solve.
+
+    A space builds its pattern on first use (`FeSpace.pattern`), and the
+    run that used it releases it, with the column order of its first
+    factorization; a rebuilt pattern is identical, and COLAMD chooses the
+    same order for it again.
 
     Attributes
     ----------

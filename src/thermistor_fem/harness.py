@@ -37,7 +37,15 @@ from . import analysis
 from .fem import FeSpace
 from .manufactured import make_problem
 from .mesh import build_mesh, macroelements
-from .schemes import RUN_FAILURES, ProblemData, SchemeConfig, TimeState, run_simulation, validate_config
+from .schemes import (
+    RUN_FAILURES,
+    ProblemData,
+    SchemeConfig,
+    TimeState,
+    _check_space,
+    run_simulation,
+    validate_config,
+)
 
 __all__ = [
     "ErrorReport",
@@ -118,10 +126,12 @@ def compute_error_report(space: FeSpace, state: TimeState, problem: ProblemData,
     """Measure all error norms of a finished run at its final time; the
     report's ``tau`` and ``N`` are those `validate_config` gives ``config``.
 
-    Raises ValueError naming every error field that is not finite (NaN or
-    infinite), so that a bad problem fails its run instead of writing
-    ``nan`` into the CSV."""
+    Raises ValueError, before evaluating anything, unless the space's mesh
+    is the configuration's, as `run_simulation` does.  Raises ValueError
+    naming every error field that is not finite (NaN or infinite), so that
+    a bad problem fails its run instead of writing ``nan`` into the CSV."""
     tau, N = validate_config(config)
+    _check_space(space, config)
     t = state.t
     blocks = macroelements(space.mesh)
     u = _field_errors(space, blocks, state.u_n, problem.exact_u, problem.grad_u, t, "u")

@@ -205,6 +205,12 @@ def validate_config(config: SchemeConfig) -> tuple[float, int]:
     return tau, N
 
 
+def _check_space(space: FeSpace, config: SchemeConfig) -> None:
+    """Raise ValueError unless ``space`` is on the configuration's mesh."""
+    if (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
+        raise ValueError(f"the space is on an M={space.mesh.M} {space.mesh.elem_kind} mesh, not the configuration's")
+
+
 def _tau_target(rule, h: float) -> float:
     """The time step a tau rule aims at on a mesh of size ``h``."""
     if isinstance(rule, str) and rule.startswith("fixed:"):
@@ -250,7 +256,9 @@ class OperatorCache:
     here, so its Dirichlet reduction (and, with the direct solver, its
     factorization) is built once per ``alpha``.  Only the newest is kept:
     ``alpha`` only moves forward (Euler, BDF2, BDF3).  The potential matrix
-    changes every step; `potential_solve` assembles it.
+    changes every step; `potential_solve` assembles it.  Every matrix lies
+    on the space's sparsity pattern (`FeSpace.pattern`), which the first
+    assembly builds and `run_simulation` releases when the run ends.
 
     A step computes the `StepLoads` of its new time on a helper thread
     (`loads`) while the calling thread assembles and factorizes; the cache
@@ -452,10 +460,12 @@ def run_simulation(
     ``gao``) is re-raised as the first `RUN_FAILURES` type it is an instance
     of, its text prefixed with ``step n at t=...:``.  Each step's helper
     thread (`OperatorCache.loads`) ends before the step returns or raises.
+    The run builds the space's sparsity pattern on its first assembly and
+    releases it when it returns or raises: the error report does not read
+    it, and a later run on the space builds the same pattern again.
     """
     tau, N = validate_config(config)
-    if (space.mesh.M, space.mesh.elem_kind) != (config.M, config.elem_kind):
-        raise ValueError(f"the space is on an M={space.mesh.M} {space.mesh.elem_kind} mesh, not the configuration's")
+    _check_space(space, config)
     table = _scheme_table(config.scheme)
     ops = OperatorCache(space, problem, config.solver)
     state = TimeState(n=0, t=0.0, u_n=interpolate_nodal(space, problem.exact_u, 0.0))
@@ -483,4 +493,7 @@ def run_simulation(
         # tuple's own type.
         kind = next(kind for kind in RUN_FAILURES if isinstance(exc, kind))
         raise kind(f"step {n} at t={n * tau:g}: {exc}") from exc
+    finally:
+        # Nothing after the last step reads the pattern; the next user rebuilds it.
+        vars(space).pop("pattern", None)
     return state, trace

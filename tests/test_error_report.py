@@ -233,3 +233,22 @@ def test_a_problem_with_nan_errors_fails_its_runs(kind):
         "ValueError: final-time errors that are not finite: err_u_h1, superconv_u_h1"
     ] * 2
     assert result.csv_text.splitlines()[1:] == [f"# {failure}" for failure in result.failures]
+
+
+@pytest.mark.parametrize(("M", "kind"), [(8, "tri"), (16, "quad")])
+def test_a_report_refuses_a_space_of_another_mesh_before_it_evaluates_anything(M, kind):
+    # A tri M=16 space with a configuration of another M, or of the other
+    # kind.  With a quad M=8 configuration the report used to be labelled
+    # M=8 quad and carry the tri M=16 h.
+    problem = make_problem()
+    space = FeSpace(build_mesh(16, "tri"))
+    state = perturbed_state(space, problem)
+
+    def untouchable(*args):
+        raise AssertionError("the report evaluated a field")
+
+    names = ("exact_u", "exact_phi", "grad_u", "grad_phi")
+    silent = dataclasses.replace(problem, **dict.fromkeys(names, untouchable))
+    with pytest.raises(ValueError, match=r"^the space is on an M=16 tri mesh, not the configuration's$"):
+        compute_error_report(space, state, silent, SchemeConfig("bdf2", M, kind, tau_rule="fixed:0.25"))
+    assert "error_tables" not in vars(space)
