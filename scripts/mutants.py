@@ -63,6 +63,15 @@ MUTANTS = [
     Mutant("floor-geq", FEM, "if not smin > POSITIVITY_FLOOR:", "if not smin >= POSITIVITY_FLOOR:", "killed"),
     # A run that keeps the space's sparsity pattern after it ends.
     Mutant("pattern-kept", SCHEMES, 'vars(space).pop("pattern", None)', "pass", "killed"),
+    # A step that holds its potential system, with its factorization, through
+    # the heat solve.
+    Mutant(
+        "potential-kept",
+        SCHEMES,
+        "del potential  # its factorization goes before the heat system solves",
+        "pass",
+        "killed",
+    ),
     # The FE gradients summed over the element nodes in reverse order: on
     # triangles each sum has two nonzero terms and its bits do not move,
     # on squares they do.

@@ -32,14 +32,6 @@ from .harness import (
 )
 from .manufactured import make_problem
 from .mesh import build_mesh, macroelements
-from .schemes import (
-    TABLES,
-    SchemeConfig,
-    TimeState,
-    gao_step,
-    imex_step,
-    resolve_tau,
-    run_simulation,
-)
+from .schemes import SchemeConfig, resolve_tau, run_simulation
 
 __version__ = "0.1.0"

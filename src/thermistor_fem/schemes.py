@@ -11,7 +11,11 @@ dependent conductivity ``sigma(u)`` and the Joule heating source
 with homogeneous Dirichlet data for ``u`` and prescribed boundary values
 ``g`` for ``phi``.  All schemes here decouple the system by extrapolating the
 conductivity from known time levels, so each step costs two linear solves:
-one potential solve and one temperature solve.
+one potential solve and one temperature solve.  A step holds its two
+Dirichlet systems, `OperatorCache.potential_system` and
+`OperatorCache.heat_system`, and waits once for the loads of its new time,
+which a helper thread computes while the first system is assembled and
+factorized.
 
 Every potential-first scheme is one `imex_step` driven by a row of
 `TABLES`: the weights of the conductivity extrapolation and the weights of
@@ -61,13 +65,10 @@ __all__ = [
     "TimeState",
     "StepRecord",
     "OperatorCache",
-    "StepLoads",
     "ImexTable",
     "TABLES",
     "resolve_tau",
     "validate_config",
-    "potential_solve",
-    "temperature_solve",
     "imex_step",
     "gao_step",
     "run_simulation",
@@ -94,9 +95,10 @@ class ProblemData:
     A run's `OperatorCache` holds its problem.  ``f1``, ``f2`` and
     ``exact_phi`` (for the potential's boundary values) are called on a
     helper thread that each step starts and ends (`OperatorCache.loads`),
-    while the calling thread goes on with the step; ``sigma`` is called on
-    the calling thread.  The final error report calls ``exact_u``,
-    ``exact_phi``, ``grad_u`` and ``grad_phi`` at the error rule's points
+    while the calling thread assembles and factorizes the step's first
+    system; ``sigma`` is called on the calling thread.  The final error
+    report calls ``exact_u``, ``exact_phi``, ``grad_u`` and ``grad_phi`` at
+    the error rule's points
     (`analysis.exact_fields`), on a large space on two threads at once: the
     calling thread for the first range of elements, a helper for the
     second, which ends with the call.  Initial and start-up levels and the
@@ -256,15 +258,16 @@ class OperatorCache:
     here, so its Dirichlet reduction (and, with the direct solver, its
     factorization) is built once per ``alpha``.  Only the newest is kept:
     ``alpha`` only moves forward (Euler, BDF2, BDF3).  The potential matrix
-    changes every step; `potential_solve` assembles it.  Every matrix lies
-    on the space's sparsity pattern (`FeSpace.pattern`), which the first
-    assembly builds and `run_simulation` releases when the run ends.
+    changes every step: `potential_system` makes it anew, and the step drops
+    it after its one solve.  Every matrix lies on the space's sparsity
+    pattern (`FeSpace.pattern`), which the first assembly builds and
+    `run_simulation` releases when the run ends.
 
-    A step computes the `StepLoads` of its new time on a helper thread
-    (`loads`) while the calling thread assembles and factorizes; the cache
-    owns no thread.  Every factorization is made and freed on the calling
-    thread: a SuperLU factor freed on another thread than its own is never
-    released.
+    A step computes the loads of its new time on a helper thread (`loads`)
+    while the calling thread assembles and factorizes its first system, and
+    waits for them once, before either solve; the cache owns no thread.
+    Every factorization is made and freed on the calling thread: a SuperLU
+    factor freed on another thread than its own is never released.
     """
 
     def __init__(self, space: FeSpace, problem: ProblemData, solver: str = "direct"):
@@ -276,11 +279,16 @@ class OperatorCache:
         self._heat: tuple[float, DirichletSystem] | None = None
 
     def loads(self, t: float) -> AbstractContextManager[Future]:
-        """A context manager that computes the `StepLoads` at time ``t`` on a
-        helper thread while its ``with`` block runs, and yields their future.
-        Leaving the block, by returning or by raising, waits for the job and
-        ends the thread (`fem._beside`)."""
+        """A context manager that computes the loads at time ``t``
+        (`_step_loads`) on a helper thread while its ``with`` block runs, and
+        yields their future.  Leaving the block, by returning or by raising,
+        waits for the job and ends the thread (`fem._beside`)."""
         return _beside("step-loads", _step_loads, self, t)
+
+    def potential_system(self, sigma_star: np.ndarray) -> DirichletSystem:
+        """The reduced ``(sigma* grad phi, grad xi)``, with ``sigma_star`` at
+        the assembly quadrature points; made anew at each call."""
+        return DirichletSystem(self.space, assemble_weighted_stiffness(self.space, sigma_star), self.solver)
 
     def heat_system(self, alpha: float) -> DirichletSystem:
         """The reduced ``alpha * Mass + Stiffness``, summed entry by entry on
@@ -297,57 +305,16 @@ def _sigma_at_quad(ops: OperatorCache, u_coeffs: np.ndarray) -> np.ndarray:
     return ops.problem.sigma(ops.space.values_at_quad(u_coeffs))
 
 
-@dataclass(frozen=True)
-class StepLoads:
+def _step_loads(ops: OperatorCache, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a step needs that depends on its new time ``t`` alone: the
     potential's load ``(f2(t), xi)`` and boundary values (the nodal
     interpolant of the exact potential), and the temperature's load
-    ``(f1(t), xi)``."""
-
-    f2: np.ndarray
-    phi_boundary: np.ndarray
-    f1: np.ndarray
-
-
-def _step_loads(ops: OperatorCache, t: float) -> StepLoads:
+    ``(f1(t), xi)``, in that order."""
     space, problem = ops.space, ops.problem
     b2 = assemble_load(space, lambda x, y: problem.f2(x, y, t))
     g = nodal_values(problem.exact_phi, space.mesh.nodes[space.boundary_dofs], t)
     b1 = assemble_load(space, lambda x, y: problem.f1(x, y, t))
-    return StepLoads(b2, g, b1)
-
-
-def potential_solve(ops: OperatorCache, sigma_star, loads: Future) -> tuple[np.ndarray, float]:
-    """Solve the discrete potential equation at the time of ``loads``.
-
-    ``(sigma* grad Phi_h, grad xi) = (f2(t), xi)`` for all interior test
-    functions of ``ops.space``, with ``Phi_h`` equal to the nodal interpolant
-    of the exact potential on the boundary; ``sigma_star`` holds conductivity
-    values at the assembly quadrature points.  The system is assembled and
-    factorized before ``loads``, the `StepLoads` future that ``with
-    ops.loads(t) as loads`` yields, is waited for.  Returns ``Phi_h`` and
-    the relative residual of its reduced system.
-    """
-    A = assemble_weighted_stiffness(ops.space, sigma_star)
-    system = DirichletSystem(ops.space, A, ops.solver)
-    step = loads.result()
-    return system.solve(step.f2, step.phi_boundary)
-
-
-def temperature_solve(ops: OperatorCache, alpha, history, joule, loads: Future) -> tuple[np.ndarray, float]:
-    """Solve ``(alpha Mass + Stiffness) U = Mass history + joule + (f1(t), xi)``.
-
-    This is the temperature update of every scheme here: ``alpha`` and
-    ``history`` come from the backward difference (`ImexTable.difference`),
-    ``joule`` is the assembled Joule load, and ``loads`` is the `StepLoads`
-    future that ``with ops.loads(t) as loads`` yields.  ``Mass history`` is
-    formed on the calling thread.  The temperature vanishes on the boundary.
-    Returns ``U`` and the relative residual of its reduced system.
-    """
-    system = ops.heat_system(alpha)
-    step = loads.result()
-    rhs = ops.mass @ history + joule + step.f1
-    return system.solve(rhs, np.zeros(ops.space.boundary_dofs.size))
+    return b2, g, b1
 
 
 # ----------------------------------------------------------------------------
@@ -405,17 +372,23 @@ def imex_step(table: ImexTable, state: TimeState, tau: float, ops: OperatorCache
     """One potential-first step with the coefficients of ``table``, on the
     space and problem of ``ops``.
 
-    The potential is solved first with the extrapolated conductivity
-    evaluated at quadrature points, then the temperature is advanced with the
-    fresh potential in the Joule term.
+    The potential is solved first, ``(sigma* grad Phi, grad xi) = (f2(t),
+    xi)`` with the extrapolated conductivity at quadrature points and the
+    exact potential's nodal values on the boundary.  Then the temperature,
+    zero on the boundary, is advanced with the fresh potential in the Joule
+    load: ``(alpha Mass + Stiffness) U = Mass history + joule + (f1(t),
+    xi)``, with ``alpha`` and ``history`` from `ImexTable.difference`.
     """
     us = state.temperatures(table.levels)
     alpha, history = table.difference(us, tau)
     with ops.loads((state.n + 1) * tau) as loads:
         sigma_star = sum(w * _sigma_at_quad(ops, u) for w, u in zip(table.extrap, us))
-        phi_new, res_phi = potential_solve(ops, sigma_star, loads)
-        joule = assemble_joule_load(ops.space, sigma_star, phi_new)
-        u_new, res_u = temperature_solve(ops, alpha, history, joule, loads)
+        potential = ops.potential_system(sigma_star)
+        b2, g, b1 = loads.result()
+    phi_new, res_phi = potential.solve(b2, g)
+    del potential  # its factorization goes before the heat system solves
+    joule = assemble_joule_load(ops.space, sigma_star, phi_new)
+    u_new, res_u = ops.heat_system(alpha).solve(ops.mass @ history + joule + b1, np.zeros(ops.space.boundary_dofs.size))
     return state.advanced(u_new, phi_new, tau, float(sigma_star.min()), res_phi, res_u)
 
 
@@ -437,9 +410,11 @@ def gao_step(state: TimeState, tau: float, ops: OperatorCache) -> TimeState:
             w * assemble_joule_load(ops.space, _sigma_at_quad(ops, u), phi)
             for w, u, phi in zip(table.extrap, us, (state.phi_n, state.phi_nm1))
         )
-        u_new, res_u = temperature_solve(ops, alpha, history, joule, loads)
-        sigma_new = _sigma_at_quad(ops, u_new)
-        phi_new, res_phi = potential_solve(ops, sigma_new, loads)
+        heat = ops.heat_system(alpha)
+        b2, g, b1 = loads.result()
+    u_new, res_u = heat.solve(ops.mass @ history + joule + b1, np.zeros(ops.space.boundary_dofs.size))
+    sigma_new = _sigma_at_quad(ops, u_new)
+    phi_new, res_phi = ops.potential_system(sigma_new).solve(b2, g)
     return state.advanced(u_new, phi_new, tau, float(sigma_new.min()), res_phi, res_u)
 
 
@@ -459,7 +434,8 @@ def run_simulation(
     A `RUN_FAILURES` exception of step ``n`` (0: the initial potential of
     ``gao``) is re-raised as the first `RUN_FAILURES` type it is an instance
     of, its text prefixed with ``step n at t=...:``.  Each step's helper
-    thread (`OperatorCache.loads`) ends before the step returns or raises.
+    thread (`OperatorCache.loads`) ends before the step's first solve, and
+    each potential system is dropped after its one solve.
     The run builds the space's sparsity pattern on its first assembly and
     releases it when it returns or raises: the error report does not read
     it, and a later run on the space builds the same pattern again.
@@ -478,7 +454,10 @@ def run_simulation(
             # The first temperature-first step consumes two potential levels, so
             # the start-up also solves for the initial potential.
             with ops.loads(0.0) as loads:
-                state = replace(state, phi_n=potential_solve(ops, _sigma_at_quad(ops, state.u_n), loads)[0])
+                potential = ops.potential_system(_sigma_at_quad(ops, state.u_n))
+                b2, g, _ = loads.result()
+            state = replace(state, phi_n=potential.solve(b2, g)[0])
+            del potential  # the run would hold it to its end
         for n in range(1, N + 1):
             # Start-up: BDF3 takes its first two temperature levels from the
             # exact solution, with no potential: its steps read temperatures

@@ -28,13 +28,10 @@ import pytest
 
 import _dense_oracle as oracle
 from thermistor_fem import (
-    TABLES,
     ExperimentPlan,
     FeSpace,
     SchemeConfig,
-    TimeState,
     build_mesh,
-    imex_step,
     i2h_postprocess,
     interpolate_nodal,
     macroelements,
@@ -45,7 +42,7 @@ from thermistor_fem import (
 )
 from thermistor_fem.cli import main
 from thermistor_fem.manufactured import source_f1, source_f2
-from thermistor_fem.schemes import OperatorCache
+from thermistor_fem.schemes import TABLES, OperatorCache, TimeState, imex_step
 
 mp.mp.dps = 50
 

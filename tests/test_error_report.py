@@ -17,7 +17,6 @@ from thermistor_fem import (
     FeEvaluation,
     FeSpace,
     SchemeConfig,
-    TimeState,
     build_mesh,
     h1_error,
     h1_error_postprocessed,
@@ -33,6 +32,7 @@ from thermistor_fem import (
 from thermistor_fem.analysis import exact_fields
 from thermistor_fem.fem import _CHUNK
 from thermistor_fem.harness import compute_error_report
+from thermistor_fem.schemes import TimeState
 
 #: Fewest elements whose report fills its second range on a helper thread.
 HELPER_ELEMENTS = 8 * _CHUNK

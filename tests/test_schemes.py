@@ -18,16 +18,12 @@ from hypothesis import strategies as st
 
 import _dense_oracle as oracle
 from thermistor_fem import (
-    TABLES,
     ConductivityNotPositive,
     FeEvaluation,
     FeSpace,
     SchemeConfig,
-    TimeState,
     build_mesh,
     fe_l2_norm,
-    gao_step,
-    imex_step,
     interpolate_nodal,
     l2_error,
     make_problem,
@@ -40,10 +36,13 @@ from thermistor_fem.mesh import mesh_size
 from thermistor_fem.schemes import (
     MAX_STEPS,
     SCHEMES,
+    TABLES,
     OperatorCache,
     ProblemData,
+    TimeState,
     _step_loads,
-    potential_solve,
+    gao_step,
+    imex_step,
     validate_config,
 )
 
@@ -362,8 +361,8 @@ def history_state(space, tau, n=2):
     levels = [interpolate_nodal(space, exact_u, k * tau) for k in range(n + 1)]
     ops, phi = OperatorCache(space, problem), []
     for k, u in enumerate(levels):
-        with ops.loads(k * tau) as loads:
-            phi.append(potential_solve(ops, sigma(space.values_at_quad(u)), loads)[0])
+        b2, g, _ = _step_loads(ops, k * tau)
+        phi.append(ops.potential_system(sigma(space.values_at_quad(u))).solve(b2, g)[0])
     return TimeState(
         n=n,
         t=n * tau,
@@ -587,21 +586,25 @@ def test_exact_init_seeds_interpolants():
 def test_bdf3_solves_a_potential_only_in_its_steps(monkeypatch):
     # The exact start levels carry temperatures only: of N levels, the N - 2
     # bdf3 steps solve for a potential and the start-up solves none.
-    calls, made = [], {}  # made: id of each StepLoads -> (it, its time)
+    # A step computes its loads and builds its one potential system, so the
+    # times of the loads are the times of the potential solves.
+    times, systems = [], 0
+    real_potential_system = OperatorCache.potential_system
 
     def timed_step_loads(ops, t):
-        loads = _step_loads(ops, t)
-        made[id(loads)] = (loads, t)
-        return loads
+        times.append(t)
+        return _step_loads(ops, t)
 
-    def counting_potential_solve(ops, sigma_star, loads):
-        calls.append(made[id(loads.result())][1])
-        return potential_solve(ops, sigma_star, loads)
+    def counting_potential_system(ops, sigma_star):
+        nonlocal systems
+        systems += 1
+        return real_potential_system(ops, sigma_star)
 
     monkeypatch.setattr("thermistor_fem.schemes._step_loads", timed_step_loads)
-    monkeypatch.setattr("thermistor_fem.schemes.potential_solve", counting_potential_solve)
+    monkeypatch.setattr(OperatorCache, "potential_system", counting_potential_system)
     state, _ = run(cfg(scheme="bdf3", T=1.25), make_problem())
-    assert calls == pytest.approx([0.75, 1.0, 1.25])
+    assert times == pytest.approx([0.75, 1.0, 1.25])
+    assert systems == len(times)
     assert state.n == 5 and state.phi_n is not None
 
 
@@ -730,6 +733,51 @@ def test_a_step_ends_its_helper_before_it_returns(name):
     assert threading.enumerate() == before
 
 
+@pytest.mark.parametrize("name", ["bdf2_step", "gao_step"])
+def test_a_step_waits_for_its_loads_before_either_solve(name, monkeypatch):
+    # The helper overlaps the assembly and factorization of the step's first
+    # system only: it has ended when either system solves.
+    space = FeSpace(build_mesh(4, "tri"))
+    state = history_state(space, 0.1)
+    ops = OperatorCache(space, make_problem())
+    seen, real_solve = [], fem.DirichletSystem.solve
+
+    def recording_solve(self, b, boundary_values):
+        seen.append([thread.name for thread in threading.enumerate()])
+        return real_solve(self, b, boundary_values)
+
+    monkeypatch.setattr(fem.DirichletSystem, "solve", recording_solve)
+    STEPS[name](state, 0.1, ops)
+    assert len(seen) == 2
+    assert not [thread for names in seen for thread in names if thread.startswith("step-loads")]
+
+
+@pytest.mark.parametrize("solver", ["direct", "cg"])
+@pytest.mark.parametrize("kind", ["tri", "quad"])
+@pytest.mark.parametrize("scheme", ["bdf2", "gao"])
+def test_no_potential_system_is_alive_when_the_heat_system_solves(scheme, kind, solver, monkeypatch):
+    # A potential system is dropped after its one solve, with its
+    # factorization, so a step never holds both systems' factors in a solve.
+    potentials, alive = [], []
+    real_potential_system, real_solve = OperatorCache.potential_system, fem.DirichletSystem.solve
+
+    def tracked_potential_system(ops, sigma_star):
+        system = real_potential_system(ops, sigma_star)
+        potentials.append(weakref.ref(system))
+        return system
+
+    def recording_solve(self, b, boundary_values):
+        if all(ref() is not self for ref in potentials):  # the heat system
+            alive.append(sum(ref() is not None for ref in potentials))
+        return real_solve(self, b, boundary_values)
+
+    monkeypatch.setattr(OperatorCache, "potential_system", tracked_potential_system)
+    monkeypatch.setattr(fem.DirichletSystem, "solve", recording_solve)
+    state, _ = run(cfg(scheme=scheme, elem_kind=kind, solver=solver), make_problem())
+    assert state.n == 4 and len(potentials) == 4 + (scheme == "gao")
+    assert alive == [0] * 4
+
+
 def test_a_failure_in_the_loads_keeps_its_type_and_names_its_step():
     problem = make_problem()
     threads = []
@@ -825,8 +873,8 @@ def test_potential_solve_is_second_order_accurate():
         u = interpolate_nodal(space, exact_u, t)
         sigma_star = sigma(space.values_at_quad(u))
         ops = OperatorCache(space, make_problem())
-        with ops.loads(t) as loads:
-            phi, res = potential_solve(ops, sigma_star, loads)
+        b2, g, _ = _step_loads(ops, t)
+        phi, res = ops.potential_system(sigma_star).solve(b2, g)
         assert res < 1e-10
         errs.append(l2_distance(space, phi, exact_phi, t))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
